@@ -2,13 +2,15 @@
 
 use abr_cluster::microbench::{run_cpu_util, run_latency, CpuUtilConfig, LatencyConfig, Mode};
 use abr_cluster::node::ClusterSpec;
-use abr_cluster::program::{ScriptProgram, Step};
+use abr_cluster::program::{FnProgram, ScriptProgram, Step, StepCtx};
 use abr_cluster::DesDriver;
 use abr_core::{AbConfig, AbEngine, DelayPolicy};
 use abr_des::SimDuration;
 use abr_mpr::engine::{Engine, EngineConfig};
 use abr_mpr::op::ReduceOp;
-use abr_mpr::types::{f64s_to_bytes, Datatype};
+use abr_mpr::topology::TopologyKind;
+use abr_mpr::types::{bytes_to_f64s, f64s_to_bytes, Datatype};
+use bytes::Bytes;
 
 fn reduce_step(rank: u32, elems: usize) -> Step {
     Step::Reduce {
@@ -248,4 +250,83 @@ fn heterogeneous_cluster_runs_both_modes() {
         assert!(r.mean_cpu_us > 0.0);
         assert_eq!(r.per_node_us.len(), 32);
     }
+}
+
+/// A flat tree at 2,048 ranks. The reduce root hears from every other
+/// rank, and the broadcast root, sending past the eager limit, keeps one
+/// request, one pending rendezvous transfer and one pinned region per
+/// peer, so the per-rank maps on both paths outgrow their inline scan and
+/// spill. Results must still match the closed form.
+#[test]
+fn flat_tree_fan_in_and_rendezvous_fan_out_at_2048_ranks() {
+    const N: u32 = 2048;
+    const BCAST_ROOT: u32 = N - 1;
+    let spec = ClusterSpec::homogeneous_1000(N).with_topology(TopologyKind::Flat);
+    let len = spec.eager_limit + 1000;
+    let payload: Bytes = (0..len).map(|i| (i % 251) as u8).collect();
+    let programs: Vec<_> = (0..N)
+        .map(|r| {
+            let payload = payload.clone();
+            let mut step = 0;
+            FnProgram(move |ctx: &mut StepCtx| {
+                step += 1;
+                match step {
+                    1 => Step::Reduce {
+                        root: 0,
+                        op: ReduceOp::Sum,
+                        dtype: Datatype::F64,
+                        data: f64s_to_bytes(&[f64::from(r) + 1.0, 2.0 * f64::from(r)]),
+                    },
+                    2 => {
+                        if r == 0 {
+                            let sum = bytes_to_f64s(ctx.last_data.as_ref().expect("root result"));
+                            ctx.record("sum0", sum[0]);
+                            ctx.record("sum1", sum[1]);
+                        }
+                        Step::Bcast {
+                            root: BCAST_ROOT,
+                            data: (r == BCAST_ROOT).then(|| payload.clone()),
+                            len,
+                        }
+                    }
+                    3 => {
+                        let got = ctx.last_data.as_ref() == Some(&payload);
+                        ctx.record("bcast_ok", f64::from(u8::from(got)));
+                        Step::Done
+                    }
+                    _ => Step::Done,
+                }
+            })
+        })
+        .collect();
+    let mut d = DesDriver::new(&spec, |r, ec: EngineConfig| Engine::new(r, N, ec), programs);
+    d.run();
+    let results = d.results();
+    let obs = |rank: usize, key: &str| {
+        results[rank]
+            .obs
+            .iter()
+            .find(|o| o.key == key)
+            .unwrap_or_else(|| panic!("rank {rank} recorded no {key}"))
+            .value
+    };
+    let n = f64::from(N);
+    assert_eq!(obs(0, "sum0"), n * (n + 1.0) / 2.0);
+    assert_eq!(obs(0, "sum1"), n * (n - 1.0));
+    for rank in 0..N as usize {
+        assert_eq!(
+            obs(rank, "bcast_ok"),
+            1.0,
+            "rank {rank} got a wrong broadcast"
+        );
+    }
+    let counter = |rank: usize, key: &str| {
+        results[rank]
+            .counters
+            .iter()
+            .find(|(k, _)| *k == key)
+            .unwrap()
+            .1
+    };
+    assert_eq!(counter(BCAST_ROOT as usize, "rndv_sent"), u64::from(N - 1));
 }

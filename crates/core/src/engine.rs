@@ -29,7 +29,7 @@ use crate::descriptor::{DescriptorQueue, ReduceDescriptor};
 use crate::stats::AbStats;
 use crate::unexpected::{AbUnexpectedMsg, AbUnexpectedQueue};
 use abr_des::meter::CpuCategory;
-use abr_des::SimDuration;
+use abr_des::{SimDuration, SmallMap};
 use abr_gm::packet::{Packet, PacketKind};
 use abr_mpr::charge::Charges;
 use abr_mpr::engine::{Action, Engine, EngineConfig, MessageEngine};
@@ -40,7 +40,7 @@ use abr_mpr::types::{coll_code, coll_tag, coll_tag_code, Datatype, Rank, TagSel}
 use abr_mpr::{Communicator, ReqId};
 use abr_trace::{TraceEvent, TraceHandle};
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration of the bypass layer.
@@ -102,7 +102,7 @@ pub struct AbEngine {
     stats: AbStats,
     /// Bounded-block budgets for reduce calls whose synchronous phase left
     /// children outstanding.
-    hints: HashMap<u64, SimDuration>,
+    hints: SmallMap<u64, SimDuration>,
     /// In-flight split-phase allreduces (§II extension): reduce-to-0 then
     /// broadcast, both bypassed, chained by the progress paths.
     split_allreduces: Vec<SplitAllreduce>,
@@ -116,7 +116,7 @@ pub struct AbEngine {
     /// Highest reliability sequence seen per source (see
     /// [`AbStats::duplicates_suppressed`]); independent of the inner
     /// engine's map, which only ever sees the packets we forward.
-    last_rel_seq: HashMap<u32, u64>,
+    last_rel_seq: SmallMap<u32, u64>,
 }
 
 /// Chaining state of one split-phase allreduce.
@@ -214,11 +214,11 @@ impl AbEngine {
             ab_unexpected: AbUnexpectedQueue::new(),
             signals_on: false,
             stats: AbStats::default(),
-            hints: HashMap::new(),
+            hints: SmallMap::new(),
             split_allreduces: Vec::new(),
             seg_splits: Vec::new(),
             dual_splits: Vec::new(),
-            last_rel_seq: HashMap::new(),
+            last_rel_seq: SmallMap::new(),
         }
     }
 

@@ -12,7 +12,9 @@
 //! * [`stats`] — streaming accumulators and histograms used by the
 //!   benchmark harnesses,
 //! * [`CpuMeter`] — per-node CPU-time accounting with measurement windows,
-//!   the instrument behind the paper's "average CPU utilization" metric.
+//!   the instrument behind the paper's "average CPU utilization" metric,
+//! * [`SmallMap`] / [`FxHashMap`] — the maps for per-rank and per-packet
+//!   state: a scanned inline vector that spills to a deterministic hash.
 //!
 //! The kernel is intentionally generic: it knows nothing about networks,
 //! NICs or MPI. Higher layers define their own event payload types.
@@ -43,6 +45,7 @@ pub mod event;
 pub mod hash;
 pub mod meter;
 pub mod rng;
+pub mod small_map;
 pub mod stats;
 pub mod time;
 
@@ -50,5 +53,6 @@ pub use event::{EventId, EventQueue, ScheduledEvent, ShardedEventQueue};
 pub use hash::{FxHashMap, FxHashSet};
 pub use meter::{CpuMeter, CpuWindow};
 pub use rng::StreamRng;
+pub use small_map::SmallMap;
 pub use stats::{Accumulator, Histogram};
 pub use time::{SimDuration, SimTime};

@@ -1,8 +1,10 @@
-//! Property tests for the DES kernel: the event queue against a reference
-//! model, and statistical sanity of derived RNG streams.
+//! Property tests for the DES kernel: the event queue and `SmallMap` against
+//! reference models, and statistical sanity of derived RNG streams.
 
-use abr_des::{Accumulator, EventQueue, ShardedEventQueue, SimTime, StreamRng};
+use abr_des::small_map::SPILL_LEN;
+use abr_des::{Accumulator, EventQueue, ShardedEventQueue, SimTime, SmallMap, StreamRng};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -192,5 +194,45 @@ proptest! {
         let mut s2b = root.derive(&[b]);
         let same = (0..64).all(|_| s1b.next_u64() == s2b.next_u64());
         prop_assert!(!same, "distinct paths produced identical streams");
+    }
+
+    /// `SmallMap` answers every operation exactly as std's `HashMap` does.
+    /// Keys come from a range wider than the spill limit, and after
+    /// `drain_at` inserts turn into removes, so runs cross the limit in
+    /// both directions: scan, spill, and back to scan once emptied.
+    #[test]
+    fn small_map_matches_std_hash_map(
+        ops in prop::collection::vec((0u8..7, 0u32..(SPILL_LEN as u32 + 16), any::<u64>()), 1..400),
+        drain_at in 0usize..400,
+    ) {
+        let mut map: SmallMap<u32, u64> = SmallMap::new();
+        let mut model: HashMap<u32, u64> = HashMap::new();
+        for (i, &(kind, key, val)) in ops.iter().enumerate() {
+            let kind = if i >= drain_at && kind <= 2 { 5 } else { kind };
+            match kind {
+                0..=2 => prop_assert_eq!(map.insert(key, val), model.insert(key, val)),
+                3 => prop_assert_eq!(map.get(&key), model.get(&key)),
+                4 => {
+                    let (a, b) = (map.get_mut(&key), model.get_mut(&key));
+                    prop_assert_eq!(a.is_some(), b.is_some());
+                    if let (Some(a), Some(b)) = (a, b) {
+                        *a ^= val;
+                        *b ^= val;
+                    }
+                }
+                5 => prop_assert_eq!(map.remove(&key), model.remove(&key)),
+                _ => {
+                    let a = map.entry(key).or_insert(val);
+                    *a = a.wrapping_add(1);
+                    let b = model.entry(key).or_insert(val);
+                    *b = b.wrapping_add(1);
+                }
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+        }
+        for key in 0..SPILL_LEN as u32 + 16 {
+            prop_assert_eq!(map.get(&key), model.get(&key));
+        }
     }
 }

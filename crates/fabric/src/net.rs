@@ -173,8 +173,9 @@ struct Contended {
     topo: Topo,
     /// Per-link busy-until clock.
     busy: Vec<SimTime>,
-    /// Source-NIC injection free times (same semantics as the flat model).
-    tx_free: FxHashMap<u32, SimTime>,
+    /// Source-NIC injection free times, indexed by source rank (same
+    /// semantics as the flat model).
+    tx_free: Vec<SimTime>,
     /// Per-(src,dst) FIFO delivery floors.
     floors: FxHashMap<(u32, u32), SimTime>,
     watermark: SimTime,
@@ -210,7 +211,7 @@ impl FabricNetwork {
                 place,
                 topo,
                 busy,
-                tx_free: FxHashMap::default(),
+                tx_free: vec![SimTime::ZERO; n_ranks.max(1) as usize],
                 floors: FxHashMap::default(),
                 watermark: SimTime::ZERO,
                 route_buf: Vec::with_capacity(8),
@@ -265,11 +266,7 @@ impl FabricNetwork {
 
     /// Live FIFO-floor entries across the flat and contended maps.
     pub fn floor_entries(&self) -> usize {
-        self.inner.floor_entries()
-            + self
-                .contended
-                .as_ref()
-                .map_or(0, |c| c.floors.len() + c.tx_free.len())
+        self.inner.floor_entries() + self.contended.as_ref().map_or(0, |c| c.floors.len())
     }
 
     /// Dead FIFO floors reclaimed by watermark pruning so far.
@@ -332,9 +329,8 @@ impl FabricNetwork {
                 let e = a.floors.entry(k).or_insert(v);
                 *e = (*e).max(v);
             }
-            for (&k, &v) in &b.tx_free {
-                let e = a.tx_free.entry(k).or_insert(v);
-                *e = (*e).max(v);
+            for (x, y) in a.tx_free.iter_mut().zip(&b.tx_free) {
+                *x = (*x).max(*y);
             }
             a.watermark = a.watermark.max(b.watermark);
             a.link_waits += b.link_waits;
@@ -364,9 +360,8 @@ impl LinkCost for FabricNetwork {
 
         // Source NIC injection serializes exactly as on the flat model.
         let tx = inner.tx_time(src, packet);
-        let tx_start = sent_at.max(c.tx_free.get(&src_id).copied().unwrap_or(SimTime::ZERO));
-        let tx_done = tx_start + tx;
-        c.tx_free.insert(src_id, tx_done);
+        let tx_done = sent_at.max(c.tx_free[src_id as usize]) + tx;
+        c.tx_free[src_id as usize] = tx_done;
 
         let cost = inner.cost();
         let bytes = packet.wire_bytes() as f64;
@@ -422,10 +417,6 @@ impl LinkCost for FabricNetwork {
             let before = c.floors.len();
             c.floors.retain(|_, v| *v > wm);
             c.floors_pruned += (before - c.floors.len()) as u64;
-        }
-        if c.tx_free.len() > FLOOR_PRUNE_LIMIT {
-            let wm = c.watermark;
-            c.tx_free.retain(|_, v| *v > wm);
         }
         inner.record_carried(packet.wire_bytes() as u64);
         arrival
@@ -541,6 +532,24 @@ mod tests {
             let arrive = fab.delivery_time(t0, &hw, &hws[((i + 1) % 2) as usize], &p);
             assert!(arrive >= t0 + bound, "lookahead bound violated at {i}");
         }
+    }
+
+    #[test]
+    fn absorb_merges_contended_floors_and_nic_clocks() {
+        let hw = NodeHw::p3_700();
+        let mut a = FabricNetwork::new(CostModel::default(), FabricSpec::fat_tree(4.0), 64);
+        let mut b = a.fresh_like();
+        a.delivery_time(SimTime::ZERO, &hw, &hw, &packet(0, 40, 100));
+        b.delivery_time(SimTime::from_us(5), &hw, &hw, &packet(2, 40, 50));
+        let tx_free = |f: &FabricNetwork, rank: usize| f.contended.as_ref().unwrap().tx_free[rank];
+        let (a0, b2) = (tx_free(&a, 0), tx_free(&b, 2));
+        a.absorb(&b);
+        assert_eq!(tx_free(&a, 0), a0);
+        assert_eq!(tx_free(&a, 1), SimTime::ZERO);
+        assert_eq!(tx_free(&a, 2), b2);
+        // One floor per (src, dst) pair; NIC clocks are not floors.
+        assert_eq!(a.floor_entries(), 2);
+        assert_eq!(a.packets_carried(), 2);
     }
 
     #[test]

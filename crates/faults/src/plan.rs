@@ -9,10 +9,9 @@
 //! attempt counters advance the same way in both because the protocol sends
 //! the same packet sequence over each link.
 
-use abr_des::StreamRng;
+use abr_des::{FxHashMap, StreamRng};
 use abr_gm::{Packet, PacketKind};
 use abr_trace::{TraceEvent, TraceHandle};
-use std::collections::HashMap;
 
 /// Link selector for a fault rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -372,8 +371,8 @@ pub struct InjectStats {
 pub struct FaultInjector {
     plan: FaultPlan,
     root: StreamRng,
-    attempts: HashMap<(u32, u32), u64>,
-    stall_ns: HashMap<u32, u64>,
+    attempts: FxHashMap<(u32, u32), u64>,
+    stall_ns: FxHashMap<u32, u64>,
     stats: InjectStats,
     trace: TraceHandle,
 }
@@ -388,8 +387,8 @@ impl FaultInjector {
         FaultInjector {
             plan,
             root,
-            attempts: HashMap::new(),
-            stall_ns: HashMap::new(),
+            attempts: FxHashMap::default(),
+            stall_ns: FxHashMap::default(),
             stats: InjectStats::default(),
             trace: TraceHandle::default(),
         }

@@ -23,10 +23,11 @@
 //! *re-stamps* `wire_seq` on delivery from a per-peer monotone counter, so
 //! the engines' FIFO-transport assertion keeps holding under faults.
 
+use abr_des::FxHashMap;
 use abr_gm::{NodeId, Packet, PacketHeader, PacketKind};
 use abr_trace::{TraceEvent, TraceHandle};
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Timing and budget knobs for the reliability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,8 +167,8 @@ impl RxPeer {
 pub struct NodeReliability {
     rank: u32,
     cfg: RelConfig,
-    tx: HashMap<u32, TxPeer>,
-    rx: HashMap<u32, RxPeer>,
+    tx: FxHashMap<u32, TxPeer>,
+    rx: FxHashMap<u32, RxPeer>,
     stats: RelStats,
     trace: TraceHandle,
 }
@@ -178,8 +179,8 @@ impl NodeReliability {
         NodeReliability {
             rank,
             cfg,
-            tx: HashMap::new(),
-            rx: HashMap::new(),
+            tx: FxHashMap::default(),
+            rx: FxHashMap::default(),
             stats: RelStats::default(),
             trace: TraceHandle::default(),
         }
@@ -285,8 +286,9 @@ impl NodeReliability {
     /// has passed its deadline gets one retransmission (with backoff), or a
     /// [`RelEvent::LinkDead`] once the retry budget is spent.
     pub fn on_tick(&mut self, now_ns: u64, out: &mut Vec<RelEvent>) {
-        // Sorted iteration: HashMap order is instance-random, and the order
-        // retransmissions hit the wire must replay deterministically.
+        // Sorted iteration: hash order depends on the hasher and the
+        // table's history, and retransmissions must hit the wire in an
+        // order that depends only on the peers.
         let mut peers: Vec<u32> = self.tx.keys().copied().collect();
         peers.sort_unstable();
         for peer_id in peers {

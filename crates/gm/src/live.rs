@@ -9,7 +9,8 @@
 //! protocol state.
 
 use crate::packet::{NodeId, Packet};
-use std::collections::{HashMap, VecDeque};
+use abr_des::FxHashMap;
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -116,7 +117,7 @@ impl Mailbox {
 /// sequence numbers.
 pub struct LiveFabric {
     boxes: Vec<Arc<Mailbox>>,
-    wire_seq: Mutex<HashMap<(u32, u32), u64>>,
+    wire_seq: Mutex<FxHashMap<(u32, u32), u64>>,
 }
 
 impl LiveFabric {
@@ -124,7 +125,7 @@ impl LiveFabric {
     pub fn new(n: usize) -> Self {
         LiveFabric {
             boxes: (0..n).map(|_| Arc::new(Mailbox::new())).collect(),
-            wire_seq: Mutex::new(HashMap::new()),
+            wire_seq: Mutex::new(FxHashMap::default()),
         }
     }
 

@@ -7,7 +7,7 @@
 //! registry models the bookkeeping so the protocol layer can be audited for
 //! balanced pin/unpin behaviour and for respecting a pinned-memory budget.
 
-use std::collections::HashMap;
+use abr_des::SmallMap;
 
 /// Identifies a registered region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,7 +47,7 @@ impl std::error::Error for MemoryError {}
 /// Tracks pinned regions and enforces an optional budget.
 #[derive(Debug, Clone)]
 pub struct MemoryRegistry {
-    regions: HashMap<u64, usize>,
+    regions: SmallMap<u64, usize>,
     next_id: u64,
     pinned_bytes: usize,
     budget: Option<usize>,
@@ -66,7 +66,7 @@ impl MemoryRegistry {
     /// A registry with no budget limit.
     pub fn unbounded() -> Self {
         MemoryRegistry {
-            regions: HashMap::new(),
+            regions: SmallMap::new(),
             next_id: 0,
             pinned_bytes: 0,
             budget: None,

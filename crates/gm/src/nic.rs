@@ -149,9 +149,10 @@ pub struct Network {
     cost: CostModel,
     /// Earliest next delivery time per (src, dst), enforcing FIFO order.
     last_delivery: FxHashMap<(u32, u32), SimTime>,
-    /// When each source NIC's injection path frees up: a NIC DMAs one
-    /// packet at a time, so bursts (e.g. a bcast root's fan-out) serialize.
-    tx_free: FxHashMap<u32, SimTime>,
+    /// When each source NIC's injection path frees up, indexed by source
+    /// rank (grown on first use): a NIC DMAs one packet at a time, so
+    /// bursts (e.g. a bcast root's fan-out) serialize.
+    tx_free: Vec<SimTime>,
     packets_carried: u64,
     bytes_carried: u64,
     /// Highest `sent_at` observed: everything at or below this time can no
@@ -168,7 +169,7 @@ impl Network {
         Network {
             cost,
             last_delivery: FxHashMap::default(),
-            tx_free: FxHashMap::default(),
+            tx_free: Vec::new(),
             packets_carried: 0,
             bytes_carried: 0,
             watermark: SimTime::ZERO,
@@ -220,9 +221,13 @@ impl Network {
         // The source NIC injects one packet at a time: a burst handed to it
         // back-to-back drains serially through PCI + LANai.
         let src_id = packet.header.src.0;
-        let tx_start = sent_at.max(self.tx_free.get(&src_id).copied().unwrap_or(SimTime::ZERO));
+        let src_ix = src_id as usize;
+        if src_ix >= self.tx_free.len() {
+            self.tx_free.resize(src_ix + 1, SimTime::ZERO);
+        }
+        let tx_start = sent_at.max(self.tx_free[src_ix]);
         let tx_done = tx_start + self.tx_time(src, packet);
-        self.tx_free.insert(src_id, tx_done);
+        self.tx_free[src_ix] = tx_done;
         let rest = self.delivery_delay(src, dst, packet) - self.tx_time(src, packet);
         let nominal = tx_done + rest;
         let key = (src_id, packet.header.dst.0);
@@ -245,10 +250,6 @@ impl Network {
             let before = self.last_delivery.len();
             self.last_delivery.retain(|_, v| *v > wm);
             self.floors_pruned += (before - self.last_delivery.len()) as u64;
-        }
-        if self.tx_free.len() > FLOOR_PRUNE_LIMIT {
-            let wm = self.watermark;
-            self.tx_free.retain(|_, v| *v > wm);
         }
         if self.trace.is_enabled() {
             let bytes = packet.wire_bytes() as f64;
@@ -333,10 +334,11 @@ impl Network {
     }
 
     /// Fold another network's state into this one: counters sum, and the
-    /// FIFO floors / NIC-free times take the per-key maximum. Used when
-    /// merging the per-shard networks of a parallel run back into one (the
-    /// shards' key spaces are disjoint because each map entry is owned by
-    /// its source rank's shard, so the maximum is just a defensive union).
+    /// FIFO floors / NIC-free times take the per-pair / per-source
+    /// maximum. Used when merging the per-shard networks of a parallel run
+    /// back into one (the shards' key spaces are disjoint because each
+    /// entry is owned by its source rank's shard, so the maximum is just a
+    /// defensive union).
     pub fn absorb(&mut self, other: &Network) {
         self.packets_carried += other.packets_carried;
         self.bytes_carried += other.bytes_carried;
@@ -346,9 +348,11 @@ impl Network {
             let e = self.last_delivery.entry(k).or_insert(v);
             *e = (*e).max(v);
         }
-        for (&k, &v) in &other.tx_free {
-            let e = self.tx_free.entry(k).or_insert(v);
-            *e = (*e).max(v);
+        if self.tx_free.len() < other.tx_free.len() {
+            self.tx_free.resize(other.tx_free.len(), SimTime::ZERO);
+        }
+        for (t, &o) in self.tx_free.iter_mut().zip(&other.tx_free) {
+            *t = (*t).max(o);
         }
     }
 
@@ -553,7 +557,16 @@ mod tests {
         // Floors from both halves survive the merge.
         assert_eq!(a.last_delivery.get(&(0, 1)), Some(&t1));
         assert_eq!(a.last_delivery.get(&(2, 1)), Some(&t2));
-        assert!(a.tx_free.contains_key(&0) && a.tx_free.contains_key(&2));
+        // So do both halves' NIC-free times; rank 1 never sent.
+        assert_eq!(
+            a.tx_free[0],
+            SimTime::ZERO + a.tx_time(&hw, &packet(0, 1, 100))
+        );
+        assert_eq!(
+            a.tx_free[2],
+            SimTime::from_us(5) + a.tx_time(&hw, &packet(2, 1, 50))
+        );
+        assert_eq!(a.tx_free[1], SimTime::ZERO);
     }
 
     #[test]

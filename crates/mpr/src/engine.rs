@@ -29,12 +29,13 @@ use crate::request::{Outcome, RecvState, ReqId, Request, RequestBody, RndvSend};
 use crate::topology::{shared_schedule, ScheduleCache, TopoSchedule, TopologyKind};
 use crate::types::{coll_code, coll_tag, Datatype, MprError, Rank, TagSel};
 use abr_des::meter::CpuCategory;
+use abr_des::SmallMap;
 use abr_gm::cost::CostModel;
 use abr_gm::memory::MemoryRegistry;
 use abr_gm::packet::{NodeId, Packet, PacketHeader, PacketKind};
 use abr_trace::{TraceEvent, TraceHandle};
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Outputs the driver must act on, in order.
@@ -131,23 +132,26 @@ pub struct Engine {
     rx: VecDeque<Packet>,
     posted: PostedQueue,
     unexpected: UnexpectedQueue,
-    requests: HashMap<u64, Request>,
+    requests: SmallMap<u64, Request>,
     next_req: u64,
     next_xfer: u64,
     actions: Vec<Action>,
     charges: Charges,
-    coll_seqs: HashMap<u32, u64>,
+    coll_seqs: SmallMap<u32, u64>,
     active_colls: Vec<ReqId>,
-    pending_rndv_sends: HashMap<u64, ReqId>,
-    pending_rndv_recvs: HashMap<u64, ReqId>,
+    pending_rndv_sends: SmallMap<u64, ReqId>,
+    pending_rndv_recvs: SmallMap<u64, ReqId>,
     memory: MemoryRegistry,
     stats: EngineStats,
     reduce_packet_kind: PacketKind,
     derived_comms: u32,
-    last_wire_seq: HashMap<Rank, u64>,
+    /// Last wire sequence seen per source, read only by the FIFO debug
+    /// assertion in `process_packet`, so release builds skip it.
+    #[cfg(debug_assertions)]
+    last_wire_seq: SmallMap<Rank, u64>,
     /// Highest reliability sequence seen per source; duplicates at or below
     /// it are dropped before matching (idempotent duplicate suppression).
-    last_rel_seq: HashMap<Rank, u64>,
+    last_rel_seq: SmallMap<Rank, u64>,
     /// Schedules cached per `(root, size)`; collective instances share
     /// them via `Arc` so tree structure is computed once per shape.
     scheds: ScheduleCache,
@@ -200,21 +204,22 @@ impl Engine {
             rx: VecDeque::new(),
             posted: PostedQueue::new(),
             unexpected: UnexpectedQueue::new(),
-            requests: HashMap::new(),
+            requests: SmallMap::new(),
             next_req: 0,
             next_xfer: 0,
             actions: Vec::new(),
             charges: Charges::ZERO,
-            coll_seqs: HashMap::new(),
+            coll_seqs: SmallMap::new(),
             active_colls: Vec::new(),
-            pending_rndv_sends: HashMap::new(),
-            pending_rndv_recvs: HashMap::new(),
+            pending_rndv_sends: SmallMap::new(),
+            pending_rndv_recvs: SmallMap::new(),
             memory,
             stats: EngineStats::default(),
             reduce_packet_kind: PacketKind::Eager,
             derived_comms: 0,
-            last_wire_seq: HashMap::new(),
-            last_rel_seq: HashMap::new(),
+            #[cfg(debug_assertions)]
+            last_wire_seq: SmallMap::new(),
+            last_rel_seq: SmallMap::new(),
             scheds,
             trace: TraceHandle::default(),
             world: Communicator::world(size),
@@ -1461,6 +1466,7 @@ impl Engine {
             bytes: pkt.header.msg_len,
         });
         // GM delivers in order per (src, dst); assert it.
+        #[cfg(debug_assertions)]
         if let Some(prev) = self.last_wire_seq.insert(src, pkt.header.wire_seq) {
             debug_assert!(
                 pkt.header.wire_seq > prev,
@@ -1709,11 +1715,20 @@ impl Engine {
     // Collective stepping
     // ------------------------------------------------------------------
 
+    /// Step every active collective once, in posting order. Stepping adds
+    /// no collective and removes at most the one stepped (when it
+    /// completes), so walking the list in place visits exactly the
+    /// collectives active at entry.
     fn step_collectives(&mut self) -> bool {
         let mut progressed = false;
-        let ids: Vec<ReqId> = self.active_colls.clone();
-        for id in ids {
+        let mut i = 0;
+        while let Some(&id) = self.active_colls.get(i) {
             progressed |= self.step_one_coll(id);
+            // A completed collective left the list and its successor moved
+            // into slot `i`.
+            if self.active_colls.get(i) == Some(&id) {
+                i += 1;
+            }
         }
         progressed
     }

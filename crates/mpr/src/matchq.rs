@@ -33,10 +33,10 @@
 
 use crate::request::ReqId;
 use crate::types::{Rank, TagSel};
+use abr_des::FxHashMap;
 use abr_gm::packet::PacketKind;
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 /// Queues at or below this length answer `take_match` with a direct scan of
 /// the store instead of bucket probes. A scan in sequence order picks the
@@ -51,63 +51,8 @@ const SMALL_SCAN: usize = 64;
 /// around the threshold does not rebuild its index every few operations.
 const INDEX_DROP: usize = SMALL_SCAN / 2;
 
-/// Fx-style multiplicative hasher for the bucket maps. Selector keys are a
-/// few small integers, attacker-controlled input is not a concern here, and
-/// the default SipHash costs more than the bucket operation it guards.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_i32(&mut self, n: i32) {
-        self.add(n as u32 as u64);
-    }
-    #[inline]
-    fn write_isize(&mut self, n: isize) {
-        self.add(n as u64);
-    }
-}
-
-type FxMap<K> = HashMap<K, VecDeque<u64>, BuildHasherDefault<FxHasher>>;
+/// Selector bucket index: sequence numbers per key, in FIFO order.
+type FxMap<K> = FxHashMap<K, VecDeque<u64>>;
 
 /// A receive the application (or a collective state machine) has posted.
 #[derive(Debug, Clone)]

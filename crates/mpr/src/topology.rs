@@ -20,6 +20,7 @@
 
 use crate::tree;
 use crate::types::Rank;
+use abr_des::SmallMap;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -661,7 +662,7 @@ pub fn shared_schedule(kind: TopologyKind, root: Rank, size: u32) -> Arc<TopoSch
 pub struct ScheduleCache {
     kind: TopologyKind,
     shared: bool,
-    map: HashMap<(Rank, u32), Arc<TopoSchedule>>,
+    map: SmallMap<(Rank, u32), Arc<TopoSchedule>>,
 }
 
 impl ScheduleCache {
@@ -671,7 +672,7 @@ impl ScheduleCache {
         ScheduleCache {
             kind,
             shared: true,
-            map: HashMap::new(),
+            map: SmallMap::new(),
         }
     }
 
@@ -683,7 +684,7 @@ impl ScheduleCache {
         ScheduleCache {
             kind,
             shared: false,
-            map: HashMap::new(),
+            map: SmallMap::new(),
         }
     }
 

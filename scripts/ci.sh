@@ -3,6 +3,11 @@
 #
 # Mirrors .github/workflows/ci.yml so the same gate runs locally:
 #   ./scripts/ci.sh
+#
+# The root Cargo.toml sets `default-members` to the whole workspace, so
+# the plain tier-1 command `cargo build --release && cargo test -q` also
+# builds every bin and runs every crate's tests; the explicit
+# `--workspace` flags below say the same thing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
