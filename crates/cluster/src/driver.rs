@@ -55,7 +55,7 @@
 use crate::node::ClusterSpec;
 use crate::program::{Obs, Program, Step, StepCtx};
 use abr_des::meter::CpuCategory;
-use abr_des::{CpuMeter, EventId, EventQueue, FxHashMap, SimDuration, SimTime};
+use abr_des::{CpuMeter, EventId, EventQueue, SimDuration, SimTime};
 use abr_fabric::FabricNetwork;
 use abr_faults::{FaultInjector, FaultPlan, NodeReliability, RelConfig, RelEvent, RelStats};
 use abr_gm::nic::{LinkCost, NodeHw};
@@ -162,6 +162,10 @@ struct RankState {
     /// Whether this rank is currently counted in its physical node's
     /// poller tally (tenant runs only; always `false` solo).
     polling_counted: bool,
+    /// Next `wire_seq` this rank stamps on a packet it sends. One counter
+    /// per sender is strictly increasing on each of its `(src, dst)`
+    /// pairs, which is all the receivers' FIFO check needs.
+    wire_seq: u64,
 }
 
 impl RankState {
@@ -177,7 +181,16 @@ impl RankState {
             interrupt_debt: SimDuration::ZERO,
             last_nic_charge: SimDuration::ZERO,
             polling_counted: false,
+            wire_seq: 0,
         }
+    }
+
+    /// The sequence number for this rank's next packet.
+    #[inline]
+    fn next_wire_seq(&mut self) -> u64 {
+        let seq = self.wire_seq;
+        self.wire_seq += 1;
+        seq
     }
 }
 
@@ -271,7 +284,6 @@ struct Core<E: MessageEngine, P: Program> {
     /// read-only: transmits need the destination's class even when the
     /// destination lives in another shard.
     hw: Vec<NodeHw>,
-    wire_seq: FxHashMap<(u32, u32), u64>,
     done_count: usize,
     packets_delivered: u64,
     /// Events processed by this core.
@@ -475,11 +487,9 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         let ts = self.tenant.as_ref().expect("tenant transmit");
         let dst = ts.base_of[ts.job_of[i] as usize] + pkt.header.dst.index();
         let (psrc, pdst) = (ts.phys_of[i], ts.phys_of[dst]);
-        // Wire seqs per *global* rank pair: distinct jobs' identical local
-        // pairs must not share a counter.
-        let seq = self.wire_seq.entry((i as u32, dst as u32)).or_insert(0);
-        pkt.header.wire_seq = *seq;
-        *seq += 1;
+        // Wire seqs per *global* sender slot: distinct jobs' identical
+        // local ranks must not share a counter.
+        pkt.header.wire_seq = self.rank[i - self.base].next_wire_seq();
         let src_hw = self.hw[i];
         let dst_hw = self.hw[dst];
         let (local_src, local_dst) = (pkt.header.src, pkt.header.dst);
@@ -501,10 +511,8 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             self.transmit_tenant(i, pkt, stamp);
             return;
         }
-        let key = (pkt.header.src.0, pkt.header.dst.0);
-        let seq = self.wire_seq.entry(key).or_insert(0);
-        pkt.header.wire_seq = *seq;
-        *seq += 1;
+        debug_assert_eq!(pkt.header.src.index(), i, "sending from the wrong rank");
+        pkt.header.wire_seq = self.rank[i - self.base].next_wire_seq();
         let dst = pkt.header.dst.index();
         let src_hw = self.hw[i];
         let dst_hw = self.hw[dst];
@@ -1092,7 +1100,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 rank: self.rank.split_off(start),
                 traces: self.traces.split_off(start),
                 hw: self.hw.clone(),
-                wire_seq: FxHashMap::default(),
                 done_count: 0,
                 packets_delivered: 0,
                 events: 0,
@@ -1128,9 +1135,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             self.packets_delivered += c.packets_delivered;
             self.events += c.events;
             self.network.absorb(&c.network);
-            for (k, v) in c.wire_seq {
-                self.wire_seq.insert(k, v);
-            }
             latest = latest.max(c.queue.now());
         }
         latest
@@ -1209,7 +1213,6 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
             rank: (0..n).map(|_| RankState::fresh()).collect(),
             traces: vec![TraceHandle::default(); n],
             hw: spec.nodes.clone(),
-            wire_seq: FxHashMap::default(),
             done_count: 0,
             packets_delivered: 0,
             events: 0,
@@ -1324,7 +1327,6 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
             rank: (0..n).map(|_| RankState::fresh()).collect(),
             traces: vec![TraceHandle::default(); n],
             hw,
-            wire_seq: FxHashMap::default(),
             done_count: 0,
             packets_delivered: 0,
             events: 0,

@@ -9,13 +9,16 @@
 //!
 //! # Implementation
 //!
-//! Liveness is tracked in a slab of generation-tagged slots rather than hash
-//! sets: an [`EventId`] packs a slot index and the slot's generation at
-//! scheduling time, so `schedule`, `cancel`, and `pop` are all hash-free —
-//! each is a couple of array accesses plus the heap operation. A stale id
-//! (already fired or cancelled) simply fails the generation check.
+//! The binary heap orders 24-byte keys `(at, key, slot, gen)` only; each
+//! payload waits in a slab of generation-tagged slots, so a sift moves the
+//! key and never the payload, however large `E` is. An [`EventId`] packs a
+//! slot index and the slot's generation at scheduling time, so `schedule`,
+//! `cancel`, and `pop` are all hash-free — each is a couple of array
+//! accesses plus the heap operation. A slot is live while it holds a
+//! payload: `pop` takes the payload out, and `cancel` drops it at once. A
+//! stale id (already fired or cancelled) simply fails the generation check.
 //!
-//! Cancelled events leave tombstones in the heap. To keep memory strictly
+//! Cancelled events leave tombstone keys in the heap. To keep memory strictly
 //! bounded by the live-event count, the heap is compacted in place whenever
 //! tombstones outnumber live entries, which amortizes to O(1) per
 //! cancellation.
@@ -60,15 +63,17 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-/// Per-slot liveness record. `gen` increments every time the slot is
-/// reallocated, invalidating ids (and heap entries) from earlier tenancies.
-#[derive(Clone, Copy)]
-struct Slot {
+/// One slab slot. `gen` increments every time the slot is reallocated,
+/// invalidating ids (and heap keys) from earlier tenancies; `payload` is
+/// `Some` exactly while the current tenant is pending.
+struct Slot<E> {
     gen: u32,
-    live: bool,
+    payload: Option<E>,
 }
 
-struct HeapEntry<E> {
+/// A heap key: the ordering coordinate plus the slab slot holding the
+/// payload.
+struct HeapKey {
     at: SimTime,
     /// Tie-break key for events at the same instant. [`EventQueue::schedule`]
     /// assigns a queue-local monotonic sequence (FIFO order);
@@ -77,21 +82,20 @@ struct HeapEntry<E> {
     key: u64,
     slot: u32,
     gen: u32,
-    payload: E,
 }
 
-impl<E> PartialEq for HeapEntry<E> {
+impl PartialEq for HeapKey {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.key == other.key
     }
 }
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
+impl Eq for HeapKey {}
+impl PartialOrd for HeapKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for HeapEntry<E> {
+impl Ord for HeapKey {
     // Reversed: BinaryHeap is a max-heap, we want earliest-first with
     // lowest-key-first tie-breaking.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -105,8 +109,8 @@ impl<E> Ord for HeapEntry<E> {
 /// A priority queue of timestamped events with stable tie-breaking and
 /// O(1)-amortized hash-free cancellation.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    slots: Vec<Slot>,
+    heap: BinaryHeap<HeapKey>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// Cancelled-but-still-heaped entry count; drives compaction.
     dead_in_heap: usize,
@@ -201,36 +205,33 @@ impl<E> EventQueue<E> {
         let slot = match self.free.pop() {
             Some(idx) => {
                 // Bump the generation so stale ids and tombstoned heap
-                // entries from the previous tenant can't touch this event.
+                // keys from the previous tenant can't touch this event.
                 let s = &mut self.slots[idx as usize];
                 s.gen = s.gen.wrapping_add(1);
-                s.live = true;
+                s.payload = Some(payload);
                 idx
             }
             None => {
                 let idx = self.slots.len() as u32;
-                self.slots.push(Slot { gen: 0, live: true });
+                self.slots.push(Slot {
+                    gen: 0,
+                    payload: Some(payload),
+                });
                 idx
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.heap.push(HeapEntry {
-            at,
-            key,
-            slot,
-            gen,
-            payload,
-        });
+        self.heap.push(HeapKey { at, key, slot, gen });
         self.live_count += 1;
         EventId::new(slot, gen)
     }
 
-    /// True if the heap entry refers to the current, live tenancy of its
+    /// True if the heap key refers to the current, live tenancy of its
     /// slot (i.e. it is not a tombstone).
     #[inline]
-    fn entry_is_live(slots: &[Slot], slot: u32, gen: u32) -> bool {
-        let s = slots[slot as usize];
-        s.gen == gen && s.live
+    fn key_is_live(slots: &[Slot<E>], k: &HeapKey) -> bool {
+        let s = &slots[k.slot as usize];
+        s.gen == k.gen && s.payload.is_some()
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
@@ -239,8 +240,8 @@ impl<E> EventQueue<E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         let idx = id.slot() as usize;
         match self.slots.get_mut(idx) {
-            Some(s) if s.gen == id.gen() && s.live => {
-                s.live = false;
+            Some(s) if s.gen == id.gen() && s.payload.is_some() => {
+                s.payload = None;
                 self.free.push(id.slot());
                 self.live_count -= 1;
                 self.dead_in_heap += 1;
@@ -258,34 +259,35 @@ impl<E> EventQueue<E> {
         if self.dead_in_heap <= self.live_count || self.dead_in_heap < 64 {
             return;
         }
-        let slots = std::mem::take(&mut self.slots);
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|e| Self::entry_is_live(&slots, e.slot, e.gen));
-        entries.shrink_to_fit();
-        self.heap = BinaryHeap::from(entries);
-        self.slots = slots;
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.retain(|k| Self::key_is_live(&self.slots, k));
+        keys.shrink_to_fit();
+        self.heap = BinaryHeap::from(keys);
         self.dead_in_heap = 0;
     }
 
     /// Remove and return the earliest live event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if !Self::entry_is_live(&self.slots, entry.slot, entry.gen) {
+        while let Some(k) = self.heap.pop() {
+            if !Self::key_is_live(&self.slots, &k) {
                 self.dead_in_heap -= 1;
                 continue;
             }
-            self.slots[entry.slot as usize].live = false;
-            self.free.push(entry.slot);
+            let payload = self.slots[k.slot as usize]
+                .payload
+                .take()
+                .expect("a live slot holds its payload");
+            self.free.push(k.slot);
             self.live_count -= 1;
-            debug_assert!(entry.at >= self.now, "event queue produced time travel");
-            self.now = entry.at;
+            debug_assert!(k.at >= self.now, "event queue produced time travel");
+            self.now = k.at;
             self.popped += 1;
-            self.trace.set_now_ns(entry.at.as_nanos());
+            self.trace.set_now_ns(k.at.as_nanos());
             return Some(ScheduledEvent {
-                at: entry.at,
-                id: EventId::new(entry.slot, entry.gen),
-                payload: entry.payload,
+                at: k.at,
+                id: EventId::new(k.slot, k.gen),
+                payload,
             });
         }
         None
@@ -294,9 +296,9 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop tombstones from the front so peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if Self::entry_is_live(&self.slots, entry.slot, entry.gen) {
-                return Some(entry.at);
+        while let Some(k) = self.heap.peek() {
+            if Self::key_is_live(&self.slots, k) {
+                return Some(k.at);
             }
             self.heap.pop();
             self.dead_in_heap -= 1;
@@ -308,9 +310,9 @@ impl<E> EventQueue<E> {
     /// popping it — what a cross-shard merge compares to find the global
     /// minimum.
     pub fn peek_coord(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(entry) = self.heap.peek() {
-            if Self::entry_is_live(&self.slots, entry.slot, entry.gen) {
-                return Some((entry.at, entry.key));
+        while let Some(k) = self.heap.peek() {
+            if Self::key_is_live(&self.slots, k) {
+                return Some((k.at, k.key));
             }
             self.heap.pop();
             self.dead_in_heap -= 1;

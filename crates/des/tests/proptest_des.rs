@@ -2,9 +2,10 @@
 //! reference models, and statistical sanity of derived RNG streams.
 
 use abr_des::small_map::SPILL_LEN;
-use abr_des::{Accumulator, EventQueue, ShardedEventQueue, SimTime, SmallMap, StreamRng};
+use abr_des::{Accumulator, EventId, EventQueue, ShardedEventQueue, SimTime, SmallMap, StreamRng};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::{Rc, Weak};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -21,7 +22,110 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Schedule(u64),
+    /// Delay plus the high bits of an explicit tie-break key.
+    ScheduleKeyed(u64, u64),
+    /// Cancel the nth id ever handed out: live, fired, or already cancelled.
+    Cancel(usize),
+    Pop,
+    PeekCoord,
+}
+
+fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        (0u64..2_000).prop_map(QueueOp::Schedule),
+        (0u64..2_000, 0u64..8).prop_map(|(dt, hi)| QueueOp::ScheduleKeyed(dt, hi)),
+        (0usize..64).prop_map(QueueOp::Cancel),
+        Just(QueueOp::Pop),
+        Just(QueueOp::PeekCoord),
+    ]
+}
+
 proptest! {
+    /// `EventQueue` against a `BTreeMap<(at, key), payload>` model under
+    /// random schedule / schedule_keyed / cancel / pop / peek_coord
+    /// sequences. Payloads are `Rc`-counted: a cancelled event's payload
+    /// must be dropped by `cancel` itself, not parked in the slot slab
+    /// until the slot is reused, and nothing may outlive the drained queue.
+    #[test]
+    fn event_queue_matches_btree_model_and_drops_payloads(
+        ops in prop::collection::vec(queue_op_strategy(), 1..300),
+    ) {
+        let mut q: EventQueue<Rc<u64>> = EventQueue::new();
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        // Every id handed out, with its model coordinate and a handle on its
+        // payload.
+        let mut handles: Vec<(EventId, (u64, u64), Weak<u64>)> = Vec::new();
+        // `schedule` keys are the queue's own FIFO sequence 0, 1, 2, ...;
+        // explicit keys sit above 2^32 so the two spaces never collide.
+        let mut fifo_seq = 0u64;
+        let mut now = 0u64;
+        for (step, op) in ops.into_iter().enumerate() {
+            let step = step as u64;
+            match op {
+                QueueOp::Schedule(dt) | QueueOp::ScheduleKeyed(dt, _) => {
+                    let at = now + dt;
+                    let key = match op {
+                        QueueOp::ScheduleKeyed(_, hi) => (1 << 32) | (hi << 16) | step,
+                        _ => {
+                            fifo_seq += 1;
+                            fifo_seq - 1
+                        }
+                    };
+                    let payload = Rc::new(step);
+                    let weak = Rc::downgrade(&payload);
+                    let id = if matches!(op, QueueOp::ScheduleKeyed(..)) {
+                        q.schedule_keyed(SimTime::from_nanos(at), key, payload)
+                    } else {
+                        q.schedule(SimTime::from_nanos(at), payload)
+                    };
+                    model.insert((at, key), step);
+                    handles.push((id, (at, key), weak));
+                }
+                QueueOp::Cancel(n) => {
+                    if handles.is_empty() {
+                        continue;
+                    }
+                    let (id, coord, weak) = &handles[n % handles.len()];
+                    let pending = model.remove(coord).is_some();
+                    prop_assert_eq!(q.cancel(*id), pending, "cancel disagreed with the model");
+                    prop_assert!(weak.upgrade().is_none(), "a cancelled payload is still alive");
+                }
+                QueueOp::Pop => {
+                    let expected = model.pop_first();
+                    let got = q.pop();
+                    match expected {
+                        Some(((at, _), payload)) => {
+                            let ev = got.expect("the model has a live event");
+                            prop_assert_eq!(ev.at, SimTime::from_nanos(at));
+                            prop_assert_eq!(*ev.payload, payload);
+                            prop_assert_eq!(Rc::strong_count(&ev.payload), 1, "the slab kept a popped payload");
+                            prop_assert_eq!(q.now(), ev.at);
+                            now = at;
+                        }
+                        None => prop_assert!(got.is_none()),
+                    }
+                }
+                QueueOp::PeekCoord => {
+                    let expected = model.keys().next().map(|&(at, key)| (SimTime::from_nanos(at), key));
+                    prop_assert_eq!(q.peek_coord(), expected);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            let alive = handles.iter().filter(|(_, _, w)| w.strong_count() > 0).count();
+            prop_assert_eq!(alive, model.len(), "payloads alive beyond the pending events");
+        }
+        while let Some(ev) = q.pop() {
+            let ((at, _), payload) = model.pop_first().expect("the queue outlived the model");
+            prop_assert_eq!((ev.at, *ev.payload), (SimTime::from_nanos(at), payload));
+        }
+        prop_assert!(model.is_empty(), "the queue drained before the model");
+        prop_assert!(q.is_empty());
+        prop_assert!(handles.iter().all(|(_, _, w)| w.strong_count() == 0), "a payload leaked");
+    }
+
     /// The queue always pops the earliest live event, with FIFO tie-breaks,
     /// matching a naive reference model under arbitrary interleavings of
     /// schedule / pop / cancel.

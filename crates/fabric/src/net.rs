@@ -30,14 +30,10 @@
 //! let per-shard clocks drift (see `run_auto` in `abr_cluster`).
 
 use crate::spec::{FabricKind, FabricSpec, Placement};
-use abr_des::{FxHashMap, SimDuration, SimTime};
+use abr_des::{SimDuration, SimTime};
 use abr_gm::nic::LinkCost;
-use abr_gm::{CostModel, Network, NodeHw, Packet};
+use abr_gm::{CostModel, FifoFloors, Network, NodeHw, Packet};
 use abr_trace::TraceEvent;
-
-/// Same bound as `abr_gm::nic`: past this many FIFO-floor entries, dead
-/// floors (at or below the send-time watermark) are pruned.
-const FLOOR_PRUNE_LIMIT: usize = 65_536;
 
 /// The routed switch/link graph shared by both contended kinds.
 ///
@@ -177,12 +173,10 @@ struct Contended {
     /// semantics as the flat model).
     tx_free: Vec<SimTime>,
     /// Per-(src,dst) FIFO delivery floors.
-    floors: FxHashMap<(u32, u32), SimTime>,
-    watermark: SimTime,
+    floors: FifoFloors,
     route_buf: Vec<u32>,
     link_waits: u64,
     link_wait_ns: u64,
-    floors_pruned: u64,
 }
 
 /// A fabric-aware [`LinkCost`] model.
@@ -212,12 +206,10 @@ impl FabricNetwork {
                 topo,
                 busy,
                 tx_free: vec![SimTime::ZERO; n_ranks.max(1) as usize],
-                floors: FxHashMap::default(),
-                watermark: SimTime::ZERO,
+                floors: FifoFloors::new(),
                 route_buf: Vec::with_capacity(8),
                 link_waits: 0,
                 link_wait_ns: 0,
-                floors_pruned: 0,
             })
         };
         FabricNetwork {
@@ -271,7 +263,7 @@ impl FabricNetwork {
 
     /// Dead FIFO floors reclaimed by watermark pruning so far.
     pub fn floors_pruned(&self) -> u64 {
-        self.inner.floors_pruned() + self.contended.as_ref().map_or(0, |c| c.floors_pruned)
+        self.inner.floors_pruned() + self.contended.as_ref().map_or(0, |c| c.floors.pruned())
     }
 
     /// Times a packet queued behind a busy fabric link.
@@ -325,17 +317,12 @@ impl FabricNetwork {
             for (x, y) in a.busy.iter_mut().zip(&b.busy) {
                 *x = (*x).max(*y);
             }
-            for (&k, &v) in &b.floors {
-                let e = a.floors.entry(k).or_insert(v);
-                *e = (*e).max(v);
-            }
+            a.floors.absorb(&b.floors);
             for (x, y) in a.tx_free.iter_mut().zip(&b.tx_free) {
                 *x = (*x).max(*y);
             }
-            a.watermark = a.watermark.max(b.watermark);
             a.link_waits += b.link_waits;
             a.link_wait_ns += b.link_wait_ns;
-            a.floors_pruned += b.floors_pruned;
         }
     }
 }
@@ -407,17 +394,7 @@ impl LinkCost for FabricNetwork {
         };
 
         // GM's per-(src,dst) FIFO guarantee.
-        let key = (src_id, dst_id);
-        let floor = c.floors.get(&key).copied().unwrap_or(SimTime::ZERO);
-        let arrival = nominal.max(floor);
-        c.floors.insert(key, arrival);
-        c.watermark = c.watermark.max(sent_at);
-        if c.floors.len() > FLOOR_PRUNE_LIMIT {
-            let wm = c.watermark;
-            let before = c.floors.len();
-            c.floors.retain(|_, v| *v > wm);
-            c.floors_pruned += (before - c.floors.len()) as u64;
-        }
+        let arrival = c.floors.arrival((src_id, dst_id), sent_at, nominal);
         inner.record_carried(packet.wire_bytes() as u64);
         arrival
     }

@@ -40,6 +40,6 @@ pub mod signal;
 
 pub use cost::CostModel;
 pub use memory::MemoryRegistry;
-pub use nic::{LanaiClass, LinkCost, Network, NodeHw, PciClass};
+pub use nic::{FifoFloors, LanaiClass, LinkCost, Network, NodeHw, PciClass};
 pub use packet::{NodeId, Packet, PacketHeader, PacketKind};
 pub use signal::SignalControl;

@@ -131,11 +131,119 @@ pub trait LinkCost {
 
 /// Once the FIFO-floor map crosses this many entries, floors that can no
 /// longer influence an arrival (entries at or below the send-time
-/// watermark) are pruned. Keeps `last_delivery` bounded by the number of
-/// pairs *in flight around the same sim time* instead of O(all pairs ever
-/// used), which at 64k ranks is the difference between ~10^5 and ~10^9
-/// potential entries.
+/// watermark) are pruned. Keeps the map bounded by the number of pairs
+/// *in flight around the same sim time* instead of O(all pairs ever used),
+/// which at 64k ranks is the difference between ~10^5 and ~10^9 potential
+/// entries.
 const FLOOR_PRUNE_LIMIT: usize = 65_536;
+
+/// Per-(src, dst) FIFO delivery floors: the latest arrival handed out on
+/// each ordered pair, so a later packet on the pair can never arrive
+/// earlier (GM's in-order guarantee).
+///
+/// Floors at or below the highest send time seen (the watermark) can no
+/// longer raise an arrival, so they are pruned once the map outgrows a
+/// threshold. After a pass the threshold becomes `max(FLOOR_PRUNE_LIMIT,
+/// 2 × survivors)`: when most floors are still in flight, the next pass
+/// waits until the map has doubled, so pruning stays amortized O(1) per
+/// packet however many pairs are in flight at once. Pruning never changes
+/// an arrival.
+#[derive(Debug, Clone)]
+pub struct FifoFloors {
+    floors: FxHashMap<(u32, u32), SimTime>,
+    /// Highest `sent_at` observed: everything at or below this time can no
+    /// longer raise an arrival (DES event times are non-decreasing per
+    /// executor), so floors under it are dead weight and prunable.
+    watermark: SimTime,
+    /// Map size that triggers the next prune pass.
+    prune_at: usize,
+    pruned: u64,
+    prune_passes: u64,
+}
+
+impl Default for FifoFloors {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FifoFloors {
+    /// No floors yet.
+    pub fn new() -> Self {
+        FifoFloors {
+            floors: FxHashMap::default(),
+            watermark: SimTime::ZERO,
+            prune_at: FLOOR_PRUNE_LIMIT,
+            pruned: 0,
+            prune_passes: 0,
+        }
+    }
+
+    /// The arrival of a packet sent at `sent_at` on the ordered pair
+    /// `pair` whose unserialized arrival would be `nominal`: `nominal`
+    /// raised to the pair's floor. The result becomes the pair's new floor.
+    #[inline]
+    pub fn arrival(&mut self, pair: (u32, u32), sent_at: SimTime, nominal: SimTime) -> SimTime {
+        let floor = self.floors.entry(pair).or_insert(SimTime::ZERO);
+        let arrival = nominal.max(*floor);
+        *floor = arrival;
+        self.watermark = self.watermark.max(sent_at);
+        if self.floors.len() > self.prune_at {
+            self.prune();
+        }
+        arrival
+    }
+
+    fn prune(&mut self) {
+        // A floor at or below the watermark can never exceed a future
+        // `nominal` (which is strictly later than any future `sent_at`,
+        // itself >= watermark), so `max(nominal, floor)` is the identity
+        // and the entry is droppable without changing any arrival.
+        let wm = self.watermark;
+        let before = self.floors.len();
+        self.floors.retain(|_, v| *v > wm);
+        self.pruned += (before - self.floors.len()) as u64;
+        self.prune_passes += 1;
+        self.prune_at = FLOOR_PRUNE_LIMIT.max(2 * self.floors.len());
+    }
+
+    #[cfg(test)]
+    fn get(&self, pair: &(u32, u32)) -> Option<&SimTime> {
+        self.floors.get(pair)
+    }
+
+    /// Live floor entries.
+    pub fn len(&self) -> usize {
+        self.floors.len()
+    }
+
+    /// True when no floor is held.
+    pub fn is_empty(&self) -> bool {
+        self.floors.is_empty()
+    }
+
+    /// Dead floors reclaimed by pruning so far.
+    pub fn pruned(&self) -> u64 {
+        self.pruned
+    }
+
+    /// Prune passes run so far.
+    pub fn prune_passes(&self) -> u64 {
+        self.prune_passes
+    }
+
+    /// Fold another floor set into this one: per-pair maxima, the later
+    /// watermark, summed counters.
+    pub fn absorb(&mut self, other: &FifoFloors) {
+        for (&k, &v) in &other.floors {
+            let e = self.floors.entry(k).or_insert(v);
+            *e = (*e).max(v);
+        }
+        self.watermark = self.watermark.max(other.watermark);
+        self.pruned += other.pruned;
+        self.prune_passes += other.prune_passes;
+    }
+}
 
 /// The network: one cut-through crossbar switch connecting every node.
 ///
@@ -148,18 +256,13 @@ const FLOOR_PRUNE_LIMIT: usize = 65_536;
 pub struct Network {
     cost: CostModel,
     /// Earliest next delivery time per (src, dst), enforcing FIFO order.
-    last_delivery: FxHashMap<(u32, u32), SimTime>,
+    last_delivery: FifoFloors,
     /// When each source NIC's injection path frees up, indexed by source
     /// rank (grown on first use): a NIC DMAs one packet at a time, so
     /// bursts (e.g. a bcast root's fan-out) serialize.
     tx_free: Vec<SimTime>,
     packets_carried: u64,
     bytes_carried: u64,
-    /// Highest `sent_at` observed: everything at or below this time can no
-    /// longer raise an arrival (DES event times are non-decreasing per
-    /// executor), so floors under it are dead weight and prunable.
-    watermark: SimTime,
-    floors_pruned: u64,
     trace: TraceHandle,
 }
 
@@ -168,12 +271,10 @@ impl Network {
     pub fn new(cost: CostModel) -> Self {
         Network {
             cost,
-            last_delivery: FxHashMap::default(),
+            last_delivery: FifoFloors::new(),
             tx_free: Vec::new(),
             packets_carried: 0,
             bytes_carried: 0,
-            watermark: SimTime::ZERO,
-            floors_pruned: 0,
             trace: TraceHandle::default(),
         }
     }
@@ -230,27 +331,11 @@ impl Network {
         self.tx_free[src_ix] = tx_done;
         let rest = self.delivery_delay(src, dst, packet) - self.tx_time(src, packet);
         let nominal = tx_done + rest;
-        let key = (src_id, packet.header.dst.0);
-        let floor = self
+        let arrival = self
             .last_delivery
-            .get(&key)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let arrival = nominal.max(floor);
-        self.last_delivery.insert(key, arrival);
+            .arrival((src_id, packet.header.dst.0), sent_at, nominal);
         self.packets_carried += 1;
         self.bytes_carried += packet.wire_bytes() as u64;
-        self.watermark = self.watermark.max(sent_at);
-        if self.last_delivery.len() > FLOOR_PRUNE_LIMIT {
-            // A floor at or below the watermark can never exceed a future
-            // `nominal` (which is strictly later than any future `sent_at`,
-            // itself >= watermark), so `max(nominal, floor)` is the identity
-            // and the entry is droppable without changing any arrival.
-            let wm = self.watermark;
-            let before = self.last_delivery.len();
-            self.last_delivery.retain(|_, v| *v > wm);
-            self.floors_pruned += (before - self.last_delivery.len()) as u64;
-        }
         if self.trace.is_enabled() {
             let bytes = packet.wire_bytes() as f64;
             let dst_id = packet.header.dst.0;
@@ -342,12 +427,7 @@ impl Network {
     pub fn absorb(&mut self, other: &Network) {
         self.packets_carried += other.packets_carried;
         self.bytes_carried += other.bytes_carried;
-        self.watermark = self.watermark.max(other.watermark);
-        self.floors_pruned += other.floors_pruned;
-        for (&k, &v) in &other.last_delivery {
-            let e = self.last_delivery.entry(k).or_insert(v);
-            *e = (*e).max(v);
-        }
+        self.last_delivery.absorb(&other.last_delivery);
         if self.tx_free.len() < other.tx_free.len() {
             self.tx_free.resize(other.tx_free.len(), SimTime::ZERO);
         }
@@ -373,7 +453,7 @@ impl Network {
 
     /// Dead FIFO floors reclaimed by watermark pruning so far.
     pub fn floors_pruned(&self) -> u64 {
-        self.floors_pruned
+        self.last_delivery.pruned()
     }
 
     /// Record a packet carried by an outer model (e.g. the contended
@@ -604,6 +684,44 @@ mod tests {
         let big = net.delivery_time(t0, &hw, &hw, &packet(0, 1, 64 * 1024));
         let small = net.delivery_time(t0 + SimDuration::from_us(1), &hw, &hw, &packet(0, 1, 8));
         assert!(small >= big);
+    }
+
+    #[test]
+    fn many_in_flight_pairs_prune_a_bounded_number_of_times() {
+        // More distinct pairs than the prune limit, all sent at one
+        // instant: every floor stays above the watermark, so each pass
+        // frees nothing. The threshold must back off instead of running a
+        // full pass on every later packet, and the arrivals must match a
+        // network that never prunes.
+        let hw = NodeHw::p3_700();
+        let mut net = Network::new(CostModel::default());
+        let mut reference = Network::new(CostModel::default());
+        reference.last_delivery.prune_at = usize::MAX;
+        let t0 = SimTime::from_us(10);
+        for i in 0..140_000u32 {
+            let p = packet(i, i + 1, 0);
+            assert_eq!(
+                net.delivery_time(t0, &hw, &hw, &p),
+                reference.delivery_time(t0, &hw, &hw, &p),
+                "pruning changed the arrival of pair {i}"
+            );
+        }
+        assert_eq!(net.floor_entries(), 140_000, "no floor was dead yet");
+        let passes = net.last_delivery.prune_passes();
+        assert!(
+            (1..=2).contains(&passes),
+            "{passes} prune passes for 140,000 in-flight pairs"
+        );
+        // A second packet per pair still meets its floor, pruned or not.
+        let t1 = t0 + SimDuration::from_us(1);
+        for i in (0..140_000u32).step_by(7) {
+            let p = packet(i, i + 1, 4096);
+            assert_eq!(
+                net.delivery_time(t1, &hw, &hw, &p),
+                reference.delivery_time(t1, &hw, &hw, &p)
+            );
+        }
+        assert_eq!(reference.last_delivery.prune_passes(), 0);
     }
 
     #[test]

@@ -109,8 +109,10 @@ pub struct PacketHeader {
     /// Total message length in bytes (for rendezvous, the full payload the
     /// RTS announces; for eager/collective, the payload carried here).
     pub msg_len: u32,
-    /// Per-(src,dst) monotone sequence number; transports use it to assert
-    /// the FIFO ordering GM guarantees.
+    /// Sequence number stamped by the transport, strictly increasing over
+    /// every packet one sender puts on the wire, and therefore over each
+    /// `(src, dst)` pair; receivers use it to assert the FIFO ordering GM
+    /// guarantees. The reliability layer re-stamps it per peer on delivery.
     pub wire_seq: u64,
     /// Reliability sequence number (`abr_faults` layer). Zero when the
     /// reliability protocol is inactive; data sequences start at 1. For

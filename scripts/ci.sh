@@ -83,6 +83,18 @@ ABR_SEGMENTS=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
 diff -u crates/bench/golden/fig6_iters5.txt FIG6_segments_off.txt \
   || { echo "ABR_SEGMENTS=1 diverged from the pre-segmentation golden"; exit 1; }
 
+echo "==> tenant saturation smoke (solo path pinned to golden)"
+ABR_TENANT_LOAD=4 ABR_JOBS=2 \
+  cargo run -q --release -p abr_bench --bin tenant_figure > FIG_tenant_smoke.txt
+grep -q '"schema": "abr-tenant-v1"' BENCH_tenant.json \
+  || { echo "BENCH_tenant.json missing or malformed"; exit 1; }
+grep -q '"widening": true' BENCH_tenant.json \
+  || { echo "BENCH_tenant.json lost the widening CPU gap"; exit 1; }
+ABR_TENANT_SOLO=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
+  cargo run -q --release -p abr_bench --bin fig6 > FIG6_tenant_solo.txt
+diff -u crates/bench/golden/fig6_iters5.txt FIG6_tenant_solo.txt \
+  || { echo "ABR_TENANT_SOLO=1 diverged from the solo golden"; exit 1; }
+
 echo "==> docs link check (intra-repo links in the teaching docs)"
 ./scripts/check_links.sh
 
