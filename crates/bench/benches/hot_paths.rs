@@ -290,21 +290,13 @@ fn bench_simulated_iteration(c: &mut Criterion) {
 }
 
 fn bench_scale(c: &mut Criterion) {
-    // Events/sec at scale, before and after the arena/registry refactor.
-    // "legacy" emulates the pre-refactor driver (boxed programs, private
-    // per-engine schedule caches); "modern" is the index-addressed arena
-    // path with the shared schedule registry. Both simulate the identical
-    // event stream — the gap is pure hot-path cost. The 8k before/after
-    // that ISSUE acceptance tracks lives in `scale_figure` /
+    // Events/sec at scale. The 8k run lives in `scale_figure` /
     // BENCH_scale.json; these smaller sizes keep `cargo bench` quick.
     let mut g = c.benchmark_group("des_scale");
     g.sample_size(10);
     for ranks in [256u32, 1024] {
-        g.bench_function(format!("cpu_util_{ranks}n_legacy"), |b| {
-            b.iter(|| black_box(run_scale_bench(ranks, 2, true, ScaleExec::Sequential)).events)
-        });
-        g.bench_function(format!("cpu_util_{ranks}n_modern"), |b| {
-            b.iter(|| black_box(run_scale_bench(ranks, 2, false, ScaleExec::Sequential)).events)
+        g.bench_function(format!("cpu_util_{ranks}n"), |b| {
+            b.iter(|| black_box(run_scale_bench(ranks, 2, ScaleExec::Sequential)).events)
         });
     }
     g.finish();

@@ -1,6 +1,6 @@
 //! Regenerate the scale figure (ab vs nab factor of improvement from 32 up
 //! to 65,536 ranks on two tree families) and measure DES throughput at
-//! scale, before and after the arena/registry refactor.
+//! scale.
 //!
 //! Knobs: `ABR_SCALE_MAX` caps the largest cluster (CI smoke uses 1,024),
 //! `ABR_DES_SHARDS` runs the figure sweep on the parallel conservative
@@ -16,22 +16,13 @@ fn main() {
     println!("### {}", record.name);
     figures::print_all(&tables);
 
-    // Throughput before/after at 8k ranks (or the ABR_SCALE_MAX cap): the
-    // same workload, event for event, on the emulated pre-refactor driver
-    // (boxed programs, per-engine schedule builds) and on the modern one.
+    // DES throughput at 8k ranks (or the ABR_SCALE_MAX cap).
     let ranks = 8_192.min(max);
-    let legacy = run_scale_bench(ranks, 2, true, ScaleExec::Sequential);
-    let modern = run_scale_bench(ranks, 2, false, ScaleExec::Sequential);
-    let speedup = modern.events_per_sec / legacy.events_per_sec.max(1e-9);
+    let run = run_scale_bench(ranks, 2, ScaleExec::Sequential);
     println!("### hot-path throughput at {ranks} ranks");
     println!(
-        "legacy: {} events in {:.2}s = {:.0} events/sec",
-        legacy.events, legacy.wall_secs, legacy.events_per_sec
+        "{} events in {:.2}s = {:.0} events/sec",
+        run.events, run.wall_secs, run.events_per_sec
     );
-    println!(
-        "modern: {} events in {:.2}s = {:.0} events/sec",
-        modern.events, modern.wall_secs, modern.events_per_sec
-    );
-    println!("speedup: {speedup:.2}x");
-    scale_json::write(max, &legacy, &modern, &record);
+    scale_json::write(max, &run, &record);
 }

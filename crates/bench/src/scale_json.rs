@@ -1,13 +1,10 @@
-//! `BENCH_scale.json`: DES throughput at scale, before and after the
-//! arena/registry refactor.
+//! `BENCH_scale.json`: DES throughput at scale.
 //!
 //! The `scale_figure` binary times the baseline-engine CPU-utilization
-//! workload twice at the same rank count — once emulating the pre-refactor
-//! driver (boxed programs, per-engine schedule builds, `shared_schedules =
-//! false`) and once on the modern path — and records both runs plus the
-//! speedup here. The JSON is hand-rolled like `BENCH_sweep.json`; the
-//! output path defaults to `BENCH_scale.json` and can be overridden with
-//! the `ABR_SCALE_JSON` environment variable.
+//! workload once at a large rank count and records the run here. The JSON
+//! is hand-rolled like `BENCH_sweep.json`; the output path defaults to
+//! `BENCH_scale.json` and can be overridden with the `ABR_SCALE_JSON`
+//! environment variable.
 
 use crate::sweep_json::FigureRecord;
 use abr_cluster::microbench::ScaleRunResult;
@@ -30,33 +27,17 @@ pub fn parse_out_path(raw: &str) -> Result<String, String> {
     }
 }
 
-fn run_json(label: &str, r: &ScaleRunResult, indent: &str) -> String {
-    format!(
-        "{indent}\"{label}\": {{\"ranks\": {}, \"events\": {}, \"wall_secs\": {:.3}, \
-         \"events_per_sec\": {:.0}, \"makespan_us\": {:.1}, \"packets\": {}}}",
-        r.ranks, r.events, r.wall_secs, r.events_per_sec, r.makespan_us, r.packets_delivered
-    )
-}
-
-/// Render the summary document (schema `abr-scale-v1`).
-pub fn render(
-    scale_max: u32,
-    legacy: &ScaleRunResult,
-    modern: &ScaleRunResult,
-    figure: &FigureRecord,
-) -> String {
-    let speedup = modern.events_per_sec / legacy.events_per_sec.max(1e-9);
+/// Render the summary document (schema `abr-scale-v2`).
+pub fn render(scale_max: u32, r: &ScaleRunResult, figure: &FigureRecord) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"abr-scale-v1\",\n");
+    s.push_str("  \"schema\": \"abr-scale-v2\",\n");
     s.push_str(&format!("  \"scale_max\": {scale_max},\n"));
-    s.push_str("  \"throughput\": {\n");
-    s.push_str(&run_json("legacy", legacy, "    "));
-    s.push_str(",\n");
-    s.push_str(&run_json("modern", modern, "    "));
-    s.push_str(",\n");
-    s.push_str(&format!("    \"speedup\": {speedup:.2}\n"));
-    s.push_str("  },\n");
+    s.push_str(&format!(
+        "  \"throughput\": {{\"ranks\": {}, \"events\": {}, \"wall_secs\": {:.3}, \
+         \"events_per_sec\": {:.0}, \"makespan_us\": {:.1}, \"packets\": {}}},\n",
+        r.ranks, r.events, r.wall_secs, r.events_per_sec, r.makespan_us, r.packets_delivered
+    ));
     s.push_str(&format!(
         "  \"figure\": {{\"name\": \"{}\", \"points\": {}, \"wall_ms\": {:.3}}}\n",
         figure.name, figure.points, figure.wall_ms
@@ -67,9 +48,9 @@ pub fn render(
 
 /// Write the summary to [`out_path`]; prints a notice on success and a
 /// warning (without failing the run) if the write is impossible.
-pub fn write(scale_max: u32, legacy: &ScaleRunResult, modern: &ScaleRunResult, fig: &FigureRecord) {
+pub fn write(scale_max: u32, run: &ScaleRunResult, fig: &FigureRecord) {
     let path = out_path();
-    match std::fs::write(&path, render(scale_max, legacy, modern, fig)) {
+    match std::fs::write(&path, render(scale_max, run, fig)) {
         Ok(()) => eprintln!("scale throughput written to {path}"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
@@ -98,11 +79,10 @@ mod tests {
             points: 20,
             wall_ms: 55.0,
         };
-        let s = render(65_536, &fake(8192, 100.0), &fake(8192, 900.0), &fig);
-        assert!(s.contains("\"schema\": \"abr-scale-v1\""));
-        assert!(s.contains("\"legacy\""));
-        assert!(s.contains("\"modern\""));
-        assert!(s.contains("\"speedup\": 9.00"));
+        let s = render(65_536, &fake(8192, 900.0), &fig);
+        assert!(s.contains("\"schema\": \"abr-scale-v2\""));
+        assert!(s.contains("\"throughput\": {\"ranks\": 8192"));
+        assert!(s.contains("\"events_per_sec\": 900"));
         assert!(s.contains("\"name\": \"fig_scale\""));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
     }

@@ -102,10 +102,10 @@ struct FaultState {
     tick: Vec<Option<(SimTime, EventId)>>,
 }
 
-/// Multi-tenant extension state, present only when the driver was built
-/// through [`DesDriver::new_jobs`]. With `None` every hot path is
-/// byte-for-byte the solo driver's — the same cost-neutrality discipline as
-/// [`FaultState`].
+/// Multi-tenant extension state, present only when ranks need translating:
+/// several jobs, or one job off the identity placement. With `None` every
+/// hot path is byte-for-byte the solo driver's — the same cost-neutrality
+/// discipline as [`FaultState`].
 ///
 /// Engines in a tenant run are built with *job-local* ranks (so packet
 /// headers, communicators, and schedules all stay inside the job), and the
@@ -125,6 +125,25 @@ struct TenantState {
     /// the CPU-contention signal: active work on a node is stretched by the
     /// number of *other* co-located pollers.
     polling_on_node: Vec<u32>,
+}
+
+impl TenantState {
+    /// The translation tables for `placements` on a `phys_nodes`-node
+    /// cluster, with no rank polling yet.
+    fn new(placements: &[Vec<usize>], phys_nodes: usize) -> Self {
+        let mut job_of = Vec::new();
+        let mut base_of = Vec::with_capacity(placements.len());
+        for (j, hosts) in placements.iter().enumerate() {
+            base_of.push(job_of.len());
+            job_of.resize(job_of.len() + hosts.len(), j as u32);
+        }
+        TenantState {
+            job_of,
+            base_of,
+            phys_of: placements.concat(),
+            polling_on_node: vec![0; phys_nodes],
+        }
+    }
 }
 
 enum NodeState {
@@ -223,22 +242,6 @@ struct Rep {
     next: Option<(SimTime, u64)>,
     /// Cumulative events processed by this shard.
     events: u64,
-    /// Programs finished in this shard.
-    done: usize,
-}
-
-/// One recorded span of node activity (timeline introspection; used by the
-/// Fig. 2 time-line reproduction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelineEvent {
-    /// Node index.
-    pub node: usize,
-    /// What the node (or its NIC) was doing.
-    pub kind: CpuCategory,
-    /// Span start.
-    pub start: SimTime,
-    /// Span length.
-    pub dur: SimDuration,
 }
 
 /// Per-node results extracted after a run.
@@ -288,7 +291,6 @@ struct Core<E: MessageEngine, P: Program> {
     packets_delivered: u64,
     /// Events processed by this core.
     events: u64,
-    timeline: Option<Vec<TimelineEvent>>,
     /// Reused buffer for draining engine actions (see `route_actions`).
     action_scratch: Vec<Action>,
     faults: Option<FaultState>,
@@ -336,20 +338,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             self.queue.schedule_keyed(at, key, ev)
         } else {
             self.queue.schedule(at, ev)
-        }
-    }
-
-    fn record_span(&mut self, node: usize, kind: CpuCategory, start: SimTime, dur: SimDuration) {
-        if dur.is_zero() {
-            return;
-        }
-        if let Some(tl) = &mut self.timeline {
-            tl.push(TimelineEvent {
-                node,
-                kind,
-                start,
-                dur,
-            });
         }
     }
 
@@ -618,7 +606,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     fn finish_call(&mut self, i: usize, t: SimTime) -> SimTime {
         let w = self.apply_charges(i);
         let wall = self.stretched(i, w);
-        self.record_span(i, CpuCategory::Protocol, t, wall);
         let end = t + wall;
         self.rank[i - self.base].cpu_free_at = end;
         self.route_actions(i, end);
@@ -646,7 +633,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         self.engines[l].handle_signal();
         let w = self.apply_charges(i);
         let w = self.stretched(i, w);
-        self.record_span(i, CpuCategory::SignalHandler, t, w);
         match self.rank[l].state {
             NodeState::Busy { charge, event } => {
                 // Preemption: the busy step finishes `w` later.
@@ -712,7 +698,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             // forward a result: the LANai's slow per-element ops delay the
             // result on its way up the tree (refs. \[9\]/\[11\]'s trade-off).
             let nic_busy = self.rank[l].last_nic_charge;
-            self.record_span(i, CpuCategory::NicOffload, t, nic_busy);
             self.route_actions(i, t + nic_busy);
             if matches!(self.rank[l].state, NodeState::Blocked { .. }) {
                 if t >= self.rank[l].cpu_free_at {
@@ -776,10 +761,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         // The busy loop's own CPU is charged on completion (handler
         // preemptions were charged separately as they happened).
         self.meters[l].charge(CpuCategory::Application, charge);
-        // Approximate span: the busy loop ended at `t` after consuming
-        // `charge` of CPU (handler preemptions interleave within it).
-        let span_start = SimTime::from_nanos(t.as_nanos().saturating_sub(charge.as_nanos()));
-        self.record_span(i, CpuCategory::Application, span_start, charge);
         self.rank[l].gen += 1;
         self.advance_program(i, t);
     }
@@ -799,7 +780,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         let poll_from = self.rank[l].poll_from;
         if t > poll_from {
             self.meters[l].charge(CpuCategory::Polling, t - poll_from);
-            self.record_span(i, CpuCategory::Polling, poll_from, t - poll_from);
         }
         self.tenant_poll_stop(i);
         let exit_at = self.rank[l].cpu_free_at.max(t);
@@ -830,7 +810,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         let poll_from = self.rank[l].poll_from;
         if t > poll_from {
             self.meters[l].charge(CpuCategory::Polling, t - poll_from);
-            self.record_span(i, CpuCategory::Polling, poll_from, t - poll_from);
         }
         // Ignored-signal deliveries stole CPU while the node polled; the
         // lost time shows up as extra elapsed work now.
@@ -1053,15 +1032,26 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         }
     }
 
+    /// Report a run that ran out of events with programs unfinished,
+    /// naming each stuck rank and what it waits on.
     fn panic_deadlock(&self) -> ! {
-        let stuck: Vec<usize> = self
-            .rank
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !matches!(c.state, NodeState::Done))
-            .map(|(l, _)| self.base + l)
-            .collect();
-        panic!("DES deadlock: nodes {stuck:?} never finished");
+        let mut stuck = Vec::new();
+        let mut waits = Vec::new();
+        for (l, r) in self.rank.iter().enumerate() {
+            let i = self.base + l;
+            match r.state {
+                NodeState::Done => continue,
+                NodeState::Blocked { req, .. } => {
+                    waits.push(format!("rank {i} blocked on request {}", req.raw()))
+                }
+                NodeState::Busy { .. } => waits.push(format!("rank {i} busy")),
+            }
+            stuck.push(i);
+        }
+        panic!(
+            "DES deadlock: nodes {stuck:?} never finished ({})",
+            waits.join(", ")
+        );
     }
 
     /// The historical sequential loop: pop until every program is done,
@@ -1103,7 +1093,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 done_count: 0,
                 packets_delivered: 0,
                 events: 0,
-                timeline: None,
                 action_scratch: Vec::new(),
                 faults: None,
                 tenant: None,
@@ -1146,7 +1135,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             outbox: std::mem::take(&mut self.outbox),
             next: self.queue.peek_coord(),
             events: self.events,
-            done: self.done_count,
         }
     }
 }
@@ -1168,70 +1156,23 @@ pub struct DesDriver<E: MessageEngine, P: Program = Box<dyn Program>> {
 
 impl<E: MessageEngine, P: Program> DesDriver<E, P> {
     /// Build a driver for `spec`, constructing one engine per rank with
-    /// `make_engine` and running `programs[rank]` on it.
+    /// `make_engine` and running `programs[rank]` on it. This is
+    /// [`DesDriver::new_jobs`] with one job on the identity placement,
+    /// assembled without materializing the placement or the job list (a
+    /// figure point builds one driver per point, so set-up counts).
     pub fn new(
-        spec: &ClusterSpec,
-        make_engine: impl FnMut(u32, EngineConfig) -> E,
-        programs: Vec<P>,
-    ) -> Self {
-        Self::new_tuned(spec, make_engine, programs, |_| {})
-    }
-
-    /// [`DesDriver::new`] with a hook to adjust the derived [`EngineConfig`]
-    /// before engines are built (e.g. `shared_schedules = false` to emulate
-    /// the pre-registry per-engine schedule builds in the scale benchmark).
-    pub fn new_tuned(
         spec: &ClusterSpec,
         mut make_engine: impl FnMut(u32, EngineConfig) -> E,
         programs: Vec<P>,
-        tune: impl FnOnce(&mut EngineConfig),
     ) -> Self {
         let n = spec.len();
         assert_eq!(programs.len(), n, "one program per rank");
-        assert!(n >= 1);
-        let mut config = EngineConfig {
-            cost: spec.cost.clone(),
-            eager_limit: spec.eager_limit,
-            memory_budget: None,
-            allreduce_rs_threshold: 2048,
-            topology: spec.topology,
-            shared_schedules: true,
-            segments: spec.segments,
-        };
-        tune(&mut config);
-        let core = Core {
-            base: 0,
-            queue: EventQueue::new(),
-            network: FabricNetwork::new(spec.cost.clone(), spec.fabric.clone(), n as u32),
-            engines: (0..n)
-                .map(|i| make_engine(i as u32, config.clone()))
-                .collect(),
-            programs,
-            signals: (0..n).map(|_| SignalControl::new()).collect(),
-            meters: (0..n).map(|_| CpuMeter::new()).collect(),
-            ctxs: (0..n).map(|_| StepCtx::new()).collect(),
-            rank: (0..n).map(|_| RankState::fresh()).collect(),
-            traces: vec![TraceHandle::default(); n],
-            hw: spec.nodes.clone(),
-            done_count: 0,
-            packets_delivered: 0,
-            events: 0,
-            timeline: None,
-            action_scratch: Vec::new(),
-            faults: None,
-            tenant: None,
-            keyed: false,
-            key_ctr: vec![0; n],
-            outbox: Vec::new(),
-        };
-        DesDriver {
-            core,
-            max_events: 2_000_000_000,
-            packets_delivered: 0,
-            tracer: None,
-            now_floor: SimTime::ZERO,
-            started: false,
-        }
+        assert!(n >= 1, "a driver needs at least one rank");
+        let config = spec.engine_config();
+        let engines = (0..n)
+            .map(|i| make_engine(i as u32, config.clone()))
+            .collect();
+        Self::assemble(spec, engines, programs, spec.nodes.clone(), None)
     }
 
     /// Build a *multi-tenant* driver: one engine set per job, all jobs
@@ -1248,9 +1189,12 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
     /// sequence numbers never observe the other tenants. The factory should
     /// rebind the engine's world communicator to
     /// `Communicator::job(job, size)` so collective-seq namespaces are
-    /// per-job (job 0's is the classic world — a single-job tenant run with
-    /// [`abr_jobs::Placement::identity`] is bit-identical to
-    /// [`DesDriver::new`], which the equivalence tests pin).
+    /// per-job (job 0's is the classic world).
+    ///
+    /// One job on the identity placement has nothing to translate, so it
+    /// keeps no tenant state and runs the solo hot paths: it is
+    /// [`DesDriver::new`]. The equivalence tests pin a single job on a
+    /// *permuted* placement bit-identical to it.
     ///
     /// Results come back flattened in job-major order ([`DesDriver::results`])
     /// or pre-sliced per job ([`DesDriver::results_by_job`]).
@@ -1270,20 +1214,6 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
             "a tenant run needs at least one job"
         );
         assert_eq!(programs.len(), placements.len(), "one program set per job");
-        let config = EngineConfig {
-            cost: spec.cost.clone(),
-            eager_limit: spec.eager_limit,
-            memory_budget: None,
-            allreduce_rs_threshold: 2048,
-            topology: spec.topology,
-            shared_schedules: true,
-            segments: spec.segments,
-        };
-        let mut job_of = Vec::new();
-        let mut base_of = Vec::with_capacity(placements.len());
-        let mut phys_of = Vec::new();
-        let mut hw = Vec::new();
-        let mut engines = Vec::new();
         for (j, hosts) in placements.iter().enumerate() {
             assert_eq!(
                 programs[j].len(),
@@ -1291,34 +1221,49 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
                 "job {j}: one program per rank"
             );
             assert!(!hosts.is_empty(), "job {j} has no ranks");
-            base_of.push(job_of.len());
-            let size = hosts.len() as u32;
-            for (r, &p) in hosts.iter().enumerate() {
-                assert!(
-                    p < phys_nodes,
-                    "job {j} rank {r}: node {p} outside the {phys_nodes}-node cluster"
+            if let Some(r) = hosts.iter().position(|&p| p >= phys_nodes) {
+                panic!(
+                    "job {j} rank {r}: node {} outside the {phys_nodes}-node cluster",
+                    hosts[r]
                 );
-                job_of.push(j as u32);
-                phys_of.push(p);
-                hw.push(spec.nodes[p]);
-                engines.push(make_engine(j as u32, r as u32, size, config.clone()));
             }
         }
-        let programs: Vec<P> = programs.into_iter().flatten().collect();
+        let n: usize = placements.iter().map(Vec::len).sum();
+        let config = spec.engine_config();
+        let mut engines = Vec::with_capacity(n);
+        for (j, hosts) in placements.iter().enumerate() {
+            let size = hosts.len() as u32;
+            engines.extend((0..size).map(|r| make_engine(j as u32, r, size, config.clone())));
+        }
+        let hw: Vec<NodeHw> = placements
+            .iter()
+            .flatten()
+            .map(|&p| spec.nodes[p])
+            .collect();
+        let mut flat = Vec::with_capacity(n);
+        programs.into_iter().for_each(|job| flat.extend(job));
+        let identity =
+            placements.len() == 1 && placements[0].iter().enumerate().all(|(r, &p)| r == p);
+        let tenant = (!identity).then(|| TenantState::new(placements, phys_nodes));
+        Self::assemble(spec, engines, flat, hw, tenant)
+    }
+
+    /// The one driver assembly behind both constructors: rank arenas around
+    /// `engines`, `programs` and `hw` (global arena order), on a network
+    /// sized and addressed by *physical* node — tenant transmits rewrite
+    /// header ids to physical before asking for a delivery time.
+    fn assemble(
+        spec: &ClusterSpec,
+        engines: Vec<E>,
+        programs: Vec<P>,
+        hw: Vec<NodeHw>,
+        tenant: Option<TenantState>,
+    ) -> Self {
         let n = programs.len();
-        let tenant = TenantState {
-            job_of,
-            base_of,
-            phys_of,
-            polling_on_node: vec![0; phys_nodes],
-        };
         let core = Core {
             base: 0,
             queue: EventQueue::new(),
-            // The network is sized (and addressed) by *physical* nodes:
-            // tenant transmits rewrite header ids to physical before asking
-            // for a delivery time.
-            network: FabricNetwork::new(spec.cost.clone(), spec.fabric.clone(), phys_nodes as u32),
+            network: FabricNetwork::new(spec.cost.clone(), spec.fabric.clone(), spec.len() as u32),
             engines,
             programs,
             signals: (0..n).map(|_| SignalControl::new()).collect(),
@@ -1330,10 +1275,9 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
             done_count: 0,
             packets_delivered: 0,
             events: 0,
-            timeline: None,
             action_scratch: Vec::new(),
             faults: None,
-            tenant: Some(tenant),
+            tenant,
             keyed: false,
             key_ctr: vec![0; n],
             outbox: Vec::new(),
@@ -1348,24 +1292,21 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
         }
     }
 
-    /// The per-job rank→job map of a tenant driver (global arena order), or
-    /// `None` for a solo driver. Feed this to
+    /// The rank→job map of a multi-job driver (global arena order), or
+    /// `None` for a one-job driver. Feed this to
     /// `abr_trace::RingRecorder::set_job_map` so trace events carry job ids.
     pub fn job_map(&self) -> Option<Vec<u32>> {
-        self.core.tenant.as_ref().map(|t| t.job_of.clone())
+        let ts = self.core.tenant.as_ref()?;
+        (ts.base_of.len() > 1).then(|| ts.job_of.clone())
     }
 
-    /// Per-job result slices of a tenant run, in job-id order.
-    ///
-    /// # Panics
-    /// Panics when called on a solo (non-tenant) driver.
+    /// Per-job result slices, in job-id order (one slice for a one-job
+    /// driver).
     pub fn results_by_job(&self) -> Vec<Vec<NodeResult>> {
         let flat = self.results();
-        let ts = self
-            .core
-            .tenant
-            .as_ref()
-            .expect("results_by_job requires a driver built with new_jobs");
+        let Some(ts) = &self.core.tenant else {
+            return vec![flat];
+        };
         let mut out = Vec::with_capacity(ts.base_of.len());
         for (j, &start) in ts.base_of.iter().enumerate() {
             let end = ts.base_of.get(j + 1).copied().unwrap_or(flat.len());
@@ -1444,18 +1385,6 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
         })
     }
 
-    /// Record a timeline of per-node activity spans (off by default; it
-    /// costs memory proportional to the event count).
-    pub fn with_timeline(mut self) -> Self {
-        self.core.timeline = Some(Vec::new());
-        self
-    }
-
-    /// The recorded timeline, if enabled.
-    pub fn timeline(&self) -> Option<&[TimelineEvent]> {
-        self.core.timeline.as_deref()
-    }
-
     /// Cap the number of events (runaway protection in tests).
     pub fn with_max_events(mut self, max: u64) -> Self {
         self.max_events = max;
@@ -1525,10 +1454,11 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
     /// stopping rule. Figures derived from per-node results are unaffected.
     ///
     /// # Panics
-    /// Panics if the driver has already run, or if fault injection, tracing,
-    /// or the timeline is installed (their state is inherently order-
-    /// dependent; use the sequential executor — [`DesDriver::run_auto`]
-    /// falls back automatically).
+    /// Panics if the driver has already run, on a contended fabric, or if
+    /// fault injection, multi-tenant state or tracing is installed (their
+    /// state is inherently order-dependent; use the sequential executor —
+    /// [`DesDriver::run_auto`] falls back automatically). Panics on
+    /// deadlock, naming every stuck rank, like [`DesDriver::run`].
     pub fn run_sharded(&mut self, shards: usize) {
         assert!(!self.started, "run_sharded requires a fresh driver");
         assert!(
@@ -1550,10 +1480,6 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
         assert!(
             self.tracer.is_none(),
             "parallel execution does not support tracing; use run()"
-        );
-        assert!(
-            self.core.timeline.is_none(),
-            "parallel execution does not support the timeline; use run()"
         );
         let n = self.core.len();
         let shards = shards.clamp(1, n);
@@ -1621,7 +1547,6 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
                     .collect();
                 let total_events: u64 = reps.iter().map(|r| r.events).sum();
                 assert!(total_events <= max_events, "event cap exceeded: livelock?");
-                let done: usize = reps.iter().map(|r| r.done).sum();
                 let mut t_min: Option<(SimTime, u64)> = reps.iter().filter_map(|r| r.next).min();
                 for rep in &mut reps {
                     for m in rep.outbox.drain(..) {
@@ -1634,12 +1559,9 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
                         inboxes[s].push(m);
                     }
                 }
-                let Some((t0, _)) = t_min else {
-                    if done < n {
-                        panic!("DES deadlock: {done}/{n} programs finished with no events pending");
-                    }
-                    break;
-                };
+                // Nothing pending anywhere: finished, or deadlocked (which
+                // is reported once the shards are absorbed).
+                let Some((t0, _)) = t_min else { break };
                 let horizon = t0 + lookahead;
                 for (s, tx) in txs.iter().enumerate() {
                     tx.send(Cmd::Window {
@@ -1659,12 +1581,14 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
         });
         self.now_floor = self.core.absorb_shards(cores);
         self.packets_delivered = self.core.packets_delivered;
-        assert_eq!(self.core.done_count, n, "absorbed shards lost completions");
+        if self.core.done_count < n {
+            self.core.panic_deadlock();
+        }
     }
 
     /// Dispatch on the `ABR_DES_SHARDS` environment knob: run the parallel
     /// executor with that many shards when set (and no order-dependent
-    /// instrumentation — faults, tracer, timeline — is installed), the
+    /// instrumentation — faults, tenants, tracer — is installed), the
     /// sequential executor otherwise. Invalid values fail fast, naming the
     /// variable.
     pub fn run_auto(&mut self) {
@@ -1694,9 +1618,6 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
         }
         if self.tracer.is_some() {
             reasons.push("tracing");
-        }
-        if self.core.timeline.is_some() {
-            reasons.push("the timeline");
         }
         match shards {
             Some(s) if reasons.is_empty() => self.run_sharded(s),

@@ -18,7 +18,7 @@ use abr_core::{AbConfig, AbEngine};
 use abr_faults::{FaultInjector, FaultPlan, NodeReliability, RelConfig, RelEvent, RelStats};
 use abr_gm::live::{LiveFabric, Mailbox};
 use abr_gm::packet::{NodeId, Packet, PacketKind};
-use abr_mpr::engine::{Action, EngineConfig, MessageEngine};
+use abr_mpr::engine::{Action, MessageEngine};
 use abr_mpr::op::ReduceOp;
 use abr_mpr::request::Outcome;
 use abr_mpr::types::{Datatype, MprError, Rank, TagSel};
@@ -818,17 +818,8 @@ fn run_live_world<R: Send, F: Fn(&RankCtx) -> R + Send + Sync>(
     });
     let shareds: Vec<Arc<RankShared>> = (0..n)
         .map(|r| {
-            let config = EngineConfig {
-                cost: spec.cost.clone(),
-                eager_limit: spec.eager_limit,
-                memory_budget: None,
-                allreduce_rs_threshold: 2048,
-                topology: spec.topology,
-                shared_schedules: true,
-                segments: spec.segments,
-            };
             let mut state = RankState {
-                eng: AbEngine::new(r, n, config, ab.clone()),
+                eng: AbEngine::new(r, n, spec.engine_config(), ab.clone()),
                 rel: faults.as_ref().map(|_| NodeReliability::new(r, rel_cfg)),
                 pending_collective: false,
             };

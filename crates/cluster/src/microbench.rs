@@ -22,7 +22,7 @@ use abr_des::rng::StreamRng;
 use abr_des::stats::Accumulator;
 use abr_des::{SimDuration, SimTime};
 use abr_faults::{FaultPlan, RelConfig, RelStats};
-use abr_mpr::engine::{Engine, EngineConfig, MessageEngine};
+use abr_mpr::engine::{Engine, EngineConfig};
 use abr_mpr::op::ReduceOp;
 use abr_mpr::types::{f64s_to_bytes, Datatype, Rank};
 use abr_trace::Tracer;
@@ -472,48 +472,6 @@ fn run_cpu_driver<E: abr_mpr::engine::MessageEngine + Send, P: Program + Send>(
     res
 }
 
-/// `ABR_TENANT_SOLO`: when truthy, every microbenchmark driver is built
-/// through the multi-tenant jobs path ([`DesDriver::new_jobs`]) as a single
-/// job with the identity placement — which must be bit-identical to the
-/// legacy solo path. CI pins exactly that: `ABR_TENANT_SOLO=1` fig6 diffs
-/// clean against the committed golden.
-///
-/// # Panics
-/// Panics on a set-but-invalid value (anything but `0`/`1`/`false`/`true`).
-pub fn tenant_solo_from_env() -> bool {
-    abr_trace::parse_env("ABR_TENANT_SOLO", |raw| match raw.trim() {
-        "1" | "true" => Ok(true),
-        "0" | "false" => Ok(false),
-        _ => Err(format!(
-            "ABR_TENANT_SOLO must be 0/1/false/true, got {raw:?}"
-        )),
-    })
-    .unwrap_or(false)
-}
-
-/// Build a solo driver for the microbenchmarks: the legacy one-engine-per-
-/// rank constructor by default, or — under `ABR_TENANT_SOLO` — the
-/// multi-tenant constructor degenerated to one identity-placed job, so the
-/// figure suite continuously proves the tenant refactor is behavior-
-/// preserving.
-fn solo_driver<E: MessageEngine, P: Program>(
-    cluster: &ClusterSpec,
-    mut make_engine: impl FnMut(u32, EngineConfig) -> E,
-    programs: Vec<P>,
-) -> DesDriver<E, P> {
-    if tenant_solo_from_env() {
-        let placement = abr_jobs::Placement::identity(cluster.len());
-        DesDriver::new_jobs(
-            cluster,
-            &placement.node_of,
-            |_job, rank, _size, ec| make_engine(rank, ec),
-            vec![programs],
-        )
-    } else {
-        DesDriver::new(cluster, make_engine, programs)
-    }
-}
-
 /// Run the CPU-utilization benchmark.
 pub fn run_cpu_util(cfg: &CpuUtilConfig) -> CpuUtilResult {
     run_cpu_util_traced(cfg, None)
@@ -525,7 +483,7 @@ pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>)
     let n = cfg.cluster.len() as u32;
     match cfg.mode {
         Mode::Baseline => {
-            let d = solo_driver(
+            let d = DesDriver::new(
                 &cfg.cluster,
                 |rank, ec: EngineConfig| Engine::new(rank, n, ec),
                 cpu_util_programs(cfg),
@@ -533,7 +491,7 @@ pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>)
             run_cpu_driver(d, &cfg.faults, tracer)
         }
         Mode::Bypass(delay) => {
-            let d = solo_driver(
+            let d = DesDriver::new(
                 &cfg.cluster,
                 |rank, ec: EngineConfig| {
                     AbEngine::new(
@@ -552,7 +510,7 @@ pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>)
             run_cpu_driver(d, &cfg.faults, tracer)
         }
         Mode::SplitPhase => {
-            let d = solo_driver(
+            let d = DesDriver::new(
                 &cfg.cluster,
                 |rank, ec: EngineConfig| {
                     AbEngine::new(
@@ -571,7 +529,7 @@ pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>)
             run_cpu_driver(d, &cfg.faults, tracer)
         }
         Mode::NicBypass => {
-            let d = solo_driver(
+            let d = DesDriver::new(
                 &cfg.cluster,
                 |rank, ec: EngineConfig| AbEngine::new(rank, n, ec, AbConfig::nic_offload()),
                 cpu_util_programs(cfg),
@@ -1254,16 +1212,9 @@ pub struct ScaleRunResult {
     pub packets_delivered: u64,
 }
 
-/// Time the baseline-engine CPU-utilization workload at `n` ranks and
-/// report DES throughput (events/sec).
-///
-/// `legacy = true` emulates the pre-arena driver for before/after
-/// comparisons: type-erased `Box<dyn Program>` programs (a vtable hop per
-/// step) and `shared_schedules = false` (every engine builds its own
-/// O(n) topology schedule, the per-engine cost that made 64k-rank runs
-/// infeasible). `legacy` forces the sequential executor; `exec` picks the
-/// executor for the modern path.
-pub fn run_scale_bench(n: u32, iters: u64, legacy: bool, exec: ScaleExec) -> ScaleRunResult {
+/// Time the baseline-engine CPU-utilization workload at `n` ranks on the
+/// executor `exec` and report DES throughput (events/sec).
+pub fn run_scale_bench(n: u32, iters: u64, exec: ScaleExec) -> ScaleRunResult {
     let cfg = CpuUtilConfig {
         elems: 4,
         max_skew_us: 200,
@@ -1271,44 +1222,19 @@ pub fn run_scale_bench(n: u32, iters: u64, legacy: bool, exec: ScaleExec) -> Sca
         ..CpuUtilConfig::new(ClusterSpec::heterogeneous(n), Mode::Baseline)
     };
     let start = std::time::Instant::now();
-    let (events, makespan_us, packets, nodes) = if legacy {
-        let programs: Vec<Box<dyn Program>> = cpu_util_programs(&cfg)
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn Program>)
-            .collect();
-        let mut d = DesDriver::new_tuned(
-            &cfg.cluster,
-            |rank, ec: EngineConfig| Engine::new(rank, n, ec),
-            programs,
-            |c| c.shared_schedules = false,
-        );
-        d.run();
-        (
-            d.events_processed(),
-            d.now().as_us_f64(),
-            d.packets_delivered,
-            d.results(),
-        )
-    } else {
-        let mut d = DesDriver::new(
-            &cfg.cluster,
-            |rank, ec: EngineConfig| Engine::new(rank, n, ec),
-            cpu_util_programs(&cfg),
-        );
-        match exec {
-            ScaleExec::Sequential => d.run(),
-            ScaleExec::Sharded(s) => d.run_sharded(s),
-        }
-        (
-            d.events_processed(),
-            d.now().as_us_f64(),
-            d.packets_delivered,
-            d.results(),
-        )
-    };
+    let mut d = DesDriver::new(
+        &cfg.cluster,
+        |rank, ec: EngineConfig| Engine::new(rank, n, ec),
+        cpu_util_programs(&cfg),
+    );
+    match exec {
+        ScaleExec::Sequential => d.run(),
+        ScaleExec::Sharded(s) => d.run_sharded(s),
+    }
     let wall_secs = start.elapsed().as_secs_f64();
+    let events = d.events_processed();
     let mut acc = Accumulator::new();
-    for node in &nodes {
+    for node in &d.results() {
         for o in node.obs.iter().filter(|o| o.key == "cpu_util_us") {
             acc.push(o.value);
         }
@@ -1318,8 +1244,8 @@ pub fn run_scale_bench(n: u32, iters: u64, legacy: bool, exec: ScaleExec) -> Sca
         events,
         wall_secs,
         events_per_sec: events as f64 / wall_secs.max(1e-9),
-        makespan_us,
+        makespan_us: d.now().as_us_f64(),
         mean_cpu_us: acc.mean(),
-        packets_delivered: packets,
+        packets_delivered: d.packets_delivered,
     }
 }

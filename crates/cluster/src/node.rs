@@ -10,6 +10,7 @@
 use abr_fabric::FabricSpec;
 use abr_gm::cost::CostModel;
 use abr_gm::nic::NodeHw;
+use abr_mpr::engine::EngineConfig;
 use abr_mpr::topology::TopologyKind;
 
 /// A cluster: per-node hardware plus the shared cost model.
@@ -118,6 +119,18 @@ impl ClusterSpec {
     /// True for the (useless) empty cluster.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The [`EngineConfig`] every engine on this cluster is built with.
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            cost: self.cost.clone(),
+            eager_limit: self.eager_limit,
+            memory_budget: None,
+            allreduce_rs_threshold: 2048,
+            topology: self.topology,
+            segments: self.segments,
+        }
     }
 
     /// Replace the cost model (sensitivity ablations).

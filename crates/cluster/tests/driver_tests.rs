@@ -330,3 +330,83 @@ fn flat_tree_fan_in_and_rendezvous_fan_out_at_2048_ranks() {
     };
     assert_eq!(counter(BCAST_ROOT as usize, "rndv_sent"), u64::from(N - 1));
 }
+
+#[test]
+#[should_panic(expected = "event cap exceeded")]
+fn event_cap_guards_against_livelock() {
+    let spec = ClusterSpec::homogeneous_1000(2);
+    let mut d = DesDriver::new(
+        &spec,
+        |r, ec: EngineConfig| Engine::new(r, 2, ec),
+        (0..2)
+            .map(|r| {
+                Box::new(ScriptProgram::new(
+                    // Enough traffic to exceed a tiny cap.
+                    (0..50)
+                        .flat_map(|_| [reduce_step(r, 1), Step::Barrier])
+                        .collect(),
+                )) as Box<dyn abr_cluster::Program>
+            })
+            .collect(),
+    )
+    .with_max_events(10);
+    d.run();
+}
+
+#[test]
+fn network_counters_track_traffic() {
+    let spec = ClusterSpec::homogeneous_1000(4);
+    let mut d = DesDriver::new(
+        &spec,
+        |r, ec: EngineConfig| Engine::new(r, 4, ec),
+        (0..4u32)
+            .map(|r| {
+                Box::new(ScriptProgram::new(vec![
+                    Step::Busy(SimDuration::from_us(0)),
+                    reduce_step(r, 1),
+                    Step::Busy(SimDuration::from_us(300)),
+                    Step::Barrier,
+                ])) as Box<dyn abr_cluster::Program>
+            })
+            .collect(),
+    );
+    d.run();
+    assert!(d.network().packets_carried() > 0);
+    assert!(d.network().bytes_carried() > d.network().packets_carried());
+    assert_eq!(d.packets_delivered, d.network().packets_carried());
+}
+
+/// Two ranks: rank 0 waits for a message rank 1 never sends.
+fn deadlocked_pair() -> DesDriver<Engine, ScriptProgram> {
+    let spec = ClusterSpec::homogeneous_1000(2);
+    DesDriver::new(
+        &spec,
+        |r, ec: EngineConfig| Engine::new(r, 2, ec),
+        vec![
+            ScriptProgram::new(vec![Step::Recv {
+                src: 1,
+                tag: 7,
+                cap: 8,
+            }]),
+            ScriptProgram::new(vec![]),
+        ],
+    )
+}
+
+#[test]
+#[should_panic(expected = "DES deadlock: nodes [0] never finished (rank 0 blocked on request 0)")]
+fn deadlock_names_the_stuck_rank_sequentially() {
+    deadlocked_pair().run();
+}
+
+#[test]
+#[should_panic(expected = "DES deadlock: nodes [0] never finished (rank 0 blocked on request 0)")]
+fn deadlock_names_the_stuck_rank_on_one_shard() {
+    deadlocked_pair().run_sharded(1);
+}
+
+#[test]
+#[should_panic(expected = "DES deadlock: nodes [0] never finished (rank 0 blocked on request 0)")]
+fn deadlock_names_the_stuck_rank_across_shards() {
+    deadlocked_pair().run_sharded(2);
+}

@@ -2,12 +2,12 @@
 //!
 //! Two properties the refactor must hold forever:
 //!
-//! 1. **Single-job equivalence** — a tenant driver degenerated to one
-//!    identity-placed job is *bit-for-bit* the legacy solo driver: same
-//!    per-node results, same packet count, same final virtual clock. The
-//!    tenant machinery (`Option<TenantState>`, header translation, CPU
-//!    stretch) must cost the solo path nothing, the same discipline the
-//!    fault layer follows.
+//! 1. **Single-job equivalence** — one job through the multi-job
+//!    constructor is *bit-for-bit* `DesDriver::new`: same per-node results,
+//!    same packet count, same final virtual clock. On the identity placement
+//!    that is the same code path; on a permuted placement of identical nodes
+//!    it pins the tenant rank translation (header rewrite, per-node poller
+//!    tallies) as a pure relabelling.
 //! 2. **Determinism** — a multi-job tenant run is a pure function of its
 //!    mix seed: repeated runs are identical, and running many tenant
 //!    points through the parallel sweep executor at any worker count
@@ -58,60 +58,82 @@ fn programs(n: u32, seed: u64) -> Vec<ScriptProgram> {
 
 type Fingerprint = (Vec<abr_cluster::driver::NodeResult>, u64, SimTime);
 
+/// Permuted single-job placements of `n` ranks: reversed, and
+/// `r -> (5r + 3) mod n` (a permutation whenever `gcd(5, n) = 1`).
+fn permutations(n: usize) -> [Vec<usize>; 2] {
+    [
+        (0..n).rev().collect(),
+        (0..n).map(|r| (5 * r + 3) % n).collect(),
+    ]
+}
+
+/// Run `programs` as one job on `placement` through the multi-job
+/// constructor, and through [`DesDriver::new`], and require both
+/// fingerprints to agree bit for bit.
+fn assert_one_job_matches_solo<E: abr_mpr::engine::MessageEngine>(
+    spec: &ClusterSpec,
+    placement: Vec<usize>,
+    make: impl Fn(u32, EngineConfig) -> E,
+    programs: impl Fn() -> Vec<ScriptProgram>,
+    what: &str,
+) {
+    let solo: Fingerprint = {
+        let mut d = DesDriver::new(spec, &make, programs());
+        d.run();
+        assert_eq!(d.results_by_job(), vec![d.results()], "{what}: one slice");
+        assert_eq!(d.job_map(), None, "{what}: one job has no job map");
+        (d.results(), d.packets_delivered, d.now())
+    };
+    let job: Fingerprint = {
+        let mut d = DesDriver::new_jobs(
+            spec,
+            &[placement],
+            |_job, r, _size, ec| make(r, ec),
+            vec![programs()],
+        );
+        d.run();
+        (d.results(), d.packets_delivered, d.now())
+    };
+    assert_eq!(
+        solo, job,
+        "{what}: one-job run diverged from DesDriver::new"
+    );
+}
+
 #[test]
 fn single_job_tenant_is_bit_identical_to_solo_driver_nab() {
-    let n = 11u32;
-    let spec = ClusterSpec::heterogeneous(n);
-    for seed in [3u64, 0xFEED] {
-        let solo: Fingerprint = {
-            let mut d = DesDriver::new(
-                &spec,
-                |r, ec: EngineConfig| Engine::new(r, n, ec),
-                programs(n, seed),
-            );
-            d.run();
-            (d.results(), d.packets_delivered, d.now())
-        };
-        let tenant: Fingerprint = {
-            let placement = Placement::identity(n as usize);
-            let mut d = DesDriver::new_jobs(
-                &spec,
-                &placement.node_of,
-                |_job, r, _size, ec| Engine::new(r, n, ec),
-                vec![programs(n, seed)],
-            );
-            d.run();
-            (d.results(), d.packets_delivered, d.now())
-        };
-        assert_eq!(solo, tenant, "seed {seed:#x}: 1-job tenant diverged");
+    for n in [11u32, 16] {
+        let make = |r, ec| Engine::new(r, n, ec);
+        for seed in [3u64, 0xFEED] {
+            let progs = || programs(n, seed);
+            let identity = Placement::identity(n as usize).node_of.remove(0);
+            let spec = ClusterSpec::heterogeneous(n);
+            assert_one_job_matches_solo(&spec, identity, make, progs, "identity");
+            // Permuted placements must run through the rank translation and
+            // still match: on homogeneous nodes a relabelling is invisible.
+            let spec = ClusterSpec::homogeneous_1000(n);
+            for p in permutations(n as usize) {
+                assert_one_job_matches_solo(&spec, p, make, progs, "permuted");
+            }
+        }
     }
 }
 
 #[test]
 fn single_job_tenant_is_bit_identical_to_solo_driver_ab() {
-    let n = 12u32;
-    let spec = ClusterSpec::heterogeneous(n);
-    let solo: Fingerprint = {
-        let mut d = DesDriver::new(
-            &spec,
-            |r, ec: EngineConfig| AbEngine::new(r, n, ec, AbConfig::default()),
-            programs(n, 7),
-        );
-        d.run();
-        (d.results(), d.packets_delivered, d.now())
-    };
-    let tenant: Fingerprint = {
-        let placement = Placement::identity(n as usize);
-        let mut d = DesDriver::new_jobs(
-            &spec,
-            &placement.node_of,
-            |_job, r, _size, ec| AbEngine::new(r, n, ec, AbConfig::default()),
-            vec![programs(n, 7)],
-        );
-        d.run();
-        (d.results(), d.packets_delivered, d.now())
-    };
-    assert_eq!(solo, tenant, "1-job tenant diverged with bypass engines");
+    for n in [12u32, 16] {
+        let make = |r, ec| AbEngine::new(r, n, ec, AbConfig::default());
+        for seed in [7u64, 0xFEED] {
+            let progs = || programs(n, seed);
+            let identity = Placement::identity(n as usize).node_of.remove(0);
+            let spec = ClusterSpec::heterogeneous(n);
+            assert_one_job_matches_solo(&spec, identity, make, progs, "identity");
+            let spec = ClusterSpec::homogeneous_1000(n);
+            for p in permutations(n as usize) {
+                assert_one_job_matches_solo(&spec, p, make, progs, "permuted");
+            }
+        }
+    }
 }
 
 /// A saturation-ladder point: fixed cluster sized for load 8, job count

@@ -1,31 +1,27 @@
-//! Tests for the driver's timeline introspection and its guard rails.
+//! The Fig. 2 time lines come from the trace rings: every CPU charge the
+//! driver's meters take is one `CpuCharge` record on the charging rank.
 
-use abr_cluster::driver::TimelineEvent;
 use abr_cluster::node::ClusterSpec;
 use abr_cluster::program::{Program, ScriptProgram, Step};
 use abr_cluster::DesDriver;
 use abr_core::{AbConfig, AbEngine};
-use abr_des::meter::CpuCategory;
-use abr_des::{SimDuration, SimTime};
-use abr_mpr::engine::{Engine, EngineConfig};
+use abr_des::SimDuration;
+use abr_mpr::engine::{Engine, EngineConfig, MessageEngine};
 use abr_mpr::op::ReduceOp;
 use abr_mpr::types::{f64s_to_bytes, Datatype};
-
-fn reduce_step(rank: u32) -> Step {
-    Step::Reduce {
-        root: 0,
-        op: ReduceOp::Sum,
-        dtype: Datatype::F64,
-        data: f64s_to_bytes(&[rank as f64]),
-    }
-}
+use abr_trace::{RingRecorder, Trace, TraceClock, TraceEvent};
 
 fn programs(n: u32, skew_of: impl Fn(u32) -> u64) -> Vec<Box<dyn Program>> {
     (0..n)
         .map(|r| {
             Box::new(ScriptProgram::new(vec![
                 Step::Busy(SimDuration::from_us(skew_of(r))),
-                reduce_step(r),
+                Step::Reduce {
+                    root: 0,
+                    op: ReduceOp::Sum,
+                    dtype: Datatype::F64,
+                    data: f64s_to_bytes(&[r as f64]),
+                },
                 Step::Busy(SimDuration::from_us(300)),
                 Step::Barrier,
             ])) as Box<dyn Program>
@@ -33,63 +29,51 @@ fn programs(n: u32, skew_of: impl Fn(u32) -> u64) -> Vec<Box<dyn Program>> {
         .collect()
 }
 
-#[test]
-fn timeline_is_off_by_default() {
-    let spec = ClusterSpec::homogeneous_1000(4);
-    let mut d = DesDriver::new(
-        &spec,
-        |r, ec: EngineConfig| Engine::new(r, 4, ec),
-        programs(4, |_| 0),
-    );
+/// Run `d` with a recorder installed; return the trace and the driver.
+fn traced<E: MessageEngine>(mut d: DesDriver<E>) -> (Trace, DesDriver<E>) {
+    let rec = RingRecorder::new(4, 1 << 14, TraceClock::Virtual, 0, 0);
+    d.install_tracer(rec.clone());
     d.run();
-    assert!(d.timeline().is_none());
+    let trace = rec.snapshot();
+    assert_eq!(trace.dropped, 0, "trace rings overflowed");
+    (trace, d)
 }
 
-fn check_invariants(events: &[TimelineEvent], n: usize, end: SimTime) {
-    assert!(!events.is_empty());
-    for e in events {
-        assert!(e.node < n, "node index in range");
-        assert!(!e.dur.is_zero(), "zero-length spans are filtered");
-        assert!(
-            e.start + e.dur <= end + SimDuration::from_us(1),
-            "span beyond simulation end: {e:?} vs {end:?}"
-        );
-    }
+/// Nanoseconds `node` charged to `bucket`, summed over its ring.
+fn charged_ns(trace: &Trace, node: usize, bucket: &str) -> u64 {
+    trace.per_rank[node]
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::CpuCharge { bucket: b, nanos } if b == bucket => Some(nanos),
+            _ => None,
+        })
+        .sum()
 }
 
 #[test]
 #[allow(clippy::needless_range_loop)] // rank used as value and index
 fn timeline_records_all_activity_classes_for_baseline() {
     let spec = ClusterSpec::homogeneous_1000(4);
-    let mut d = DesDriver::new(
+    let (trace, d) = traced(DesDriver::new(
         &spec,
         |r, ec: EngineConfig| Engine::new(r, 4, ec),
         programs(4, |r| r as u64 * 100),
-    )
-    .with_timeline();
-    d.run();
-    let events = d.timeline().unwrap();
-    check_invariants(events, 4, d.now());
-    let has = |k: CpuCategory| events.iter().any(|e| e.kind == k);
-    assert!(has(CpuCategory::Application), "busy loops recorded");
-    assert!(has(CpuCategory::Polling), "blocking waits recorded");
-    assert!(has(CpuCategory::Protocol), "protocol work recorded");
-    assert!(!has(CpuCategory::SignalHandler), "baseline never signals");
-    // Timeline totals agree with the meters.
+    ));
+    let total = |bucket: &str| (0..4).map(|n| charged_ns(&trace, n, bucket)).sum::<u64>();
+    assert!(total("app") > 0, "busy loops recorded");
+    assert!(total("poll") > 0, "blocking waits recorded");
+    assert!(total("protocol") > 0, "protocol work recorded");
+    assert_eq!(total("signal"), 0, "baseline never signals");
+    // The rings reconcile with the meters exactly.
     let results = d.results();
     for node in 0..4usize {
-        let tl_poll: f64 = events
-            .iter()
-            .filter(|e| e.node == node && e.kind == CpuCategory::Polling)
-            .map(|e| e.dur.as_us_f64())
-            .sum();
-        // The meter additionally includes the engine's per-wake poll-entry
-        // charges (recorded as protocol spans in the timeline), so allow a
-        // small per-wake discrepancy.
-        let meter = results[node].cpu_poll_us;
-        assert!(
-            (tl_poll - meter).abs() < meter * 0.05 + 3.0,
-            "node {node}: timeline poll {tl_poll:.1} vs meter {meter:.1}"
+        let us = |bucket| charged_ns(&trace, node, bucket) as f64 / 1e3;
+        assert_eq!(us("app"), results[node].cpu_app_us, "node {node} app");
+        assert_eq!(us("poll"), results[node].cpu_poll_us, "node {node} poll");
+        assert_eq!(
+            us("protocol"),
+            results[node].cpu_protocol_us,
+            "node {node} protocol"
         );
     }
 }
@@ -97,57 +81,15 @@ fn timeline_records_all_activity_classes_for_baseline() {
 #[test]
 fn timeline_shows_signal_handlers_under_bypass() {
     let spec = ClusterSpec::homogeneous_1000(4);
-    let mut d = DesDriver::new(
+    let (trace, _) = traced(DesDriver::new(
         &spec,
         |r, ec: EngineConfig| AbEngine::new(r, 4, ec, AbConfig::default()),
         programs(4, |r| if r == 3 { 250 } else { 0 }),
-    )
-    .with_timeline();
-    d.run();
-    let events = d.timeline().unwrap();
-    check_invariants(events, 4, d.now());
-    // Node 2 (parent of late node 3) must show handler activity and far
-    // less polling than the same scenario under the baseline.
-    let handler2: f64 = events
-        .iter()
-        .filter(|e| e.node == 2 && e.kind == CpuCategory::SignalHandler)
-        .map(|e| e.dur.as_us_f64())
-        .sum();
-    assert!(handler2 > 0.0, "node 2 must take a signal for late node 3");
-}
-
-#[test]
-#[should_panic(expected = "event cap exceeded")]
-fn event_cap_guards_against_livelock() {
-    let spec = ClusterSpec::homogeneous_1000(2);
-    let mut d = DesDriver::new(
-        &spec,
-        |r, ec: EngineConfig| Engine::new(r, 2, ec),
-        (0..2)
-            .map(|r| {
-                Box::new(ScriptProgram::new(
-                    // Enough traffic to exceed a tiny cap.
-                    (0..50)
-                        .flat_map(|_| [reduce_step(r), Step::Barrier])
-                        .collect(),
-                )) as Box<dyn Program>
-            })
-            .collect(),
-    )
-    .with_max_events(10);
-    d.run();
-}
-
-#[test]
-fn network_counters_track_traffic() {
-    let spec = ClusterSpec::homogeneous_1000(4);
-    let mut d = DesDriver::new(
-        &spec,
-        |r, ec: EngineConfig| Engine::new(r, 4, ec),
-        programs(4, |_| 0),
+    ));
+    // Node 2 (parent of late node 3) must take a handler for node 3's
+    // late contribution.
+    assert!(
+        charged_ns(&trace, 2, "signal") > 0,
+        "node 2 must take a signal for late node 3"
     );
-    d.run();
-    assert!(d.network().packets_carried() > 0);
-    assert!(d.network().bytes_carried() > d.network().packets_carried());
-    assert_eq!(d.packets_delivered, d.network().packets_carried());
 }

@@ -30,7 +30,7 @@ mod place;
 pub use place::{place, PlacePolicy, Placement};
 
 /// Identifies one job in a [`JobMix`]. Job ids are dense, starting at 0;
-/// job 0 of a single-job mix is the legacy solo-driver configuration.
+/// job 0 of a single-job mix is the solo-driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u32);
 

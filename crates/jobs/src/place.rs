@@ -67,8 +67,7 @@ pub struct Placement {
 impl Placement {
     /// The identity placement for a single `n`-rank job on `n` nodes —
     /// rank `r` on node `r`, exactly the solo driver's world. This is the
-    /// placement the single-job equivalence tests pin against the legacy
-    /// path.
+    /// placement `DesDriver::new` builds its one job on.
     pub fn identity(n: usize) -> Placement {
         Placement {
             nodes: n,

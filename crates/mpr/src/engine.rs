@@ -66,11 +66,6 @@ pub struct EngineConfig {
     /// Tree family for reduce/bcast/allreduce schedules. The binomial
     /// default reproduces MPICH (and the pre-schedule engine) exactly.
     pub topology: TopologyKind,
-    /// Consult the process-global schedule registry (default) so all
-    /// engines share one `TopoSchedule` per shape. `false` restores the
-    /// pre-registry per-engine builds — `O(size)` memory and build time
-    /// *per rank* — and exists for the scale benchmark's baseline.
-    pub shared_schedules: bool,
     /// Pipeline window for segmented reductions (the `ABR_SEGMENTS` knob):
     /// the maximum number of message segments in flight per collective.
     /// `1` (the default) disables segmentation entirely — every reduce
@@ -89,7 +84,6 @@ impl Default for EngineConfig {
             memory_budget: None,
             allreduce_rs_threshold: 2048,
             topology: TopologyKind::Binomial,
-            shared_schedules: true,
             segments: 1,
         }
     }
@@ -192,11 +186,7 @@ impl Engine {
             Some(b) => MemoryRegistry::with_budget(b),
             None => MemoryRegistry::unbounded(),
         };
-        let scheds = if config.shared_schedules {
-            ScheduleCache::new(config.topology)
-        } else {
-            ScheduleCache::new_private(config.topology)
-        };
+        let scheds = ScheduleCache::new(config.topology);
         Engine {
             rank,
             size,

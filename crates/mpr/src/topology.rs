@@ -641,11 +641,9 @@ fn registry_get(kind: TopologyKind, root: Rank, size: u32) -> Arc<TopoSchedule> 
 /// Fetch the process-global shared schedule for an arbitrary
 /// `(kind, root, size)` triple, building it on first use.
 ///
-/// This always consults the global registry — even for engines configured
-/// with `shared_schedules = false` — because its callers (the dual-root
-/// allreduce's chain/chainrev halves) need a schedule of a *different*
-/// kind than the engine's [`ScheduleCache`] was built for, and a pure
-/// structural lookup is safe to share unconditionally.
+/// Its callers (the dual-root allreduce's chain/chainrev halves) need a
+/// schedule of a *different* kind than the engine's [`ScheduleCache`] was
+/// built for.
 pub fn shared_schedule(kind: TopologyKind, root: Rank, size: u32) -> Arc<TopoSchedule> {
     registry_get(kind, root, size)
 }
@@ -654,14 +652,11 @@ pub fn shared_schedule(kind: TopologyKind, root: Rank, size: u32) -> Arc<TopoSch
 /// is fixed per cache). Collective instances share the cached schedule via
 /// `Arc`, so steady-state reductions allocate nothing for tree structure.
 ///
-/// By default the cache is a thin local index over the process-global
-/// registry, so all engines in a simulation share one `TopoSchedule` per
-/// shape; [`ScheduleCache::new_private`] opts out (used by benchmarks to
-/// measure the pre-registry per-engine cost).
+/// The cache is a thin local index over the process-global registry, so
+/// all engines in a simulation share one `TopoSchedule` per shape.
 #[derive(Debug, Clone)]
 pub struct ScheduleCache {
     kind: TopologyKind,
-    shared: bool,
     map: SmallMap<(Rank, u32), Arc<TopoSchedule>>,
 }
 
@@ -671,19 +666,6 @@ impl ScheduleCache {
     pub fn new(kind: TopologyKind) -> ScheduleCache {
         ScheduleCache {
             kind,
-            shared: true,
-            map: SmallMap::new(),
-        }
-    }
-
-    /// Empty cache that builds its own private schedules instead of
-    /// consulting the global registry. This reproduces the pre-registry
-    /// behavior where every engine paid its own `O(size)` build; it exists
-    /// so the scale benchmark can measure that cost honestly.
-    pub fn new_private(kind: TopologyKind) -> ScheduleCache {
-        ScheduleCache {
-            kind,
-            shared: false,
             map: SmallMap::new(),
         }
     }
@@ -693,17 +675,15 @@ impl ScheduleCache {
         self.kind
     }
 
-    /// The schedule for `(root, size)`, building it on first use (or
-    /// fetching it from the process-global registry for shared caches).
+    /// The schedule for `(root, size)`, fetched from the process-global
+    /// registry on first use.
     pub fn get(&mut self, root: Rank, size: u32) -> Arc<TopoSchedule> {
-        let (kind, shared) = (self.kind, self.shared);
-        Arc::clone(self.map.entry((root, size)).or_insert_with(|| {
-            if shared {
-                registry_get(kind, root, size)
-            } else {
-                Arc::new(TopoSchedule::build(kind, root, size))
-            }
-        }))
+        let kind = self.kind;
+        Arc::clone(
+            self.map
+                .entry((root, size))
+                .or_insert_with(|| registry_get(kind, root, size)),
+        )
     }
 }
 
@@ -982,14 +962,11 @@ mod tests {
         let mut c1 = ScheduleCache::new(TopologyKind::Knomial(3));
         let mut c2 = ScheduleCache::new(TopologyKind::Knomial(3));
         assert!(Arc::ptr_eq(&c1.get(2, 9), &c2.get(2, 9)));
-        // Private caches build their own copies and never pollute (or read)
-        // the registry-shared instance.
-        let mut p1 = ScheduleCache::new_private(TopologyKind::Knomial(3));
-        let mut p2 = ScheduleCache::new_private(TopologyKind::Knomial(3));
-        assert!(!Arc::ptr_eq(&c1.get(2, 9), &p1.get(2, 9)));
-        assert!(!Arc::ptr_eq(&p1.get(2, 9), &p2.get(2, 9)));
-        // Structure is identical either way.
-        assert_eq!(*c1.get(2, 9), *p1.get(2, 9));
+        // The shared instance is the structure a fresh build yields.
+        assert_eq!(
+            *c1.get(2, 9),
+            TopoSchedule::build(TopologyKind::Knomial(3), 2, 9)
+        );
     }
 
     #[test]

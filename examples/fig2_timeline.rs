@@ -13,20 +13,25 @@
 //! `.`/`#`: time the application got back, with a small `S` blip when node
 //! 3's message finally arrives.
 //!
+//! The time lines are drawn from the `CpuCharge` records of a trace
+//! recorder installed on the driver. Each record carries the virtual time
+//! of the event that charged it: busy-loop (`#`) and polling (`P`) charges
+//! are stamped when the span ends, protocol, handler and NIC charges when
+//! it starts.
+//!
 //! ```text
 //! cargo run --release --example fig2_timeline
 //! ```
 
-use abr_cluster::driver::TimelineEvent;
 use abr_cluster::node::ClusterSpec;
 use abr_cluster::program::{Program, Step, StepCtx};
 use abr_cluster::DesDriver;
 use abr_core::{AbConfig, AbEngine};
-use abr_des::meter::CpuCategory;
 use abr_des::SimDuration;
 use abr_mpr::engine::EngineConfig;
 use abr_mpr::op::ReduceOp;
 use abr_mpr::types::{f64s_to_bytes, Datatype};
+use abr_trace::{RingRecorder, Trace, TraceClock, TraceEvent};
 
 const LATE_NODE: u32 = 3;
 const SKEW_US: u64 = 250;
@@ -59,7 +64,41 @@ impl Program for Fig2Program {
     }
 }
 
-fn run(ab: bool) -> (Vec<TimelineEvent>, u64) {
+/// One CPU charge as a time span on `node`.
+struct Span {
+    node: usize,
+    bucket: &'static str,
+    start_ns: u64,
+    dur_ns: u64,
+}
+
+/// The non-empty CPU charges of a trace, placed on the time axis.
+fn spans(trace: &Trace) -> Vec<Span> {
+    let mut out = Vec::new();
+    for (node, records) in trace.per_rank.iter().enumerate() {
+        for r in records {
+            let TraceEvent::CpuCharge { bucket, nanos } = r.event else {
+                continue;
+            };
+            if nanos == 0 {
+                continue;
+            }
+            let start_ns = match bucket {
+                "app" | "poll" => r.t_ns.saturating_sub(nanos),
+                _ => r.t_ns,
+            };
+            out.push(Span {
+                node,
+                bucket,
+                start_ns,
+                dur_ns: nanos,
+            });
+        }
+    }
+    out
+}
+
+fn run(ab: bool) -> (Vec<Span>, u64) {
     let spec = ClusterSpec::homogeneous_1000(4);
     let programs: Vec<Box<dyn Program>> = (0..4)
         .map(|rank| Box::new(Fig2Program { rank, phase: 0 }) as Box<dyn Program>)
@@ -73,14 +112,16 @@ fn run(ab: bool) -> (Vec<TimelineEvent>, u64) {
         &spec,
         |r, ec: EngineConfig| AbEngine::new(r, 4, ec, cfg.clone()),
         programs,
-    )
-    .with_timeline();
+    );
+    let rec = RingRecorder::new(4, 1 << 14, TraceClock::Virtual, 0, 0);
+    d.install_tracer(rec.clone());
     d.run();
-    let end = d.now().as_nanos();
-    (d.timeline().unwrap_or(&[]).to_vec(), end)
+    let trace = rec.snapshot();
+    assert_eq!(trace.dropped, 0, "trace rings overflowed");
+    (spans(&trace), d.now().as_nanos())
 }
 
-fn render(events: &[TimelineEvent], end_ns: u64, title: &str) {
+fn render(spans: &[Span], end_ns: u64, title: &str) {
     const COLS: usize = 96;
     println!("{title}");
     let bucket = (end_ns.max(1)).div_ceil(COLS as u64);
@@ -88,16 +129,16 @@ fn render(events: &[TimelineEvent], end_ns: u64, title: &str) {
         // Priority per bucket: Signal > Polling > Protocol > App > idle.
         let mut row = vec![b'.'; COLS];
         let mut priority = [0u8; COLS];
-        for e in events.iter().filter(|e| e.node == node) {
-            let (ch, pr) = match e.kind {
-                CpuCategory::SignalHandler => (b'S', 4),
-                CpuCategory::Polling => (b'P', 3),
-                CpuCategory::Protocol => (b'p', 2),
-                CpuCategory::Application => (b'#', 1),
-                CpuCategory::NicOffload => (b'N', 4),
+        for e in spans.iter().filter(|e| e.node == node) {
+            let (ch, pr) = match e.bucket {
+                "signal" => (b'S', 4),
+                "poll" => (b'P', 3),
+                "protocol" => (b'p', 2),
+                "app" => (b'#', 1),
+                _ => (b'N', 4),
             };
-            let first = (e.start.as_nanos() / bucket) as usize;
-            let last = ((e.start.as_nanos() + e.dur.as_nanos()) / bucket) as usize;
+            let first = (e.start_ns / bucket) as usize;
+            let last = ((e.start_ns + e.dur_ns) / bucket) as usize;
             for b in first..=last.min(COLS - 1) {
                 if pr > priority[b] {
                     priority[b] = pr;
@@ -127,19 +168,14 @@ fn main() {
         end_b,
         "(b) application-bypass: node 2's call returns; a signal (S) finishes the job",
     );
-    let nab_poll: f64 = nab
-        .iter()
-        .filter(|e| e.node == 2 && e.kind == CpuCategory::Polling)
-        .map(|e| e.dur.as_us_f64())
-        .sum();
-    let ab_poll: f64 = ab
-        .iter()
-        .filter(|e| e.node == 2 && e.kind == CpuCategory::Polling)
-        .map(|e| e.dur.as_us_f64())
-        .sum();
-    println!(
-        "node 2 polling time: {nab_poll:.1}us (nab)  vs  {:.1}us (ab)",
-        ab_poll.max(0.0)
-    );
+    let node2_poll_us = |spans: &[Span]| -> f64 {
+        spans
+            .iter()
+            .filter(|e| e.node == 2 && e.bucket == "poll")
+            .map(|e| e.dur_ns as f64 / 1e3)
+            .sum()
+    };
+    let (nab_poll, ab_poll) = (node2_poll_us(&nab), node2_poll_us(&ab));
+    println!("node 2 polling time: {nab_poll:.1}us (nab)  vs  {ab_poll:.1}us (ab)");
     assert!(ab_poll < nab_poll / 4.0, "bypass must free node 2's CPU");
 }

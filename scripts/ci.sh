@@ -53,10 +53,10 @@ echo "==> skew-vs-topology figure"
 ABR_ITERS=20 ABR_JOBS=2 \
   cargo run -q --release -p abr_bench --bin topology_figure > FIG_topology.txt
 
-echo "==> scale smoke (fig_scale capped at 1k ranks + before/after throughput)"
+echo "==> scale smoke (fig_scale capped at 1k ranks + throughput)"
 ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=2 \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale.txt
-grep -q '"schema": "abr-scale-v1"' BENCH_scale.json \
+grep -q '"schema": "abr-scale-v2"' BENCH_scale.json \
   || { echo "BENCH_scale.json missing or malformed"; exit 1; }
 
 echo "==> fabric smoke (512-rank oversubscribed fat-tree fig_fabric)"
@@ -83,17 +83,16 @@ ABR_SEGMENTS=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
 diff -u crates/bench/golden/fig6_iters5.txt FIG6_segments_off.txt \
   || { echo "ABR_SEGMENTS=1 diverged from the pre-segmentation golden"; exit 1; }
 
-echo "==> tenant saturation smoke (solo path pinned to golden)"
+echo "==> tenant saturation smoke"
 ABR_TENANT_LOAD=4 ABR_JOBS=2 \
   cargo run -q --release -p abr_bench --bin tenant_figure > FIG_tenant_smoke.txt
 grep -q '"schema": "abr-tenant-v1"' BENCH_tenant.json \
   || { echo "BENCH_tenant.json missing or malformed"; exit 1; }
 grep -q '"widening": true' BENCH_tenant.json \
   || { echo "BENCH_tenant.json lost the widening CPU gap"; exit 1; }
-ABR_TENANT_SOLO=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
-  cargo run -q --release -p abr_bench --bin fig6 > FIG6_tenant_solo.txt
-diff -u crates/bench/golden/fig6_iters5.txt FIG6_tenant_solo.txt \
-  || { echo "ABR_TENANT_SOLO=1 diverged from the solo golden"; exit 1; }
+
+echo "==> Fig. 2 time lines from the trace rings (bypass must free node 2)"
+cargo run -q --release --example fig2_timeline > /dev/null
 
 echo "==> docs link check (intra-repo links in the teaching docs)"
 ./scripts/check_links.sh
