@@ -65,7 +65,19 @@ ABR_SCALE_MAX=512 ABR_ITERS=5 ABR_JOBS=2 \
 grep -q '"schema": "abr-fabric-v1"' BENCH_fabric.json \
   || { echo "BENCH_fabric.json missing or malformed"; exit 1; }
 
-echo "==> flat-fabric golden diff (FabricNetwork wrapper must not perturb figures)"
+echo "==> contended-fabric golden diffs (routed link model pinned on fat-tree, dragonfly, lossy)"
+diff -u crates/bench/golden/fabric_fattree_iters5.txt FIG_fabric.txt \
+  || { echo "fattree:4:cyclic fabric figure diverged from its golden"; exit 1; }
+ABR_FABRIC=dragonfly ABR_FABRIC_JSON=/dev/null ABR_SCALE_MAX=512 ABR_ITERS=5 ABR_JOBS=2 \
+  cargo run -q --release -p abr_bench --bin fabric_figure > FIG_fabric_dragonfly.txt
+diff -u crates/bench/golden/fabric_dragonfly_iters5.txt FIG_fabric_dragonfly.txt \
+  || { echo "dragonfly fabric figure diverged from its golden"; exit 1; }
+ABR_FABRIC=fattree:blocked ABR_ITERS=5 ABR_JOBS=2 ABR_SWEEP_JSON=/dev/null \
+  cargo run -q --release -p abr_bench --bin loss_figure > FIG_loss_fattree.txt
+diff -u crates/bench/golden/loss_fattree_blocked_iters5.txt FIG_loss_fattree.txt \
+  || { echo "fattree:blocked loss figure diverged from its golden"; exit 1; }
+
+echo "==> flat-fabric golden diff (ABR_FABRIC=flat must reproduce the crossbar figures)"
 ABR_FABRIC=flat ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
   cargo run -q --release -p abr_bench --bin fig6 > FIG6_fabric_flat.txt
 diff -u crates/bench/golden/fig6_iters5.txt FIG6_fabric_flat.txt \
