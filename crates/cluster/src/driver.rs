@@ -20,8 +20,9 @@
 //!   polling inside the call until the budget expires, then calls
 //!   [`MessageEngine::split_phase_exit`].
 //! * **Heterogeneity**: protocol and handler CPU charges are scaled by the
-//!   node's CPU class; packet delivery times come from the GM network model
-//!   with per-class PCI/LANai costs and per-(src,dst) FIFO ordering.
+//!   node's CPU class; packet delivery times come from the
+//!   [`FabricNetwork`] delivery model with per-class PCI/LANai costs and
+//!   per-(src,dst) FIFO ordering.
 //!
 //! # Storage: struct-of-arrays rank state
 //!
@@ -40,7 +41,7 @@
 //! region shards and advances them concurrently between conservative
 //! synchronization horizons (a YAWNS-style window): with `T` the globally
 //! earliest pending event and `L` the cost model's minimum cross-node
-//! delivery latency ([`LinkCost::min_delivery_delay`]), every shard may
+//! delivery latency ([`FabricNetwork::min_delivery_delay`]), every shard may
 //! safely process all events strictly before `T + L`, because any packet a
 //! handler in the window sends cannot arrive before `T + L`. Cross-shard
 //! packets are exchanged through per-shard outboxes at each horizon.
@@ -58,8 +59,8 @@ use abr_des::meter::CpuCategory;
 use abr_des::{CpuMeter, EventId, EventQueue, SimDuration, SimTime};
 use abr_fabric::FabricNetwork;
 use abr_faults::{FaultInjector, FaultPlan, NodeReliability, RelConfig, RelEvent, RelStats};
-use abr_gm::nic::{LinkCost, NodeHw};
-use abr_gm::packet::{NodeId, Packet};
+use abr_gm::nic::NodeHw;
+use abr_gm::packet::Packet;
 use abr_gm::signal::SignalControl;
 use abr_mpr::engine::{Action, EngineConfig, MessageEngine};
 use abr_mpr::request::Outcome;
@@ -463,29 +464,30 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
 
     /// Tenant-mode transmit: packet headers carry *job-local* ranks, so the
     /// driver resolves the destination's global arena slot through the
-    /// sender's job base, and computes delivery with the header temporarily
-    /// rewritten to *physical node* ids — the network keys NIC-injection
-    /// serialization and FIFO floors off header ids, so co-located ranks
-    /// (any job) share one NIC clock exactly as they share hardware. The
-    /// job-local header is restored before delivery, keeping the receiving
-    /// engine's rank-addressing invariants intact. Per-(src,dst)-floor FIFO
-    /// order survives the remap: a job pair's packets are a subsequence of
-    /// its physical pair's, and the floor keeps the full sequence monotone.
+    /// sender's job base, and asks the network for a delivery time between
+    /// the two *physical node* ids — the network keys NIC-injection
+    /// serialization and FIFO floors off its endpoint ids, so co-located
+    /// ranks (any job) share one NIC clock exactly as they share hardware.
+    /// The job-local header reaches the receiving engine untouched,
+    /// keeping its rank-addressing invariants intact. Per-(src,dst)-floor
+    /// FIFO order survives the remap: a job pair's packets are a
+    /// subsequence of its physical pair's, and the floor keeps the full
+    /// sequence monotone.
     fn transmit_tenant(&mut self, i: usize, mut pkt: Packet, stamp: SimTime) {
         let ts = self.tenant.as_ref().expect("tenant transmit");
         let dst = ts.base_of[ts.job_of[i] as usize] + pkt.header.dst.index();
-        let (psrc, pdst) = (ts.phys_of[i], ts.phys_of[dst]);
+        let (psrc, pdst) = (ts.phys_of[i] as u32, ts.phys_of[dst] as u32);
         // Wire seqs per *global* sender slot: distinct jobs' identical
         // local ranks must not share a counter.
         pkt.header.wire_seq = self.rank[i - self.base].next_wire_seq();
-        let src_hw = self.hw[i];
-        let dst_hw = self.hw[dst];
-        let (local_src, local_dst) = (pkt.header.src, pkt.header.dst);
-        pkt.header.src = NodeId(psrc as u32);
-        pkt.header.dst = NodeId(pdst as u32);
-        let arrive = self.network.delivery_time(stamp, &src_hw, &dst_hw, &pkt);
-        pkt.header.src = local_src;
-        pkt.header.dst = local_dst;
+        let arrive = self.network.delivery_time(
+            stamp,
+            psrc,
+            pdst,
+            &self.hw[i],
+            &self.hw[dst],
+            pkt.wire_bytes(),
+        );
         self.send_deliver(i, dst, arrive, pkt);
     }
 
@@ -502,10 +504,12 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         debug_assert_eq!(pkt.header.src.index(), i, "sending from the wrong rank");
         pkt.header.wire_seq = self.rank[i - self.base].next_wire_seq();
         let dst = pkt.header.dst.index();
-        let src_hw = self.hw[i];
-        let dst_hw = self.hw[dst];
+        let (src_hw, dst_hw) = (self.hw[i], self.hw[dst]);
+        let (src_id, dst_id, bytes) = (i as u32, dst as u32, pkt.wire_bytes());
         if self.faults.is_none() {
-            let arrive = self.network.delivery_time(stamp, &src_hw, &dst_hw, &pkt);
+            let arrive = self
+                .network
+                .delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes);
             self.send_deliver(i, dst, arrive, pkt);
             return;
         }
@@ -514,11 +518,15 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         if verdict.copies == 0 {
             // Dropped: the NIC and wire still did the work of sending it,
             // so charge network occupancy exactly as for a delivered packet.
-            let _ = self.network.delivery_time(stamp, &src_hw, &dst_hw, &pkt);
+            let _ = self
+                .network
+                .delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes);
             return;
         }
         for _ in 0..verdict.copies {
-            let arrive = self.network.delivery_time(stamp, &src_hw, &dst_hw, &pkt)
+            let arrive = self
+                .network
+                .delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes)
                 + SimDuration::from_nanos(verdict.extra_delay_ns);
             // Faults imply the sequential executor (asserted in
             // `run_sharded`), so every destination is local.
@@ -1462,7 +1470,7 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
     pub fn run_sharded(&mut self, shards: usize) {
         assert!(!self.started, "run_sharded requires a fresh driver");
         assert!(
-            self.core.network.is_flat(),
+            self.core.network.spec().is_flat(),
             "parallel execution requires the flat (contention-free) fabric: per-link \
              busy clocks are global order-dependent state that cannot be sharded; \
              unset ABR_FABRIC (or set ABR_FABRIC=flat) or drop ABR_DES_SHARDS"
@@ -1599,7 +1607,7 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
                 )),
                 Ok(s) => Ok(s),
             });
-        if shards.is_some() && !self.core.network.is_flat() {
+        if shards.is_some() && !self.core.network.spec().is_flat() {
             // Fail fast rather than silently running sequentially: the user
             // asked for two things that cannot be combined.
             panic!(

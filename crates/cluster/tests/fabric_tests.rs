@@ -120,7 +120,7 @@ fn run_sharded_rejects_contended_fabric() {
 #[test]
 fn sharded_flat_fabric_still_works() {
     // The guard must not catch the degenerate case: a flat FabricNetwork
-    // is exactly the legacy model and stays shardable.
+    // builds no link graph and stays shardable.
     let n = 32u32;
     let spec = ClusterSpec::heterogeneous(n).with_fabric(FabricSpec::flat());
     let run = |shards: usize| {

@@ -1,23 +1,24 @@
-//! `abr_fabric` — contended interconnect fabrics for the DES driver.
+//! `abr_fabric` — the interconnect: one delivery-time model for the flat
+//! crossbar and the contended fabrics.
 //!
-//! Every result before this crate ran on `abr_gm::nic::Network`: one ideal
-//! cut-through crossbar where a packet's delivery time depends only on the
-//! two endpoints, never on other traffic. Real clusters are built from
-//! switches and links, and collective performance is lost to shared,
-//! oversubscribed uplinks. This crate models that loss while keeping the
-//! flat crossbar available (and bit-identical) as a degenerate case:
+//! The paper's testbed is one 32-port Myrinet-2000 crossbar, where a
+//! packet's delivery time depends only on its two endpoints and on the
+//! source NIC's earlier traffic. Real clusters are built from switches
+//! and links, and collective performance is lost to shared,
+//! oversubscribed uplinks. This crate models both with one type:
 //!
 //! * [`spec`] — [`FabricSpec`]: which fabric ([`FabricKind::Flat`],
 //!   [`FabricKind::FatTree`], [`FabricKind::Dragonfly`]), the
 //!   oversubscription ratio, and the rank→node [`PlacementPolicy`]
 //!   (blocked or cyclic/round-robin), parsed from `ABR_FABRIC` /
 //!   `ABR_OVERSUB`,
-//! * [`net`] — [`FabricNetwork`]: an [`abr_gm::LinkCost`] implementation
-//!   that statically routes each packet over the fabric graph and
-//!   serializes concurrent packets on shared links via per-link
-//!   busy-until clocks. With [`FabricKind::Flat`] every call is delegated
-//!   verbatim to the wrapped [`abr_gm::Network`], so flat-fabric runs
-//!   reproduce the legacy model bit-for-bit by construction.
+//! * [`net`] — [`FabricNetwork`]: source-NIC injection clocks, per-pair
+//!   FIFO floors, traffic counters and delivery-segment tracing for every
+//!   kind. A flat spec builds no link graph, so every packet takes the
+//!   crossbar formula ([`abr_gm::PathCost`]); a contended spec routes each
+//!   cross-node packet statically over the fabric graph and serializes
+//!   concurrent packets on shared links via per-link busy-until clocks.
+//!   Same-node pairs take the crossbar formula on every kind.
 //!
 //! Contention is deterministic but order-sensitive: link clocks are
 //! global state, so the contended kinds require the sequential DES

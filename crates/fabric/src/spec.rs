@@ -19,9 +19,9 @@ use std::fmt;
 /// Which switch/link graph the fabric builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FabricKind {
-    /// The legacy ideal crossbar: no shared links, no contention. A
-    /// [`crate::FabricNetwork`] of this kind delegates every call to the
-    /// wrapped [`abr_gm::Network`] and is bit-identical to it.
+    /// The paper's ideal crossbar: no shared links, no contention. A
+    /// [`crate::FabricNetwork`] of this kind builds no link graph; every
+    /// packet takes the crossbar formula ([`abr_gm::PathCost`]).
     Flat,
     /// Three-level fat-tree: nodes under edge switches, edge switches in
     /// pods under aggregation, pods joined through a core layer. Uplinks

@@ -4,35 +4,55 @@
 //!   either placement, non-power-of-two rank counts included) routes every
 //!   cross-node rank pair over a non-empty, loop-free link path whose ids
 //!   are in range, and same-node pairs bypass the fabric entirely.
-//! * The flat fabric is byte-identical to the legacy [`Network`] on
-//!   arbitrary packet sequences — not just equal delivery times but equal
-//!   carried-traffic counters, so swapping the driver's network type
-//!   cannot perturb any existing figure.
+//! * Every kind preserves GM's per-pair FIFO delivery order under
+//!   arbitrary traffic.
+//! * The flat fabric equals the paper's crossbar written out in closed
+//!   form on arbitrary packet sequences — not just equal delivery times
+//!   but equal carried-traffic counters and lookahead bound.
 
-use abr_des::SimTime;
+use abr_des::{SimDuration, SimTime};
 use abr_fabric::{FabricNetwork, FabricSpec, PlacementPolicy};
-use abr_gm::nic::LinkCost;
-use abr_gm::packet::{NodeId, PacketHeader, PacketKind};
-use abr_gm::{CostModel, Network, NodeHw, Packet};
-use bytes::Bytes;
+use abr_gm::packet::HEADER_WIRE_BYTES;
+use abr_gm::{CostModel, NodeHw};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
-fn packet(src: u32, dst: u32, len: usize) -> Packet {
-    Packet::new(
-        PacketHeader {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            kind: PacketKind::Eager,
-            context: 0,
-            tag: 0,
-            coll_seq: 0,
-            coll_root: 0,
-            msg_len: len as u32,
-            wire_seq: 0,
-            rel_seq: 0,
-        },
-        Bytes::from(vec![0u8; len]),
-    )
+/// The hardware class of rank `r`: the three testbed classes in turn.
+fn hw(r: u32) -> NodeHw {
+    [NodeHw::p3_700(), NodeHw::p3_1000(), NodeHw::p3_1000_l92()][(r % 3) as usize]
+}
+
+/// The paper's crossbar in closed form: a per-source NIC clock that each
+/// packet's injection (source PCI + LANai) occupies, the uncontended path
+/// after it, and a per-pair floor keeping delivery in FIFO order.
+#[derive(Default)]
+struct Crossbar {
+    cost: CostModel,
+    nic_free: HashMap<u32, SimTime>,
+    floor: HashMap<(u32, u32), SimTime>,
+    packets: u64,
+    bytes: u64,
+}
+
+impl Crossbar {
+    fn delivery_time(&mut self, t: SimTime, s: u32, d: u32, len: u32) -> SimTime {
+        let (c, wire) = (&self.cost, len + HEADER_WIRE_BYTES);
+        let (src, dst, b) = (hw(s), hw(d), f64::from(wire));
+        let src_pci = c.pci_per_byte_us * src.pci.per_byte_scale() * b;
+        let src_nic = c.nic_per_packet_us * src.lanai.per_packet_scale();
+        let dst_nic = c.nic_per_packet_us * dst.lanai.per_packet_scale();
+        let dst_pci = c.pci_per_byte_us * dst.pci.per_byte_scale() * b;
+        let on_wire = c.switch_us + c.wire_per_byte_us * b;
+        let tx = SimDuration::from_us_f64(src_pci + src_nic);
+        let path = SimDuration::from_us_f64(src_pci + src_nic + on_wire + dst_nic + dst_pci);
+        let nic = self.nic_free.entry(s).or_insert(SimTime::ZERO);
+        *nic = t.max(*nic) + tx;
+        let floor = self.floor.entry((s, d)).or_insert(SimTime::ZERO);
+        *floor = (*nic + (path - tx)).max(*floor);
+        self.packets += 1;
+        self.bytes += u64::from(wire);
+        *floor
+    }
 }
 
 fn spec_strategy() -> impl Strategy<Value = FabricSpec> {
@@ -109,37 +129,69 @@ proptest! {
         }
     }
 
-    /// The flat fabric is indistinguishable from the legacy network on an
-    /// arbitrary interleaving of packets: same delivery times, same
-    /// counters. This is the bit-identity guarantee every committed
-    /// figure relies on.
+    /// Delivery times per (src, dst) pair are non-decreasing no matter the
+    /// fabric kind, placement, send interleaving, sizes or hardware mix —
+    /// the GM FIFO guarantee the whole matching layer depends on.
+    #[test]
+    fn network_preserves_per_pair_fifo(
+        kind in 0u32..3,
+        cyclic in any::<bool>(),
+        sends in prop::collection::vec((0u32..64, 1u32..64, 0u32..8192, 0u64..50), 1..80),
+    ) {
+        let mut spec = match kind {
+            0 => FabricSpec::flat(),
+            1 => FabricSpec::fat_tree(4.0),
+            _ => FabricSpec::dragonfly(4.0),
+        };
+        spec.placement = if cyclic { PlacementPolicy::Cyclic } else { PlacementPolicy::Blocked };
+        let mut net = FabricNetwork::new(CostModel::default(), spec, 64);
+        let mut t = SimTime::ZERO;
+        let mut last: HashMap<(u32, u32), SimTime> = HashMap::new();
+        for (src, dst_off, len, dt) in sends {
+            let dst = (src + dst_off) % 64; // always != src
+            t += SimDuration::from_us(dt);
+            let arrive = net.delivery_time(t, src, dst, &hw(src), &hw(dst), len + HEADER_WIRE_BYTES);
+            prop_assert!(arrive > t, "arrival not after send");
+            if let Some(prev) = last.insert((src, dst), arrive) {
+                prop_assert!(arrive >= prev, "FIFO violated for ({src},{dst})");
+            }
+        }
+    }
+
+    /// The flat fabric is indistinguishable from the closed-form crossbar
+    /// on an arbitrary interleaving of packets: same delivery times, same
+    /// counters, same lookahead bound. Few ranks and short gaps make the
+    /// NIC clocks and FIFO floors bind. This is the bit-identity guarantee
+    /// every committed figure relies on.
     #[test]
     fn flat_fabric_matches_legacy_on_random_sequences(
         seq in prop::collection::vec(
-            ((0u32..64), (0u32..64), (0usize..9000), (0u64..5000)), 1..120),
+            ((0u32..16), (0u32..16), (0u32..9000), (0u64..40)), 1..120),
     ) {
-        let hws = [NodeHw::p3_700(), NodeHw::p3_1000(), NodeHw::p3_1000_l92()];
-        let mut legacy = Network::new(CostModel::default());
-        let mut fab = FabricNetwork::flat(CostModel::default(), 64);
-        prop_assert!(fab.is_flat());
+        let mut reference = Crossbar::default();
+        let mut fab = FabricNetwork::new(CostModel::default(), FabricSpec::flat(), 64);
+        prop_assert_eq!(fab.num_links(), 0);
         let mut t = SimTime::ZERO;
         for (i, &(s, d, len, advance_us)) in seq.iter().enumerate() {
-            t += abr_des::SimDuration::from_us(advance_us);
-            let p = packet(s, d, len);
-            let src = &hws[(s % 3) as usize];
-            let dst = &hws[(d % 3) as usize];
+            t += SimDuration::from_us(advance_us);
             prop_assert_eq!(
-                legacy.delivery_time(t, src, dst, &p),
-                fab.delivery_time(t, src, dst, &p),
+                reference.delivery_time(t, s, d, len),
+                fab.delivery_time(t, s, d, &hw(s), &hw(d), len + HEADER_WIRE_BYTES),
                 "flat fabric diverged at step {}", i
             );
         }
-        prop_assert_eq!(legacy.packets_carried(), fab.packets_carried());
-        prop_assert_eq!(legacy.bytes_carried(), fab.bytes_carried());
+        prop_assert_eq!(reference.packets, fab.packets_carried());
+        prop_assert_eq!(reference.bytes, fab.bytes_carried());
         prop_assert_eq!(fab.link_waits(), 0);
-        prop_assert_eq!(
-            legacy.min_delivery_delay(&hws),
-            fab.min_delivery_delay(&hws)
-        );
+        prop_assert_eq!(fab.floor_entries(), reference.floor.len());
+        let header_only = (0..3u32)
+            .flat_map(|s| (0..3u32).map(move |d| (s, d)))
+            .map(|(s, d)| {
+                let mut fresh = Crossbar::default();
+                fresh.delivery_time(SimTime::ZERO, s, d, 0) - SimTime::ZERO
+            })
+            .min()
+            .unwrap();
+        prop_assert_eq!(header_only, fab.min_delivery_delay(&[hw(0), hw(1), hw(2)]));
     }
 }

@@ -12,9 +12,10 @@
 //!   PCI/wire/NIC transfer times, signal delivery cost, poll cost. All
 //!   figure-level behaviour is driven by these calibrated constants,
 //! * [`nic`] — node hardware classes (the paper's two Pentium-III node
-//!   flavours, PCI widths and LANai revisions) and the network delivery-time
-//!   model (cut-through crossbar, full-duplex links, per-source-destination
-//!   FIFO ordering as GM guarantees),
+//!   flavours, PCI widths and LANai revisions) and [`nic::PathCost`], the
+//!   uncontended crossbar path a packet takes between two of them. The
+//!   stateful delivery model built on it (NIC injection clocks, per-pair
+//!   FIFO order, shared fabric links) is `abr_fabric::FabricNetwork`,
 //! * [`memory`] — the pinned-memory (DMA registration) bookkeeping behind
 //!   GM's eager/rendezvous split,
 //! * [`signal`] — host-side signal enable/disable control mirroring the
@@ -23,11 +24,10 @@
 //!   the live threaded runtime in `abr_cluster`.
 //!
 //! **Tracing**: with an [`abr_trace::TraceHandle`] installed,
-//! [`nic::Network::delivery_time`] emits the five per-packet cost segments
-//! (source PCI, source NIC, wire, destination NIC, destination PCI) and
 //! [`signal::SignalControl::on_arrival`] emits every raise/suppress
-//! decision, so a timeline shows exactly where each microsecond of the
-//! cost model went.
+//! decision; the delivery model in `abr_fabric` emits each packet's
+//! [`nic::PathCost`] segments, so a timeline shows exactly where each
+//! microsecond of the cost model went.
 
 #![deny(missing_docs)]
 
@@ -40,6 +40,6 @@ pub mod signal;
 
 pub use cost::CostModel;
 pub use memory::MemoryRegistry;
-pub use nic::{FifoFloors, LanaiClass, LinkCost, Network, NodeHw, PciClass};
+pub use nic::{LanaiClass, NodeHw, PathCost, PciClass};
 pub use packet::{NodeId, Packet, PacketHeader, PacketKind};
 pub use signal::SignalControl;

@@ -61,7 +61,12 @@ pub enum TraceEvent {
     },
     /// One segment of the NIC/wire delivery pipeline (source PCI DMA,
     /// source NIC serialization, wire, destination NIC, destination
-    /// PCI DMA).
+    /// PCI DMA). The fabric model in `abr_fabric` emits all five for every
+    /// packet on every fabric kind. On a routed (contended, cross-node)
+    /// path `wire` is the switch hops plus each link's transfer time;
+    /// time queued behind busy links is reported only by
+    /// [`TraceEvent::LinkWait`], so an isolated packet's five segments
+    /// sum to its delivery latency up to per-term rounding.
     WireSegment {
         /// Destination rank of the packet in flight.
         dst: u32,
