@@ -1258,8 +1258,9 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
 
     /// The one driver assembly behind both constructors: rank arenas around
     /// `engines`, `programs` and `hw` (global arena order), on a network
-    /// sized and addressed by *physical* node — tenant transmits rewrite
-    /// header ids to physical before asking for a delivery time.
+    /// sized and addressed by *physical* node — tenant transmits pass the
+    /// physical node ids to `FabricNetwork::delivery_time` and leave the
+    /// packet header unchanged.
     fn assemble(
         spec: &ClusterSpec,
         engines: Vec<E>,

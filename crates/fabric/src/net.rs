@@ -128,6 +128,14 @@ impl FifoFloors {
     }
 }
 
+/// The contended kinds, each with its own arm in [`Topo`] (a flat fabric
+/// builds no graph).
+#[derive(Debug, Clone, Copy)]
+enum Routing {
+    FatTree,
+    Dragonfly,
+}
+
 /// The routed switch/link graph shared by both contended kinds.
 ///
 /// Links are identified by dense ids; `cap[id]` is the link's bandwidth
@@ -135,9 +143,7 @@ impl FifoFloors {
 /// gets `m / oversub`).
 #[derive(Debug, Clone)]
 struct Topo {
-    /// Fat-tree when true, dragonfly otherwise (a flat fabric builds no
-    /// graph).
-    fat_tree: bool,
+    routing: Routing,
     nodes_per_switch: u32,
     switches_per_pod: u32,
     num_nodes: u32,
@@ -146,7 +152,7 @@ struct Topo {
 }
 
 impl Topo {
-    fn new(spec: &FabricSpec, num_nodes: u32) -> Topo {
+    fn new(routing: Routing, spec: &FabricSpec, num_nodes: u32) -> Topo {
         let s = spec.nodes_per_switch;
         let p = spec.switches_per_pod;
         let num_switches = num_nodes.div_ceil(s);
@@ -154,24 +160,26 @@ impl Topo {
         let mut cap = Vec::new();
         // Host links: one up + one down per node, full rate.
         cap.resize(2 * num_nodes as usize, 1.0);
-        let fat_tree = spec.kind == FabricKind::FatTree;
-        if fat_tree {
-            // Fat-tree: edge→aggregation uplinks aggregate the switch's
-            // nodes; pod→core uplinks aggregate the pod's nodes.
-            let edge = f64::from(s) / spec.oversub;
-            let pod = f64::from(s * p) / spec.oversub;
-            cap.resize(cap.len() + 2 * num_switches as usize, edge);
-            cap.resize(cap.len() + 2 * num_pods as usize, pod);
-        } else {
-            // Dragonfly: one local channel per router (full rate per
-            // member node), one global up/down pair per group.
-            let local = f64::from(s);
-            let global = f64::from(s * p) / spec.oversub;
-            cap.resize(cap.len() + num_switches as usize, local);
-            cap.resize(cap.len() + 2 * num_pods as usize, global);
+        match routing {
+            Routing::FatTree => {
+                // Edge→aggregation uplinks aggregate the switch's nodes;
+                // pod→core uplinks aggregate the pod's nodes.
+                let edge = f64::from(s) / spec.oversub;
+                let pod = f64::from(s * p) / spec.oversub;
+                cap.resize(cap.len() + 2 * num_switches as usize, edge);
+                cap.resize(cap.len() + 2 * num_pods as usize, pod);
+            }
+            Routing::Dragonfly => {
+                // One local channel per router (full rate per member
+                // node), one global up/down pair per group.
+                let local = f64::from(s);
+                let global = f64::from(s * p) / spec.oversub;
+                cap.resize(cap.len() + num_switches as usize, local);
+                cap.resize(cap.len() + 2 * num_pods as usize, global);
+            }
         }
         Topo {
-            fat_tree,
+            routing,
             nodes_per_switch: s,
             switches_per_pod: p,
             num_nodes,
@@ -194,10 +202,9 @@ impl Topo {
     }
 
     fn top_base(&self) -> u32 {
-        if self.fat_tree {
-            self.mid_base() + 2 * self.num_switches
-        } else {
-            self.mid_base() + self.num_switches
+        match self.routing {
+            Routing::FatTree => self.mid_base() + 2 * self.num_switches,
+            Routing::Dragonfly => self.mid_base() + self.num_switches,
         }
     }
 
@@ -211,31 +218,36 @@ impl Topo {
         out.push(self.host_up(src_node));
         let hops = if es == ed {
             1
-        } else if self.fat_tree {
-            let (ps, pd) = (es / p, ed / p);
-            out.push(self.mid_base() + 2 * es); // edge uplink
-            if ps != pd {
-                out.push(self.top_base() + 2 * ps); // pod→core
-                out.push(self.top_base() + 2 * pd + 1); // core→pod
-            }
-            out.push(self.mid_base() + 2 * ed + 1); // agg→edge
-            if ps == pd {
-                3
-            } else {
-                5
-            }
         } else {
-            let (gs, gd) = (es / p, ed / p);
-            out.push(self.mid_base() + es); // source router local
-            if gs != gd {
-                out.push(self.top_base() + 2 * gs); // global out
-                out.push(self.top_base() + 2 * gd + 1); // global in
-            }
-            out.push(self.mid_base() + ed); // dest router local
-            if gs == gd {
-                2
-            } else {
-                3
+            match self.routing {
+                Routing::FatTree => {
+                    let (ps, pd) = (es / p, ed / p);
+                    out.push(self.mid_base() + 2 * es); // edge uplink
+                    if ps != pd {
+                        out.push(self.top_base() + 2 * ps); // pod→core
+                        out.push(self.top_base() + 2 * pd + 1); // core→pod
+                    }
+                    out.push(self.mid_base() + 2 * ed + 1); // agg→edge
+                    if ps == pd {
+                        3
+                    } else {
+                        5
+                    }
+                }
+                Routing::Dragonfly => {
+                    let (gs, gd) = (es / p, ed / p);
+                    out.push(self.mid_base() + es); // source router local
+                    if gs != gd {
+                        out.push(self.top_base() + 2 * gs); // global out
+                        out.push(self.top_base() + 2 * gd + 1); // global in
+                    }
+                    out.push(self.mid_base() + ed); // dest router local
+                    if gs == gd {
+                        2
+                    } else {
+                        3
+                    }
+                }
             }
         };
         out.push(self.host_down(dst_node));
@@ -281,10 +293,15 @@ impl FabricNetwork {
     /// malformed: an `oversub` that is not a finite ratio ≥ 1, or a zero
     /// `ranks_per_node`, `nodes_per_switch` or `switches_per_pod`.
     pub fn new(cost: CostModel, spec: FabricSpec, n_ranks: u32) -> Self {
-        let routed = (!spec.is_flat()).then(|| {
+        let routing = match spec.kind {
+            FabricKind::Flat => None,
+            FabricKind::FatTree => Some(Routing::FatTree),
+            FabricKind::Dragonfly => Some(Routing::Dragonfly),
+        };
+        let routed = routing.map(|routing| {
             check_shape(&spec);
             let place = Placement::new(spec.placement, n_ranks.max(1), spec.ranks_per_node);
-            let topo = Topo::new(&spec, place.num_nodes());
+            let topo = Topo::new(routing, &spec, place.num_nodes());
             Routed {
                 busy: vec![SimTime::ZERO; topo.cap.len()],
                 place,
