@@ -2,31 +2,20 @@
 //! copy accounting and the split-phase extension. Points fan out across
 //! `ABR_JOBS` workers; timings land in `BENCH_sweep.json`.
 
-use abr_bench::sweep_json;
-use abr_cluster::report::Table;
+use abr_bench::figures::{print_all, FIGURES};
+use abr_bench::record;
 use abr_cluster::sweep::jobs_from_env;
-
-type Ablation = (&'static str, fn(u64) -> Vec<Table>);
 
 fn main() {
     let iters = abr_bench::iters();
-    let ablations: [Ablation; 7] = [
-        ("ablation_delay", abr_bench::figures::ablation_delay),
-        (
-            "ablation_signal_cost",
-            abr_bench::figures::ablation_signal_cost,
-        ),
-        ("ablation_copies", abr_bench::figures::ablation_copies),
-        ("ablation_nic", abr_bench::figures::ablation_nic),
-        ("ablation_bcast", abr_bench::figures::ablation_bcast),
-        ("ablation_scale", abr_bench::figures::ablation_scale),
-        ("ablation_app", abr_bench::figures::ablation_app),
-    ];
-    let mut records = Vec::new();
-    for (name, f) in ablations {
-        let (tables, record) = sweep_json::timed_figure(name, || f(iters));
-        abr_bench::figures::print_all(&tables);
-        records.push(record);
+    let mut figures = Vec::new();
+    for (name, f) in FIGURES {
+        if !name.starts_with("ablation_") {
+            continue;
+        }
+        let (tables, figure) = record::timed_figure(name, || f(iters));
+        print_all(&tables);
+        figures.push(figure);
     }
-    sweep_json::write(jobs_from_env(), iters, &records);
+    record::write(&record::sweep(jobs_from_env(), iters, &figures));
 }

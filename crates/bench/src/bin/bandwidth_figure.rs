@@ -6,28 +6,28 @@
 //! Knobs: `ABR_MSG_BYTES` caps the largest message (CI smoke uses a
 //! small cap), `ABR_SEGMENTS` overrides the pipeline window (default 8
 //! *for this figure*; everywhere else the knob defaults to 1, i.e.
-//! segmentation off), `ABR_BW_JSON` redirects the JSON record, and
+//! segmentation off), `ABR_RECORD_JSON` redirects the JSON record, and
 //! `ABR_ITERS` scales iteration counts (large messages shrink them
 //! automatically).
 
-use abr_bench::{bw_json, figures, sweep_json};
+use abr_bench::{figures, record};
 
 fn main() {
     let iters = abr_bench::iters();
     let window = figures::bandwidth_window();
     let mut points = Vec::new();
-    let (tables, record) = sweep_json::timed_figure("fig_bandwidth", || {
+    let (tables, figure) = record::timed_figure("fig_bandwidth", || {
         let (tables, pts) = figures::fig_bandwidth_data(iters);
         points = pts;
         tables
     });
-    println!("### {} [window {}]", record.name, window);
+    println!("### {} [window {}]", figure.name, window);
     figures::print_all(&tables);
-    if let Some(peak) = bw_json::peak_ab(&points) {
+    if let Some(peak) = figures::peak_ab(&points) {
         println!(
             "peak bypass bandwidth at {} bytes: {} ({:.2} MB/s)",
             peak.msg_bytes, peak.series, peak.ab_bw_mbs
         );
     }
-    bw_json::write(window, &points, &record);
+    record::write(&record::bw(window, &points, &figure));
 }

@@ -6,28 +6,28 @@
 //! Knobs: `ABR_FABRIC` picks the fabric (`fattree[:blocked|:cyclic]`,
 //! `dragonfly[...]`; `flat` turns contention off), `ABR_OVERSUB` the
 //! uplink oversubscription ratio, `ABR_SCALE_MAX` caps the largest
-//! cluster (CI smoke uses a small cap), `ABR_FABRIC_JSON` redirects the
+//! cluster (CI smoke uses a small cap), `ABR_RECORD_JSON` redirects the
 //! JSON record. Contended fabrics run on the sequential executor; setting
 //! `ABR_DES_SHARDS` alongside one fails fast.
 
-use abr_bench::{fabric_json, figures, sweep_json};
+use abr_bench::{figures, record};
 
 fn main() {
     let iters = abr_bench::iters();
     let fabric = figures::fabric_for_figure();
     let mut points = Vec::new();
-    let (tables, record) = sweep_json::timed_figure("fig_fabric", || {
+    let (tables, figure) = record::timed_figure("fig_fabric", || {
         let (tables, pts) = figures::fig_fabric_data(iters);
         points = pts;
         tables
     });
-    println!("### {} [{}]", record.name, fabric.label());
+    println!("### {} [{}]", figure.name, fabric.label());
     figures::print_all(&tables);
-    if let Some(best) = fabric_json::best_nab(&points) {
+    if let Some(best) = figures::best_nab(&points) {
         println!(
             "best blocking-mode topology at {} ranks: {} ({:.2} us)",
             best.size, best.topo, best.nab_us
         );
     }
-    fabric_json::write(&fabric.label(), &points, &record);
+    record::write(&record::fabric(&fabric.label(), &points, &figure));
 }

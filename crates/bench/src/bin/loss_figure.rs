@@ -5,7 +5,7 @@
 //! that exact plan instead of the default loss ladder and prints the full
 //! counter breakdown — the quickest way to eyeball a custom fault schedule.
 
-use abr_bench::sweep_json;
+use abr_bench::record;
 use abr_cluster::sweep::jobs_from_env;
 use abr_cluster::FaultPlan;
 
@@ -18,13 +18,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let (tables, record) = match &plan {
-        Some(plan) => sweep_json::timed_figure("custom_faults", || {
+    let (tables, figure) = match &plan {
+        Some(plan) => record::timed_figure("custom_faults", || {
             abr_bench::figures::custom_fault_tables(iters, plan)
         }),
-        None => sweep_json::timed_figure("fig_loss", || abr_bench::figures::fig_loss(iters)),
+        None => record::timed_figure("fig_loss", || abr_bench::figures::fig_loss(iters)),
     };
-    println!("### {}", record.name);
+    println!("### {}", figure.name);
     abr_bench::figures::print_all(&tables);
-    sweep_json::write(jobs_from_env(), iters, &[record]);
+    record::write(&record::sweep(jobs_from_env(), iters, &[figure]));
 }

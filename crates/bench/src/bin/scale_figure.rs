@@ -4,16 +4,16 @@
 //!
 //! Knobs: `ABR_SCALE_MAX` caps the largest cluster (CI smoke uses 1,024),
 //! `ABR_DES_SHARDS` runs the figure sweep on the parallel conservative
-//! executor, `ABR_SCALE_JSON` redirects the throughput summary.
+//! executor, `ABR_RECORD_JSON` redirects the throughput summary.
 
-use abr_bench::{figures, scale_json, sweep_json};
+use abr_bench::{figures, record};
 use abr_cluster::microbench::{run_scale_bench, ScaleExec};
 
 fn main() {
     let iters = abr_bench::iters();
     let max = abr_bench::scale_max();
-    let (tables, record) = sweep_json::timed_figure("fig_scale", || figures::fig_scale(iters));
-    println!("### {}", record.name);
+    let (tables, figure) = record::timed_figure("fig_scale", || figures::fig_scale(iters));
+    println!("### {}", figure.name);
     figures::print_all(&tables);
 
     // DES throughput at 8k ranks (or the ABR_SCALE_MAX cap).
@@ -24,5 +24,5 @@ fn main() {
         "{} events in {:.2}s = {:.0} events/sec",
         run.events, run.wall_secs, run.events_per_sec
     );
-    scale_json::write(max, &run, &record);
+    record::write(&record::scale(max, &run, &figure));
 }

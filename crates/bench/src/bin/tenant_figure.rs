@@ -9,32 +9,32 @@
 //! Knobs: `ABR_TENANT_JOBS` sets the jobs co-scheduled at load 1 (each
 //! ladder point runs `ceil(jobs × load)`), `ABR_TENANT_SLOTS` the ranks
 //! one node hosts at saturation, `ABR_TENANT_LOAD` caps the offered-load
-//! ladder (CI smoke uses a small cap), `ABR_TENANT_JSON` redirects the
+//! ladder (CI smoke uses a small cap), `ABR_RECORD_JSON` redirects the
 //! JSON record.
 
-use abr_bench::{figures, sweep_json, tenant_json};
+use abr_bench::{figures, record};
 
 fn main() {
     let mut fig = None;
-    let (tables, record) = sweep_json::timed_figure("fig_tenant", || {
+    let (tables, figure) = record::timed_figure("fig_tenant", || {
         let (tables, f) = figures::fig_tenant_data();
         fig = Some(f);
         tables
     });
     let fig = fig.expect("figure data populated by the closure");
-    println!("### {}", record.name);
+    println!("### {}", figure.name);
     figures::print_all(&tables);
-    if let Some((lo, hi, widening)) = tenant_json::headline(&fig.points) {
+    if let Some((lo, hi, widening)) = figures::headline(&fig.points) {
         println!(
             "ab advantage: {lo:.2}x relaxed -> {hi:.2}x saturated ({})",
             if widening { "widening" } else { "NOT widening" }
         );
     }
-    tenant_json::write(
+    record::write(&record::tenant(
         figures::TENANT_SEED,
         fig.base_jobs,
         fig.slots,
         &fig.points,
-        &record,
-    );
+        &figure,
+    ));
 }

@@ -7,9 +7,6 @@
 //! allows; because every point is a pure function of its config, the
 //! emitted tables are bit-identical at any worker count.
 
-use crate::bw_json::BwPoint;
-use crate::fabric_json::FabricPoint;
-use crate::tenant_json::TenantPoint;
 use abr_cluster::microbench::{AppBenchConfig, BenchColl, CpuUtilConfig, LatencyConfig, Mode};
 use abr_cluster::node::ClusterSpec;
 use abr_cluster::report::{f2, ratio, Table};
@@ -777,6 +774,35 @@ pub fn fig_fabric(iters: u64) -> Vec<Table> {
     fig_fabric_data(iters).0
 }
 
+/// One (size, topology) point of the fabric figure.
+#[derive(Debug, Clone)]
+pub struct FabricPoint {
+    /// Cluster size (ranks).
+    pub size: u32,
+    /// Reduction topology label (`ABR_TOPO` syntax).
+    pub topo: String,
+    /// Blocking-mode mean per-reduction CPU (µs).
+    pub nab_us: f64,
+    /// Bypass-mode mean per-reduction CPU (µs).
+    pub ab_us: f64,
+    /// Factor of improvement (nab / ab).
+    pub foi: f64,
+    /// Packets that queued behind a busy link (nab + ab runs).
+    pub link_waits: u64,
+    /// Total queueing time on busy links (µs, nab + ab runs).
+    pub link_wait_us: f64,
+}
+
+/// The topology with the lowest blocking-mode CPU at the largest size:
+/// the "placement-aware trees win under contention" headline.
+pub fn best_nab(points: &[FabricPoint]) -> Option<&FabricPoint> {
+    let largest = points.iter().map(|p| p.size).max()?;
+    points
+        .iter()
+        .filter(|p| p.size == largest)
+        .min_by(|a, b| a.nab_us.partial_cmp(&b.nab_us).expect("finite"))
+}
+
 /// [`fig_fabric`] plus the per-point records for `BENCH_fabric.json`.
 pub fn fig_fabric_data(iters: u64) -> (Vec<Table>, Vec<FabricPoint>) {
     const SIZES: [u32; 3] = [512, 2048, 8192];
@@ -920,6 +946,47 @@ fn bw_sizes() -> Vec<usize> {
 /// dual-root allreduce.
 pub fn fig_bandwidth(iters: u64) -> Vec<Table> {
     fig_bandwidth_data(iters).0
+}
+
+/// One (message size, series) point of the bandwidth figure.
+#[derive(Debug, Clone)]
+pub struct BwPoint {
+    /// Message size in bytes.
+    pub msg_bytes: usize,
+    /// Series label: `binomial`, `chain`, or `dual-root`.
+    pub series: String,
+    /// Blocking-mode mean post-to-completion wall time (µs).
+    pub nab_wall_us: f64,
+    /// Split-phase bypass mean post-to-completion wall time (µs).
+    pub ab_wall_us: f64,
+    /// Blocking-mode delivered bandwidth (MB/s, decimal).
+    pub nab_bw_mbs: f64,
+    /// Split-phase bypass delivered bandwidth (MB/s, decimal).
+    pub ab_bw_mbs: f64,
+    /// Blocking-mode mean per-iteration host CPU (µs).
+    pub nab_cpu_us: f64,
+    /// Split-phase bypass mean per-iteration host CPU (µs).
+    pub ab_cpu_us: f64,
+    /// CPU factor of improvement (nab / ab).
+    pub foi: f64,
+}
+
+impl BwPoint {
+    /// Delivered bandwidth for a payload completing in `wall_us`
+    /// microseconds: bytes per µs, which is decimal MB/s.
+    pub fn bandwidth_mbs(bytes: usize, wall_us: f64) -> f64 {
+        bytes as f64 / wall_us.max(1e-9)
+    }
+}
+
+/// The series with the highest bypass bandwidth at the largest size: the
+/// "segmentation keeps large messages on the bypass path" headline.
+pub fn peak_ab(points: &[BwPoint]) -> Option<&BwPoint> {
+    let largest = points.iter().map(|p| p.msg_bytes).max()?;
+    points
+        .iter()
+        .filter(|p| p.msg_bytes == largest)
+        .max_by(|a, b| a.ab_bw_mbs.partial_cmp(&b.ab_bw_mbs).expect("finite"))
 }
 
 /// [`fig_bandwidth`] plus the per-point records for `BENCH_bw.json`.
@@ -1068,6 +1135,59 @@ pub const TENANT_SEED: u64 = 17;
 /// The tenant figure's offered-load ladder.
 pub const TENANT_LADDER: [f64; 5] = [1.0, 2.0, 4.0, 6.0, 8.0];
 
+/// One offered-load point of the saturation sweep (both engine modes).
+#[derive(Debug, Clone)]
+pub struct TenantPoint {
+    /// Offered-load factor (x-axis).
+    pub load: f64,
+    /// Co-scheduled jobs at this point.
+    pub jobs: usize,
+    /// Total ranks across the mix.
+    pub ranks: usize,
+    /// Baseline aggregate throughput (reductions/sec).
+    pub nab_red_s: f64,
+    /// Bypass aggregate throughput (reductions/sec).
+    pub ab_red_s: f64,
+    /// Baseline pooled iteration-latency percentiles (µs).
+    pub nab_p50_us: f64,
+    /// Baseline p99 (µs).
+    pub nab_p99_us: f64,
+    /// Baseline p999 (µs).
+    pub nab_p999_us: f64,
+    /// Bypass pooled iteration-latency percentiles (µs).
+    pub ab_p50_us: f64,
+    /// Bypass p99 (µs).
+    pub ab_p99_us: f64,
+    /// Bypass p999 (µs).
+    pub ab_p999_us: f64,
+    /// Baseline Jain fairness over per-job throughput.
+    pub nab_fairness: f64,
+    /// Bypass Jain fairness over per-job throughput.
+    pub ab_fairness: f64,
+}
+
+impl TenantPoint {
+    /// The bypass throughput advantage at this point (ab / nab).
+    pub fn advantage(&self) -> f64 {
+        if self.nab_red_s <= 0.0 {
+            return 0.0;
+        }
+        self.ab_red_s / self.nab_red_s
+    }
+}
+
+/// The tenant figure's claim over a sweep: the ab advantage at the
+/// relaxed end, at the saturated end, and whether it widened. `None` for
+/// sweeps with fewer than two points.
+pub fn headline(points: &[TenantPoint]) -> Option<(f64, f64, bool)> {
+    if points.len() < 2 {
+        return None;
+    }
+    let lo = points.first()?.advantage();
+    let hi = points.last()?.advantage();
+    Some((lo, hi, hi > lo))
+}
+
 /// The knobs and per-point results of one tenant saturation sweep.
 pub struct TenantFigure {
     /// Jobs co-scheduled at load 1 (`ABR_TENANT_JOBS`, default 2).
@@ -1178,10 +1298,65 @@ pub fn fig_tenant_data() -> (Vec<Table>, TenantFigure) {
     )
 }
 
+/// A figure generator: iteration count in, printable tables out.
+pub type FigureFn = fn(u64) -> Vec<Table>;
+
+/// Every figure `all_figures` regenerates, in print order; `ablations`
+/// runs the `ablation_*` entries.
+pub const FIGURES: [(&str, FigureFn); 14] = [
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("ablation_delay", ablation_delay),
+    ("ablation_signal_cost", ablation_signal_cost),
+    ("ablation_copies", ablation_copies),
+    ("ablation_nic", ablation_nic),
+    ("ablation_bcast", ablation_bcast),
+    ("ablation_scale", ablation_scale),
+    ("ablation_app", ablation_app),
+    ("fig_loss", fig_loss),
+    ("fig_topology", fig_topology),
+];
+
 /// Print a set of tables.
 pub fn print_all(tables: &[Table]) {
     for t in tables {
         t.print();
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bandwidth_guards_zero_wall() {
+        assert!(BwPoint::bandwidth_mbs(1024, 0.0) > 0.0);
+        let bw = BwPoint::bandwidth_mbs(2_000_000, 1000.0);
+        assert!((bw - 2000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn advantage_guards_zero_baseline() {
+        let pt = |nab_red_s, ab_red_s| TenantPoint {
+            load: 1.0,
+            jobs: 2,
+            ranks: 20,
+            nab_red_s,
+            ab_red_s,
+            nab_p50_us: 0.0,
+            nab_p99_us: 0.0,
+            nab_p999_us: 0.0,
+            ab_p50_us: 0.0,
+            ab_p99_us: 0.0,
+            ab_p999_us: 0.0,
+            nab_fairness: 1.0,
+            ab_fairness: 1.0,
+        };
+        assert_eq!(pt(0.0, 10.0).advantage(), 0.0);
+        assert!((pt(10.0, 25.0).advantage() - 2.5).abs() < 1e-12);
     }
 }

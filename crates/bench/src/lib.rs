@@ -1,8 +1,9 @@
 //! `abr_bench` — figure regeneration and ablations.
 //!
 //! One function per figure in the paper's evaluation (§VI). Each returns
-//! printable tables with the same series the paper plots; the `benches/`
-//! targets (run by `cargo bench`) and the `src/bin/` binaries print them.
+//! printable tables with the same series the paper plots; the `src/bin/`
+//! binaries print them and write one `BENCH_*.json` record each (see
+//! [`record`]).
 //!
 //! Iteration counts default to a few hundred (the paper used 10,000 on real
 //! hardware); override with the `ABR_ITERS` environment variable. Shapes —
@@ -11,12 +12,8 @@
 
 #![warn(missing_docs)]
 
-pub mod bw_json;
-pub mod fabric_json;
 pub mod figures;
-pub mod scale_json;
-pub mod sweep_json;
-pub mod tenant_json;
+pub mod record;
 
 /// Iterations per configuration, from `ABR_ITERS` (default 300).
 ///

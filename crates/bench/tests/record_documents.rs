@@ -5,27 +5,24 @@
 //! The inputs cover empty, single and multi-point sets, so every `null`
 //! headline and every list shape is pinned.
 
-use abr_bench::bw_json::BwPoint;
-use abr_bench::fabric_json::FabricPoint;
-use abr_bench::sweep_json::FigureRecord;
-use abr_bench::tenant_json::TenantPoint;
-use abr_bench::{bw_json, fabric_json, scale_json, sweep_json, tenant_json};
+use abr_bench::figures::{BwPoint, FabricPoint, TenantPoint};
+use abr_bench::record::{self, FigureRecord};
 use abr_cluster::microbench::ScaleRunResult;
 
 fn sweep_doc(jobs: usize, iters: u64, figs: &[FigureRecord]) -> String {
-    sweep_json::render(jobs, iters, figs)
+    record::sweep(jobs, iters, figs).render()
 }
 
 fn scale_doc(scale_max: u32, run: &ScaleRunResult, fig: &FigureRecord) -> String {
-    scale_json::render(scale_max, run, fig)
+    record::scale(scale_max, run, fig).render()
 }
 
 fn fabric_doc(fabric: &str, points: &[FabricPoint], fig: &FigureRecord) -> String {
-    fabric_json::render(fabric, points, fig)
+    record::fabric(fabric, points, fig).render()
 }
 
 fn bw_doc(window: usize, points: &[BwPoint], fig: &FigureRecord) -> String {
-    bw_json::render(window, points, fig)
+    record::bw(window, points, fig).render()
 }
 
 fn tenant_doc(
@@ -35,7 +32,7 @@ fn tenant_doc(
     points: &[TenantPoint],
     fig: &FigureRecord,
 ) -> String {
-    tenant_json::render(seed, base_jobs, slots, points, fig)
+    record::tenant(seed, base_jobs, slots, points, fig).render()
 }
 
 /// Assert `doc` is exactly `expected` and is valid JSON.

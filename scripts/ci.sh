@@ -30,7 +30,7 @@ echo "==> cargo test --doc"
 cargo test -q --workspace --doc
 
 echo "==> fault smoke sweep (loss figure under seeded 1% drop+dup)"
-ABR_ITERS=20 ABR_JOBS=2 ABR_SWEEP_JSON=BENCH_sweep.json \
+ABR_ITERS=20 ABR_JOBS=2 ABR_RECORD_JSON=BENCH_sweep.json \
   ABR_FAULTS="seed=7; drop p=0.01; dup p=0.01" \
   cargo run -q --release -p abr_bench --bin loss_figure
 
@@ -68,11 +68,11 @@ grep -q '"schema": "abr-fabric-v1"' BENCH_fabric.json \
 echo "==> contended-fabric golden diffs (routed link model pinned on fat-tree, dragonfly, lossy)"
 diff -u crates/bench/golden/fabric_fattree_iters5.txt FIG_fabric.txt \
   || { echo "fattree:4:cyclic fabric figure diverged from its golden"; exit 1; }
-ABR_FABRIC=dragonfly ABR_FABRIC_JSON=/dev/null ABR_SCALE_MAX=512 ABR_ITERS=5 ABR_JOBS=2 \
+ABR_FABRIC=dragonfly ABR_RECORD_JSON=/dev/null ABR_SCALE_MAX=512 ABR_ITERS=5 ABR_JOBS=2 \
   cargo run -q --release -p abr_bench --bin fabric_figure > FIG_fabric_dragonfly.txt
 diff -u crates/bench/golden/fabric_dragonfly_iters5.txt FIG_fabric_dragonfly.txt \
   || { echo "dragonfly fabric figure diverged from its golden"; exit 1; }
-ABR_FABRIC=fattree:blocked ABR_ITERS=5 ABR_JOBS=2 ABR_SWEEP_JSON=/dev/null \
+ABR_FABRIC=fattree:blocked ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
   cargo run -q --release -p abr_bench --bin loss_figure > FIG_loss_fattree.txt
 diff -u crates/bench/golden/loss_fattree_blocked_iters5.txt FIG_loss_fattree.txt \
   || { echo "fattree:blocked loss figure diverged from its golden"; exit 1; }
@@ -84,10 +84,11 @@ diff -u crates/bench/golden/fig6_iters5.txt FIG6_fabric_flat.txt \
   || { echo "ABR_FABRIC=flat diverged from the pre-fabric golden"; exit 1; }
 
 echo "==> bandwidth smoke (segmented pipeline + dual-root allreduce, capped at 256 KiB)"
-ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 \
+# Smoke runs write beside the committed BENCH_bw.json, never over it.
+ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=BENCH_bw_smoke.json \
   cargo run -q --release -p abr_bench --bin bandwidth_figure > FIG_bandwidth_smoke.txt
-grep -q '"schema": "abr-bw-v1"' BENCH_bw.json \
-  || { echo "BENCH_bw.json missing or malformed"; exit 1; }
+grep -q '"schema": "abr-bw-v1"' BENCH_bw_smoke.json \
+  || { echo "BENCH_bw_smoke.json missing or malformed"; exit 1; }
 
 echo "==> segmentation-off golden diff (ABR_SEGMENTS=1 must not perturb figures)"
 ABR_SEGMENTS=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
@@ -96,12 +97,13 @@ diff -u crates/bench/golden/fig6_iters5.txt FIG6_segments_off.txt \
   || { echo "ABR_SEGMENTS=1 diverged from the pre-segmentation golden"; exit 1; }
 
 echo "==> tenant saturation smoke"
-ABR_TENANT_LOAD=4 ABR_JOBS=2 \
+# Smoke runs write beside the committed BENCH_tenant.json, never over it.
+ABR_TENANT_LOAD=4 ABR_JOBS=2 ABR_RECORD_JSON=BENCH_tenant_smoke.json \
   cargo run -q --release -p abr_bench --bin tenant_figure > FIG_tenant_smoke.txt
-grep -q '"schema": "abr-tenant-v1"' BENCH_tenant.json \
-  || { echo "BENCH_tenant.json missing or malformed"; exit 1; }
-grep -q '"widening": true' BENCH_tenant.json \
-  || { echo "BENCH_tenant.json lost the widening CPU gap"; exit 1; }
+grep -q '"schema": "abr-tenant-v1"' BENCH_tenant_smoke.json \
+  || { echo "BENCH_tenant_smoke.json missing or malformed"; exit 1; }
+grep -q '"widening": true' BENCH_tenant_smoke.json \
+  || { echo "BENCH_tenant_smoke.json lost the widening CPU gap"; exit 1; }
 
 echo "==> Fig. 2 time lines from the trace rings (bypass must free node 2)"
 cargo run -q --release --example fig2_timeline > /dev/null
@@ -111,10 +113,10 @@ echo "==> docs link check (intra-repo links in the teaching docs)"
 
 echo "==> parallel executor determinism (same figure under 2 and 8 shards)"
 ABR_DES_SHARDS=2 ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=1 \
-  ABR_SCALE_JSON=/dev/null \
+  ABR_RECORD_JSON=/dev/null \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale_s2.txt
 ABR_DES_SHARDS=8 ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=1 \
-  ABR_SCALE_JSON=/dev/null \
+  ABR_RECORD_JSON=/dev/null \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale_s8.txt
 # Compare only the figure tables: the trailing throughput section reports
 # wall-clock timings, which legitimately vary run to run.
