@@ -98,6 +98,15 @@ impl Record {
         s.push_str("\n}\n");
         s
     }
+
+    /// Where [`write()`] puts the document: `knob`, the value of
+    /// `ABR_RECORD_JSON`, when that is set, otherwise the default path.
+    ///
+    /// # Errors
+    /// A set-but-empty `knob`, as [`parse_out_path`] judges it.
+    pub fn out_path(&self, knob: Option<&str>) -> Result<String, String> {
+        knob.map_or_else(|| Ok(self.default_path.to_string()), parse_out_path)
+    }
 }
 
 /// Write `record` to `ABR_RECORD_JSON`, or to its default path when the
@@ -108,8 +117,10 @@ impl Record {
 /// be written (the message names the path and the OS error): a figure
 /// run whose record is missing must not look like a success.
 pub fn write(record: &Record) {
-    let path = abr_trace::parse_env("ABR_RECORD_JSON", parse_out_path)
-        .unwrap_or_else(|| record.default_path.to_string());
+    let knob = abr_trace::parse_env("ABR_RECORD_JSON", |raw| Ok(raw.to_string()));
+    let path = record
+        .out_path(knob.as_deref())
+        .unwrap_or_else(|e| panic!("{e}"));
     if let Err(e) = std::fs::write(&path, record.render()) {
         panic!("could not write {} record to {path}: {e}", record.schema);
     }

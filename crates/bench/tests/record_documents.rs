@@ -41,6 +41,17 @@ fn pin(doc: String, expected: &str) {
     abr_trace::validate_json(&doc).expect("record must be valid JSON");
 }
 
+/// Assert `rec` goes to `default` with `ABR_RECORD_JSON` unset, to the
+/// knob's value when it is set, and refuses a set-but-empty knob.
+fn pin_out_path(rec: &record::Record, default: &str) {
+    assert_eq!(rec.out_path(None), Ok(default.to_string()));
+    assert_eq!(rec.out_path(Some("out.json")), Ok("out.json".to_string()));
+    for bad in ["", "   "] {
+        let err = rec.out_path(Some(bad)).unwrap_err();
+        assert!(err.contains("ABR_RECORD_JSON"), "{bad:?}: {err}");
+    }
+}
+
 fn fig(name: &'static str, points: u64, wall_ms: f64) -> FigureRecord {
     FigureRecord {
         name,
@@ -409,5 +420,51 @@ fn tenant_headline_widening() {
   "figure": {"name": "fig_tenant", "points": 6, "wall_ms": 11.000}
 }
 "#,
+    );
+}
+
+#[test]
+fn sweep_out_path_rejects_empty() {
+    pin_out_path(&record::sweep(1, 1, &[]), "BENCH_sweep.json");
+}
+
+#[test]
+fn scale_out_path_rejects_empty() {
+    let run = ScaleRunResult {
+        ranks: 2,
+        events: 0,
+        wall_secs: 0.0,
+        events_per_sec: 0.0,
+        makespan_us: 0.0,
+        mean_cpu_us: 0.0,
+        packets_delivered: 0,
+    };
+    pin_out_path(
+        &record::scale(2, &run, &fig("fig_scale", 0, 0.0)),
+        "BENCH_scale.json",
+    );
+}
+
+#[test]
+fn fabric_out_path_rejects_empty() {
+    pin_out_path(
+        &record::fabric("flat", &[], &fig("fig_fabric", 0, 0.0)),
+        "BENCH_fabric.json",
+    );
+}
+
+#[test]
+fn bw_out_path_rejects_empty() {
+    pin_out_path(
+        &record::bw(1, &[], &fig("fig_bandwidth", 0, 0.0)),
+        "BENCH_bw.json",
+    );
+}
+
+#[test]
+fn tenant_out_path_rejects_empty() {
+    pin_out_path(
+        &record::tenant(17, 4, 4, &[], &fig("fig_tenant", 0, 0.0)),
+        "BENCH_tenant.json",
     );
 }
