@@ -3,7 +3,7 @@
 //! engine-level reduction over the loopback, and one simulated
 //! CPU-utilization iteration.
 
-use abr_cluster::microbench::{run_cpu_util, run_scale_bench, CpuUtilConfig, Mode, ScaleExec};
+use abr_cluster::microbench::{run_cpu_util, run_scale_bench, CpuUtilConfig, Mode};
 use abr_cluster::node::ClusterSpec;
 use abr_core::DelayPolicy;
 use abr_des::{EventQueue, SimTime};
@@ -296,7 +296,7 @@ fn bench_scale(c: &mut Criterion) {
     g.sample_size(10);
     for ranks in [256u32, 1024] {
         g.bench_function(format!("cpu_util_{ranks}n"), |b| {
-            b.iter(|| black_box(run_scale_bench(ranks, 2, ScaleExec::Sequential)).events)
+            b.iter(|| black_box(run_scale_bench(ranks, 2)).events)
         });
     }
     g.finish();

@@ -5,9 +5,10 @@
 use abr_bench::figures::{print_all, FIGURES};
 use abr_bench::record;
 use abr_cluster::sweep::jobs_from_env;
+use abr_trace::knob;
 
 fn main() {
-    let iters = abr_bench::iters();
+    let iters = knob::ITERS.positive_or_default();
     let mut figures = Vec::new();
     for (name, f) in FIGURES {
         if !name.starts_with("ablation_") {

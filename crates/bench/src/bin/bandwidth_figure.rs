@@ -11,9 +11,10 @@
 //! automatically).
 
 use abr_bench::{figures, record};
+use abr_trace::knob;
 
 fn main() {
-    let iters = abr_bench::iters();
+    let iters = knob::ITERS.positive_or_default();
     let window = figures::bandwidth_window();
     let mut points = Vec::new();
     let (tables, figure) = record::timed_figure("fig_bandwidth", || {

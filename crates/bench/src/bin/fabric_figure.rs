@@ -3,17 +3,18 @@
 //! a contended fabric (default: 4:1-oversubscribed fat-tree, cyclic
 //! placement), 512–8192 ranks.
 //!
-//! Knobs: `ABR_FABRIC` picks the fabric (`fattree[:blocked|:cyclic]`,
-//! `dragonfly[...]`; `flat` turns contention off), `ABR_OVERSUB` the
-//! uplink oversubscription ratio, `ABR_SCALE_MAX` caps the largest
+//! Knobs: `ABR_FABRIC` picks the fabric and its uplink oversubscription
+//! (`fattree[:<ratio>][:blocked|:cyclic]`, `dragonfly[...]`; `flat` turns
+//! contention off), `ABR_SCALE_MAX` caps the largest
 //! cluster (CI smoke uses a small cap), `ABR_RECORD_JSON` redirects the
 //! JSON record. Contended fabrics run on the sequential executor; setting
 //! `ABR_DES_SHARDS` alongside one fails fast.
 
 use abr_bench::{figures, record};
+use abr_trace::knob;
 
 fn main() {
-    let iters = abr_bench::iters();
+    let iters = knob::ITERS.positive_or_default();
     let fabric = figures::fabric_for_figure();
     let mut points = Vec::new();
     let (tables, figure) = record::timed_figure("fig_fabric", || {

@@ -1,5 +1,9 @@
 //! Regenerate Fig10 data series.
 
+use abr_trace::knob;
+
 fn main() {
-    abr_bench::figures::print_all(&abr_bench::figures::fig10(abr_bench::iters()));
+    abr_bench::figures::print_all(&abr_bench::figures::fig10(
+        knob::ITERS.positive_or_default(),
+    ));
 }

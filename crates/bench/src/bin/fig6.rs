@@ -1,5 +1,7 @@
 //! Regenerate Fig6 data series.
 
+use abr_trace::knob;
+
 fn main() {
-    abr_bench::figures::print_all(&abr_bench::figures::fig6(abr_bench::iters()));
+    abr_bench::figures::print_all(&abr_bench::figures::fig6(knob::ITERS.positive_or_default()));
 }

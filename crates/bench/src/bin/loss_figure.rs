@@ -8,17 +8,11 @@
 use abr_bench::record;
 use abr_cluster::sweep::jobs_from_env;
 use abr_cluster::FaultPlan;
+use abr_trace::knob;
 
 fn main() {
-    let iters = abr_bench::iters();
-    let plan = match FaultPlan::from_env() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let (tables, figure) = match &plan {
+    let iters = knob::ITERS.positive_or_default();
+    let (tables, figure) = match &FaultPlan::from_env() {
         Some(plan) => record::timed_figure("custom_faults", || {
             abr_bench::figures::custom_fault_tables(iters, plan)
         }),

@@ -7,18 +7,19 @@
 //! executor, `ABR_RECORD_JSON` redirects the throughput summary.
 
 use abr_bench::{figures, record};
-use abr_cluster::microbench::{run_scale_bench, ScaleExec};
+use abr_cluster::microbench::run_scale_bench;
+use abr_trace::knob;
 
 fn main() {
-    let iters = abr_bench::iters();
-    let max = abr_bench::scale_max();
+    let iters = knob::ITERS.positive_or_default();
+    let max = knob::SCALE_MAX.positive_or_default();
     let (tables, figure) = record::timed_figure("fig_scale", || figures::fig_scale(iters));
     println!("### {}", figure.name);
     figures::print_all(&tables);
 
     // DES throughput at 8k ranks (or the ABR_SCALE_MAX cap).
     let ranks = 8_192.min(max);
-    let run = run_scale_bench(ranks, 2, ScaleExec::Sequential);
+    let run = run_scale_bench(ranks, 2);
     println!("### hot-path throughput at {ranks} ranks");
     println!(
         "{} events in {:.2}s = {:.0} events/sec",

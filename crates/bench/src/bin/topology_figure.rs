@@ -6,6 +6,10 @@
 //! `ABR_TOPO`; use that knob to steer the *other* figure binaries onto a
 //! non-default tree.
 
+use abr_trace::knob;
+
 fn main() {
-    abr_bench::figures::print_all(&abr_bench::figures::fig_topology(abr_bench::iters()));
+    abr_bench::figures::print_all(&abr_bench::figures::fig_topology(
+        knob::ITERS.positive_or_default(),
+    ));
 }

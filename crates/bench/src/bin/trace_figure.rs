@@ -17,7 +17,7 @@ use abr_cluster::microbench::{run_cpu_util_traced, CpuUtilConfig, CpuUtilResult,
 use abr_cluster::node::ClusterSpec;
 use abr_core::DelayPolicy;
 use abr_trace::{
-    chrome_trace_json, cpu_attribution, validate_json, RingRecorder, Trace, TraceClock,
+    chrome_trace_json, cpu_attribution, knob, validate_json, RingRecorder, Trace, TraceClock,
     TraceConfig, Tracer,
 };
 use std::sync::Arc;
@@ -84,20 +84,13 @@ fn reconcile_signals(label: &str, res: &CpuUtilResult, trace: &Trace) {
 }
 
 fn main() {
-    // Tracing on by default; `ABR_TRACE=...` still customises paths and
-    // capacity, and an explicit `ABR_TRACE=0` turns the artifacts off
-    // (`from_env` returns `None` both for "unset" and for "disabled", so
-    // presence must be checked separately to honour the off switch).
-    let tc = if std::env::var_os("ABR_TRACE").is_some() {
-        TraceConfig::from_env()
-    } else {
-        Some(TraceConfig::default())
-    };
-    let Some(tc) = tc else {
+    // Tracing on by default (the knob's default is `on`); `ABR_TRACE=...`
+    // customises paths and capacity, and `ABR_TRACE=0` turns it off.
+    let Some(tc) = knob::TRACE.read_or_default(TraceConfig::parse) else {
         eprintln!("ABR_TRACE is disabled; trace_figure exists to trace — nothing to do");
         return;
     };
-    let iters = abr_bench::iters();
+    let iters = knob::ITERS.positive_or_default();
 
     let (nab_res, nab_trace) = traced_run(Mode::Baseline, iters, tc.capacity);
     let (ab_res, ab_trace) = traced_run(Mode::Bypass(DelayPolicy::None), iters, tc.capacity);

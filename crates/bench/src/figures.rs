@@ -14,9 +14,11 @@ use abr_cluster::sweep::{RunOut, RunSpec, Sweep};
 use abr_cluster::tenant::{run_tenant, saturation_config, TenantConfig};
 use abr_cluster::{FaultPlan, RelStats};
 use abr_core::DelayPolicy;
+use abr_fabric::spec::DEFAULT_OVERSUB;
 use abr_fabric::{FabricSpec, PlacementPolicy};
 use abr_gm::cost::CostModel;
 use abr_mpr::topology::TopologyKind;
+use abr_trace::knob;
 
 const ELEMS: [usize; 3] = [4, 32, 128];
 const NODE_SWEEP: [u32; 5] = [2, 4, 8, 16, 32];
@@ -690,7 +692,7 @@ pub fn fig_topology(iters: u64) -> Vec<Table> {
 pub fn fig_scale(iters: u64) -> Vec<Table> {
     const SIZES: [u32; 5] = [32, 256, 1024, 8192, 65_536];
     const TOPOS: [TopologyKind; 2] = [TopologyKind::Binomial, TopologyKind::Knomial(4)];
-    let max = crate::scale_max();
+    let max = knob::SCALE_MAX.positive_or_default();
     let sizes: Vec<u32> = SIZES.into_iter().filter(|&n| n <= max).collect();
     let mut specs = Vec::new();
     for &n in &sizes {
@@ -741,11 +743,9 @@ fn scale_iters(iters: u64, n: u32) -> u64 {
 }
 
 /// The fabric the fabric figure sweeps: `ABR_FABRIC` when set, otherwise
-/// the 4:1-oversubscribed fat-tree (`ABR_OVERSUB` still applies to the
-/// default).
+/// the 4:1-oversubscribed fat-tree with cyclic placement.
 pub fn fabric_for_figure() -> FabricSpec {
-    FabricSpec::from_env()
-        .unwrap_or_else(|| FabricSpec::fat_tree(abr_fabric::spec::oversub_from_env()))
+    FabricSpec::from_env().unwrap_or_else(|| FabricSpec::fat_tree(DEFAULT_OVERSUB))
 }
 
 /// The topology contenders: placement-oblivious binomial against the two
@@ -808,7 +808,7 @@ pub fn fig_fabric_data(iters: u64) -> (Vec<Table>, Vec<FabricPoint>) {
     const SIZES: [u32; 3] = [512, 2048, 8192];
     let fabric = fabric_for_figure();
     let topos = fabric_topos(&fabric);
-    let max = crate::scale_max();
+    let max = knob::SCALE_MAX.positive_or_default();
     let mut sizes: Vec<u32> = SIZES.into_iter().filter(|&n| n <= max).collect();
     if sizes.is_empty() {
         sizes.push(max);
@@ -912,11 +912,7 @@ const BW_RANKS: u32 = 8;
 /// figures, this sweep exists to show the pipeline, so the knob's
 /// "off by default" convention is inverted here.
 pub fn bandwidth_window() -> usize {
-    if std::env::var_os("ABR_SEGMENTS").is_some() {
-        abr_cluster::node::segments_from_env()
-    } else {
-        8
-    }
+    knob::SEGMENTS.positive().unwrap_or(8)
 }
 
 /// Iterations for one bandwidth-figure size: shrink with the payload so
@@ -929,7 +925,7 @@ fn bw_iters(iters: u64, bytes: usize) -> u64 {
 /// 1 KiB up to `ABR_MSG_BYTES` (the cap itself is appended when it is not
 /// already a sweep point, so CI smoke caps land on the exact cap).
 fn bw_sizes() -> Vec<usize> {
-    let cap = crate::msg_bytes();
+    let cap = knob::MSG_BYTES.positive_or_default();
     let mut sizes: Vec<usize> = (0..)
         .map(|i| 1024usize << (2 * i))
         .take_while(|&b| b <= cap)
@@ -1205,9 +1201,11 @@ pub struct TenantFigure {
 /// caps the ladder (the cluster is sized for the capped top, so the last
 /// point is always the saturated one).
 pub fn fig_tenant_data() -> (Vec<Table>, TenantFigure) {
-    let base_jobs = abr_jobs::tenant_jobs_from_env().unwrap_or(2);
-    let slots = abr_jobs::tenant_slots_from_env().unwrap_or(4);
-    let cap = abr_jobs::tenant_load_from_env().unwrap_or(*TENANT_LADDER.last().expect("ladder"));
+    let base_jobs = knob::TENANT_JOBS.positive_or_default();
+    let slots = knob::TENANT_SLOTS.positive_or_default();
+    let cap = knob::TENANT_LOAD
+        .read(abr_jobs::parse_load)
+        .unwrap_or(*TENANT_LADDER.last().expect("ladder"));
     let mut ladder: Vec<f64> = TENANT_LADDER
         .iter()
         .copied()

@@ -117,7 +117,7 @@ impl Record {
 /// be written (the message names the path and the OS error): a figure
 /// run whose record is missing must not look like a success.
 pub fn write(record: &Record) {
-    let knob = abr_trace::parse_env("ABR_RECORD_JSON", |raw| Ok(raw.to_string()));
+    let knob = abr_trace::knob::RECORD_JSON.read(|raw| Ok(raw.to_string()));
     let path = record
         .out_path(knob.as_deref())
         .unwrap_or_else(|e| panic!("{e}"));

@@ -1601,13 +1601,7 @@ impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
     /// sequential executor otherwise. Invalid values fail fast, naming the
     /// variable.
     pub fn run_auto(&mut self) {
-        let shards =
-            abr_trace::parse_env("ABR_DES_SHARDS", |raw| match raw.trim().parse::<usize>() {
-                Ok(0) | Err(_) => Err(format!(
-                    "ABR_DES_SHARDS: expected a positive shard count, got {raw:?}"
-                )),
-                Ok(s) => Ok(s),
-            });
+        let shards = abr_trace::knob::DES_SHARDS.positive();
         if shards.is_some() && !self.core.network.spec().is_flat() {
             // Fail fast rather than silently running sequentially: the user
             // asked for two things that cannot be combined.

@@ -856,10 +856,7 @@ fn run_live_world<R: Send, F: Fn(&RankCtx) -> R + Send + Sync>(
         // a run still alive after that long dumps every rank's reliability
         // window and mailbox depth to stderr (once), for debugging stuck
         // fault scenarios. Exits with the fabric.
-        if let Some(secs) = abr_trace::parse_env("ABR_LIVE_HANG_DUMP", |s| {
-            s.parse::<u64>()
-                .map_err(|e| format!("must be a number of seconds: {e}"))
-        }) {
+        if let Some(secs) = abr_trace::knob::LIVE_HANG_DUMP.positive() {
             let shareds = shareds.clone();
             let fabric = Arc::clone(&fabric);
             s.spawn(move || {

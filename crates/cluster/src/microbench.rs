@@ -1181,16 +1181,6 @@ pub fn run_latency(cfg: &LatencyConfig) -> LatencyResult {
 // Scale benchmark (events/sec at large rank counts)
 // ---------------------------------------------------------------------
 
-/// Which executor [`run_scale_bench`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleExec {
-    /// The sequential executor ([`DesDriver::run`]).
-    Sequential,
-    /// The parallel conservative executor with this many shards
-    /// ([`DesDriver::run_sharded`]).
-    Sharded(usize),
-}
-
 /// One timed scale-benchmark run.
 #[derive(Debug, Clone)]
 pub struct ScaleRunResult {
@@ -1213,8 +1203,9 @@ pub struct ScaleRunResult {
 }
 
 /// Time the baseline-engine CPU-utilization workload at `n` ranks on the
-/// executor `exec` and report DES throughput (events/sec).
-pub fn run_scale_bench(n: u32, iters: u64, exec: ScaleExec) -> ScaleRunResult {
+/// sequential executor ([`DesDriver::run`]) and report DES throughput
+/// (events/sec).
+pub fn run_scale_bench(n: u32, iters: u64) -> ScaleRunResult {
     let cfg = CpuUtilConfig {
         elems: 4,
         max_skew_us: 200,
@@ -1227,10 +1218,7 @@ pub fn run_scale_bench(n: u32, iters: u64, exec: ScaleExec) -> ScaleRunResult {
         |rank, ec: EngineConfig| Engine::new(rank, n, ec),
         cpu_util_programs(&cfg),
     );
-    match exec {
-        ScaleExec::Sequential => d.run(),
-        ScaleExec::Sharded(s) => d.run_sharded(s),
-    }
+    d.run();
     let wall_secs = start.elapsed().as_secs_f64();
     let events = d.events_processed();
     let mut acc = Accumulator::new();

@@ -27,7 +27,7 @@ pub struct ClusterSpec {
     /// spec with [`ClusterSpec::with_topology`].
     pub topology: TopologyKind,
     /// Interconnect model. Constructors read the process-wide
-    /// `ABR_FABRIC` / `ABR_OVERSUB` knobs (ideal crossbar when unset);
+    /// `ABR_FABRIC` knob (ideal crossbar when unset);
     /// override per spec with [`ClusterSpec::with_fabric`].
     pub fabric: FabricSpec,
     /// Pipeline window for segmented reductions. Constructors read the
@@ -35,22 +35,6 @@ pub struct ClusterSpec {
     /// segmentation and keeps every figure byte-identical); override per
     /// spec with [`ClusterSpec::with_segments`].
     pub segments: usize,
-}
-
-/// Read the process-wide `ABR_SEGMENTS` pipeline window (>= 1); `1`
-/// (segmentation off) when unset, fail-fast on an invalid value.
-pub fn segments_from_env() -> usize {
-    abr_trace::parse_env("ABR_SEGMENTS", |raw| {
-        let n: usize = raw
-            .trim()
-            .parse()
-            .map_err(|_| format!("ABR_SEGMENTS: expected a positive integer, got {raw:?}"))?;
-        if n == 0 {
-            return Err("ABR_SEGMENTS: window must be >= 1".to_string());
-        }
-        Ok(n)
-    })
-    .unwrap_or(1)
 }
 
 impl ClusterSpec {
@@ -77,37 +61,29 @@ impl ClusterSpec {
                 }
             })
             .collect();
+        Self::from_nodes(nodes)
+    }
+
+    /// A homogeneous cluster of `n` 700-MHz nodes (the paper's Fig. 9b).
+    pub fn homogeneous_700(n: u32) -> Self {
+        Self::from_nodes((0..n).map(|_| NodeHw::p3_700()).collect())
+    }
+
+    /// A homogeneous cluster of `n` 1-GHz nodes.
+    pub fn homogeneous_1000(n: u32) -> Self {
+        Self::from_nodes((0..n).map(|_| NodeHw::p3_1000()).collect())
+    }
+
+    /// `nodes` with the default cost model and the process-wide
+    /// `ABR_TOPO`, `ABR_FABRIC` and `ABR_SEGMENTS` knobs.
+    fn from_nodes(nodes: Vec<NodeHw>) -> Self {
         ClusterSpec {
             nodes,
             cost: CostModel::default(),
             eager_limit: 16 * 1024,
             topology: TopologyKind::from_env_or_default(),
             fabric: FabricSpec::from_env_or_flat(),
-            segments: segments_from_env(),
-        }
-    }
-
-    /// A homogeneous cluster of `n` 700-MHz nodes (the paper's Fig. 9b).
-    pub fn homogeneous_700(n: u32) -> Self {
-        ClusterSpec {
-            nodes: (0..n).map(|_| NodeHw::p3_700()).collect(),
-            cost: CostModel::default(),
-            eager_limit: 16 * 1024,
-            topology: TopologyKind::from_env_or_default(),
-            fabric: FabricSpec::from_env_or_flat(),
-            segments: segments_from_env(),
-        }
-    }
-
-    /// A homogeneous cluster of `n` 1-GHz nodes.
-    pub fn homogeneous_1000(n: u32) -> Self {
-        ClusterSpec {
-            nodes: (0..n).map(|_| NodeHw::p3_1000()).collect(),
-            cost: CostModel::default(),
-            eager_limit: 16 * 1024,
-            topology: TopologyKind::from_env_or_default(),
-            fabric: FabricSpec::from_env_or_flat(),
-            segments: segments_from_env(),
+            segments: abr_trace::knob::SEGMENTS.positive_or_default(),
         }
     }
 

@@ -29,22 +29,11 @@ use std::sync::Mutex;
 /// Panics on a set-but-invalid `ABR_JOBS` (non-numeric or zero) — a typo'd
 /// job count must not silently fall back to a different parallelism.
 pub fn jobs_from_env() -> usize {
-    abr_trace::parse_env("ABR_JOBS", parse_jobs).unwrap_or_else(|| {
+    abr_trace::knob::JOBS.positive().unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// Parse an explicit `ABR_JOBS` value: a positive integer.
-pub fn parse_jobs(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err("ABR_JOBS must be a positive worker count, got 0".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "ABR_JOBS must be a positive worker count, got {raw:?}"
-        )),
-    }
 }
 
 /// Total sweep points executed by this process (all `Sweep` instances);
@@ -232,10 +221,11 @@ mod tests {
 
     #[test]
     fn parse_jobs_accepts_positive_and_rejects_junk() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert_eq!(parse_jobs(" 16 "), Ok(16));
+        let jobs = &abr_trace::knob::JOBS;
+        assert_eq!(jobs.parse_positive::<usize>("4"), Ok(4));
+        assert_eq!(jobs.parse_positive::<usize>(" 16 "), Ok(16));
         for bad in ["0", "", "four", "-2", "2.5"] {
-            let err = parse_jobs(bad).unwrap_err();
+            let err = jobs.parse_positive::<usize>(bad).unwrap_err();
             assert!(err.contains("ABR_JOBS"), "{bad}: {err}");
         }
     }

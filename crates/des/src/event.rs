@@ -78,7 +78,8 @@ struct HeapKey {
     /// Tie-break key for events at the same instant. [`EventQueue::schedule`]
     /// assigns a queue-local monotonic sequence (FIFO order);
     /// [`EventQueue::schedule_keyed`] lets the caller supply a key, which is
-    /// how sharded queues keep one global order across shards.
+    /// how the sharded executor keeps one global order across its per-shard
+    /// queues.
     key: u64,
     slot: u32,
     gen: u32,
@@ -328,105 +329,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A set of event queues sharded by region with one global ordering.
-///
-/// Each shard is an independent [`EventQueue`] (own heap, own slot slab, own
-/// cancellation), but scheduling stamps every event with a key drawn from a
-/// counter shared across shards, and [`ShardedEventQueue::pop`] always
-/// returns the globally earliest live event — so the popped sequence is
-/// **byte-identical** to a single [`EventQueue`] fed the same schedule calls
-/// in the same order, for any shard count. That invariance is the substrate
-/// of the parallel one-run executor: shards can be drained independently
-/// between synchronization horizons without perturbing the event order a
-/// sequential run would see.
-pub struct ShardedEventQueue<E> {
-    shards: Vec<EventQueue<E>>,
-    next_seq: u64,
-    now: SimTime,
-    popped: u64,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// Create a queue with `shards` regions (at least 1).
-    pub fn new(shards: usize) -> Self {
-        ShardedEventQueue {
-            shards: (0..shards.max(1)).map(|_| EventQueue::new()).collect(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            popped: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedule `payload` at `at` on `shard`, stamped with the next key from
-    /// the shared sequence. Returns the shard plus the id to cancel with.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range or `at` is before the current time.
-    pub fn schedule(&mut self, shard: usize, at: SimTime, payload: E) -> (usize, EventId) {
-        assert!(
-            at >= self.now,
-            "cannot schedule event in the past: at={at:?} now={:?}",
-            self.now
-        );
-        let key = self.next_seq;
-        self.next_seq += 1;
-        (shard, self.shards[shard].schedule_keyed(at, key, payload))
-    }
-
-    /// Cancel an event previously scheduled on `shard`.
-    pub fn cancel(&mut self, shard: usize, id: EventId) -> bool {
-        self.shards[shard].cancel(id)
-    }
-
-    /// Remove and return the globally earliest live event (and the shard it
-    /// came from), advancing the shared clock.
-    pub fn pop(&mut self) -> Option<(usize, ScheduledEvent<E>)> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, q) in self.shards.iter_mut().enumerate() {
-            if let Some(coord) = q.peek_coord() {
-                if best.map(|(_, b)| coord < b).unwrap_or(true) {
-                    best = Some((i, coord));
-                }
-            }
-        }
-        let (shard, _) = best?;
-        let ev = self.shards[shard].pop().expect("peeked shard is non-empty");
-        self.now = ev.at;
-        self.popped += 1;
-        Some((shard, ev))
-    }
-
-    /// The timestamp of the globally next live event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.shards.iter_mut().filter_map(|q| q.peek_time()).min()
-    }
-
-    /// Current virtual time (timestamp of the most recent pop).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total events popped.
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-
-    /// Live events across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|q| q.len()).sum()
-    }
-
-    /// True if no live events remain anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|q| q.is_empty())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,67 +536,6 @@ mod tests {
         assert_eq!(q.peek_coord(), Some((us(9), 1)));
         q.pop();
         assert_eq!(q.peek_coord(), None);
-    }
-
-    #[test]
-    fn sharded_queue_matches_single_queue_order() {
-        // Feed the same schedule/cancel/pop script to a single queue and to
-        // sharded queues of every width; the popped sequences must be
-        // byte-identical.
-        let script = |shards: usize| -> Vec<(u64, u64)> {
-            let mut q = ShardedEventQueue::new(shards);
-            let rng = crate::rng::StreamRng::root(0x5EED);
-            let mut ids = Vec::new();
-            let mut log = Vec::new();
-            let mut now = 0u64;
-            for step in 0..600u64 {
-                let mut r = rng.derive(&[step]);
-                match r.below(4) {
-                    0 | 1 => {
-                        let at = now + r.below(500);
-                        let shard = (r.below(shards as u64)) as usize;
-                        ids.push(q.schedule(shard, us(at), step));
-                    }
-                    2 => {
-                        if let Some((shard, ev)) = q.pop() {
-                            assert!(shard < shards);
-                            now = ev.at.as_nanos() / 1_000;
-                            log.push((ev.at.as_nanos(), ev.payload));
-                        }
-                    }
-                    _ => {
-                        if !ids.is_empty() {
-                            let (shard, id) = ids[(r.below(ids.len() as u64)) as usize];
-                            q.cancel(shard, id);
-                        }
-                    }
-                }
-            }
-            while let Some((_, ev)) = q.pop() {
-                log.push((ev.at.as_nanos(), ev.payload));
-            }
-            log
-        };
-        let single = script(1);
-        for shards in [2, 3, 8] {
-            assert_eq!(script(shards), single, "shards={shards} diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_queue_len_and_clock() {
-        let mut q = ShardedEventQueue::new(4);
-        assert!(q.is_empty());
-        q.schedule(0, us(10), "a");
-        q.schedule(3, us(5), "b");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(us(5)));
-        let (shard, ev) = q.pop().unwrap();
-        assert_eq!((shard, ev.payload), (3, "b"));
-        assert_eq!(q.now(), us(5));
-        q.pop();
-        assert_eq!(q.delivered(), 2);
-        assert!(q.is_empty());
     }
 
     #[test]

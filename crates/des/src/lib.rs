@@ -9,7 +9,7 @@
 //! * [`rng`] — hierarchically derivable, seeded random-number streams so that
 //!   every (experiment, iteration, rank) tuple draws from an independent and
 //!   reproducible stream,
-//! * [`stats`] — streaming accumulators and histograms used by the
+//! * [`stats`] — the streaming [`Accumulator`] used by the
 //!   benchmark harnesses,
 //! * [`CpuMeter`] — per-node CPU-time accounting with measurement windows,
 //!   the instrument behind the paper's "average CPU utilization" metric,
@@ -49,10 +49,10 @@ pub mod small_map;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventId, EventQueue, ScheduledEvent, ShardedEventQueue};
+pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use hash::{FxHashMap, FxHashSet};
 pub use meter::{CpuMeter, CpuWindow};
 pub use rng::StreamRng;
 pub use small_map::SmallMap;
-pub use stats::{Accumulator, Histogram};
+pub use stats::Accumulator;
 pub use time::{SimDuration, SimTime};

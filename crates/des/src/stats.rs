@@ -102,78 +102,6 @@ impl Accumulator {
     }
 }
 
-/// A fixed-width linear histogram over `[0, width * bins)` with an overflow
-/// bucket; used to sanity-check skew distributions in tests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram of `bins` buckets each `width` wide.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `width <= 0`.
-    pub fn new(bins: usize, width: f64) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(width > 0.0, "bin width must be positive");
-        Histogram {
-            width,
-            counts: vec![0; bins],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one observation. Negative values clamp into the first bin.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        let idx = (x.max(0.0) / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Number of buckets (excluding overflow).
-    pub fn buckets(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Observations beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The value below which `q` (0..=1) of the observations fall, estimated
-    /// at bucket granularity (upper edge of the containing bucket).
-    pub fn quantile(&self, q: f64) -> f64 {
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 1.0) * self.width;
-            }
-        }
-        f64::INFINITY
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,36 +182,5 @@ mod tests {
         empty.merge(&a);
         assert_eq!(empty.count(), 2);
         assert_eq!(empty.mean(), before);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(4, 10.0);
-        for x in [0.0, 5.0, 9.99, 10.0, 25.0, 39.9, 40.0, 1000.0, -3.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket(0), 4); // 0, 5, 9.99, -3 (clamped)
-        assert_eq!(h.bucket(1), 1); // 10.0
-        assert_eq!(h.bucket(2), 1); // 25
-        assert_eq!(h.bucket(3), 1); // 39.9
-        assert_eq!(h.overflow(), 2); // 40, 1000
-        assert_eq!(h.total(), 9);
-        assert_eq!(h.buckets(), 4);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(10, 1.0);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0); // uniform over [0, 10)
-        }
-        assert!((h.quantile(0.5) - 5.0).abs() <= 1.0);
-        assert!((h.quantile(1.0) - 10.0).abs() <= 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bin_histogram_panics() {
-        let _ = Histogram::new(0, 1.0);
     }
 }

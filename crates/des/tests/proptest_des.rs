@@ -2,7 +2,7 @@
 //! reference models, and statistical sanity of derived RNG streams.
 
 use abr_des::small_map::SPILL_LEN;
-use abr_des::{Accumulator, EventId, EventQueue, ShardedEventQueue, SimTime, SmallMap, StreamRng};
+use abr_des::{Accumulator, EventId, EventQueue, SimTime, SmallMap, StreamRng};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::{Rc, Weak};
@@ -219,61 +219,6 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, times.len() - cancelled.len());
-    }
-
-    /// A sharded queue pops in exactly the single-queue keyed order, for
-    /// every shard count, under arbitrary interleavings of schedules (to
-    /// arbitrary shards), pops, and cancels: sharding is an implementation
-    /// detail of *where* events wait, never of *when* they fire.
-    #[test]
-    fn sharded_queue_order_is_shard_count_invariant(
-        ops in prop::collection::vec(
-            prop_oneof![
-                (0u64..5_000, 0usize..8).prop_map(|(dt, s)| (0u8, dt, s)),
-                Just((1u8, 0, 0)),                       // pop
-                (0usize..64).prop_map(|k| (2u8, k as u64, 0)), // cancel nth
-            ],
-            1..250,
-        )
-    ) {
-        // Reference: everything on one shard.
-        let mut runs: Vec<Vec<u64>> = Vec::new();
-        for shards in [1usize, 2, 8] {
-            let mut q: ShardedEventQueue<u64> = ShardedEventQueue::new(shards);
-            let mut ids = Vec::new();
-            let mut popped = Vec::new();
-            let mut payload = 0u64;
-            for &(kind, a, s) in &ops {
-                match kind {
-                    0 => {
-                        let at = q.now() + abr_des::SimDuration::from_nanos(a);
-                        // Same event stream regardless of shard count: the
-                        // target shard is taken modulo the shard count, so
-                        // schedule order and keys are identical across runs.
-                        ids.push(q.schedule(s % shards, at, payload));
-                        payload += 1;
-                    }
-                    1 => {
-                        if let Some((_, ev)) = q.pop() {
-                            popped.push(ev.payload);
-                        }
-                    }
-                    _ => {
-                        if !ids.is_empty() {
-                            let (shard, id) = ids[a as usize % ids.len()];
-                            q.cancel(shard, id);
-                        }
-                    }
-                }
-            }
-            while let Some((_, ev)) = q.pop() {
-                popped.push(ev.payload);
-            }
-            prop_assert!(q.is_empty());
-            runs.push(popped);
-        }
-        prop_assert_eq!(&runs[0], &runs[1], "2 shards diverged from 1");
-        prop_assert_eq!(&runs[0], &runs[2], "8 shards diverged from 1");
     }
 
     /// Derived streams from distinct paths are uncorrelated enough that

@@ -10,8 +10,8 @@
 //! * [`spec`] — [`FabricSpec`]: which fabric ([`FabricKind::Flat`],
 //!   [`FabricKind::FatTree`], [`FabricKind::Dragonfly`]), the
 //!   oversubscription ratio, and the rank→node [`PlacementPolicy`]
-//!   (blocked or cyclic/round-robin), parsed from `ABR_FABRIC` /
-//!   `ABR_OVERSUB`,
+//!   (blocked or cyclic/round-robin), parsed from one `ABR_FABRIC` value
+//!   such as `fattree:4:cyclic`,
 //! * [`net`] — [`FabricNetwork`]: source-NIC injection clocks, per-pair
 //!   FIFO floors, traffic counters and delivery-segment tracing for every
 //!   kind. A flat spec builds no link graph, so every packet takes the

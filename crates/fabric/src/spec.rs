@@ -2,17 +2,16 @@
 //!
 //! A [`FabricSpec`] is pure configuration: it says which switch/link
 //! graph to build and how ranks map onto nodes, but holds no simulation
-//! state. The knobs mirror the rest of the workspace's env-var style:
-//!
-//! * `ABR_FABRIC` — `flat` (default), `fattree[:blocked|:cyclic]` or
-//!   `dragonfly[:blocked|:cyclic]`. Contended kinds default to *cyclic*
-//!   placement (round-robin over nodes, what a batch scheduler handing
-//!   out one slot per node produces); `flat` ignores placement.
-//! * `ABR_OVERSUB` — uplink oversubscription ratio (default `4`): edge
-//!   and pod/group uplinks carry `members / ABR_OVERSUB` host-links
-//!   worth of bandwidth.
+//! state. The `ABR_FABRIC` knob ([`abr_trace::knob::FABRIC`]) names one
+//! in the grammar [`FabricSpec::label`] prints: `flat` (default), or
+//! `(fattree|dragonfly)[:<ratio>][:blocked|:cyclic]`. The ratio is the
+//! uplink oversubscription (default `4`): edge and pod/group uplinks
+//! carry `members / ratio` host-links worth of bandwidth. Contended kinds
+//! default to *cyclic* placement (round-robin over nodes, what a batch
+//! scheduler handing out one slot per node produces); `flat` ignores
+//! placement.
 
-use abr_trace::parse_env;
+use abr_trace::knob;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -118,48 +117,59 @@ impl FabricSpec {
         self.nodes_per_switch * self.switches_per_pod
     }
 
-    /// Parse an `ABR_FABRIC` value: `flat`, `fattree`, `fat-tree` or
-    /// `dragonfly`, with an optional `:blocked` / `:cyclic` placement
-    /// suffix. `oversub` seeds the contended kinds' ratio.
-    pub fn parse(raw: &str, oversub: f64) -> Result<FabricSpec, String> {
-        let (kind_str, placement) = match raw.split_once(':') {
-            None => (raw, None),
-            Some((k, "blocked")) => (k, Some(PlacementPolicy::Blocked)),
-            Some((k, "cyclic")) => (k, Some(PlacementPolicy::Cyclic)),
-            Some((_, p)) => {
-                return Err(format!(
-                    "ABR_FABRIC placement suffix must be 'blocked' or 'cyclic', got {p:?}"
-                ))
-            }
+    /// Parse an `ABR_FABRIC` value: `flat`, or `fattree` (also
+    /// `fat-tree`) or `dragonfly` followed by an optional `:<ratio>`
+    /// (finite, >= 1; default [`DEFAULT_OVERSUB`]) and an optional
+    /// `:blocked` / `:cyclic` placement (default cyclic). Every label
+    /// [`FabricSpec::label`] prints parses back to its spec.
+    pub fn parse(raw: &str) -> Result<FabricSpec, String> {
+        let raw = raw.trim();
+        let malformed = || {
+            format!(
+                "ABR_FABRIC must be flat or (fattree|dragonfly)[:<ratio>][:blocked|:cyclic], \
+                 got {raw:?}"
+            )
         };
-        let mut spec = match kind_str {
-            "flat" => FabricSpec::flat(),
-            "fattree" | "fat-tree" => FabricSpec::fat_tree(oversub),
-            "dragonfly" => FabricSpec::dragonfly(oversub),
-            other => {
-                return Err(format!(
-                    "ABR_FABRIC must be flat, fattree or dragonfly \
-                     (optionally ':blocked'/':cyclic'), got {other:?}"
-                ))
-            }
+        let mut parts: Vec<&str> = raw.split(':').collect();
+        let mut spec = match parts.remove(0) {
+            "flat" if parts.is_empty() => return Ok(FabricSpec::flat()),
+            "fattree" | "fat-tree" => FabricSpec::fat_tree(DEFAULT_OVERSUB),
+            "dragonfly" => FabricSpec::dragonfly(DEFAULT_OVERSUB),
+            _ => return Err(malformed()),
+        };
+        let placement = match parts.last() {
+            Some(&"blocked") => Some(PlacementPolicy::Blocked),
+            Some(&"cyclic") => Some(PlacementPolicy::Cyclic),
+            _ => None,
         };
         if let Some(p) = placement {
             spec.placement = p;
+            parts.pop();
+        }
+        match parts[..] {
+            [] => {}
+            [ratio] => match ratio.parse::<f64>() {
+                Ok(v) if v.is_finite() && v >= 1.0 => spec.oversub = v,
+                _ => {
+                    return Err(format!(
+                        "ABR_FABRIC ratio must be a finite number >= 1, got {ratio:?} in {raw:?}"
+                    ))
+                }
+            },
+            _ => return Err(malformed()),
         }
         Ok(spec)
     }
 
-    /// Read `ABR_FABRIC` / `ABR_OVERSUB`; `None` when `ABR_FABRIC` is
-    /// unset. Panics (fail fast, naming the variable) on malformed
-    /// values.
+    /// The `ABR_FABRIC` spec, or `None` when the knob is unset. Panics
+    /// (fail fast, naming the variable) on a malformed value.
     pub fn from_env() -> Option<FabricSpec> {
-        let oversub = oversub_from_env();
-        parse_env("ABR_FABRIC", |raw| FabricSpec::parse(raw, oversub))
+        knob::FABRIC.read(FabricSpec::parse)
     }
 
     /// [`FabricSpec::from_env`], defaulting to the flat crossbar.
     pub fn from_env_or_flat() -> FabricSpec {
-        FabricSpec::from_env().unwrap_or_else(FabricSpec::flat)
+        knob::FABRIC.read_or_default(FabricSpec::parse)
     }
 
     /// Short label for tables and JSON records, e.g. `fattree:4:cyclic`.
@@ -172,20 +182,9 @@ impl FabricSpec {
     }
 }
 
-/// Read `ABR_OVERSUB` (default 4.0, must be ≥ 1).
-pub fn oversub_from_env() -> f64 {
-    parse_env("ABR_OVERSUB", |raw| {
-        let v: f64 = raw
-            .parse()
-            .map_err(|_| format!("ABR_OVERSUB must be a number, got {raw:?}"))?;
-        if v >= 1.0 {
-            Ok(v)
-        } else {
-            Err(format!("ABR_OVERSUB must be >= 1, got {v}"))
-        }
-    })
-    .unwrap_or(4.0)
-}
+/// Uplink oversubscription of a contended `ABR_FABRIC` that names no
+/// ratio.
+pub const DEFAULT_OVERSUB: f64 = 4.0;
 
 /// A concrete rank→node map for one cluster size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,17 +235,71 @@ mod tests {
 
     #[test]
     fn parse_accepts_and_rejects() {
-        assert!(FabricSpec::parse("flat", 4.0).unwrap().is_flat());
-        let ft = FabricSpec::parse("fattree", 2.0).unwrap();
+        assert!(FabricSpec::parse("flat").unwrap().is_flat());
+        let ft = FabricSpec::parse("fattree:2").unwrap();
         assert_eq!(ft.kind, FabricKind::FatTree);
         assert_eq!(ft.oversub, 2.0);
         assert_eq!(ft.placement, PlacementPolicy::Cyclic);
-        let ftb = FabricSpec::parse("fat-tree:blocked", 4.0).unwrap();
+        let ftb = FabricSpec::parse("fat-tree:blocked").unwrap();
         assert_eq!(ftb.placement, PlacementPolicy::Blocked);
-        let df = FabricSpec::parse("dragonfly:cyclic", 4.0).unwrap();
+        let df = FabricSpec::parse("dragonfly:cyclic").unwrap();
         assert_eq!(df.kind, FabricKind::Dragonfly);
-        assert!(FabricSpec::parse("mesh", 4.0).is_err());
-        assert!(FabricSpec::parse("fattree:diagonal", 4.0).is_err());
+        for bad in [
+            "mesh",
+            "fattree:diagonal",
+            "flat:blocked",
+            "flat:2",
+            "fattree:2:3",
+            "fattree:blocked:2",
+            "dragonfly:",
+        ] {
+            let err = FabricSpec::parse(bad).unwrap_err();
+            assert!(err.contains("ABR_FABRIC"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_label_parses_back_to_its_spec() {
+        assert_eq!(
+            FabricSpec::parse(&FabricSpec::flat().label()),
+            Ok(FabricSpec::flat())
+        );
+        for kind in [FabricSpec::fat_tree, FabricSpec::dragonfly] {
+            for placement in [PlacementPolicy::Blocked, PlacementPolicy::Cyclic] {
+                for ratio in [1.0, 2.5, 4.0] {
+                    let spec = FabricSpec {
+                        placement,
+                        ..kind(ratio)
+                    };
+                    assert_eq!(FabricSpec::parse(&spec.label()), Ok(spec.clone()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_missing_ratio_is_the_default_oversubscription() {
+        assert_eq!(
+            FabricSpec::parse("dragonfly"),
+            Ok(FabricSpec::dragonfly(4.0))
+        );
+        let blocked = FabricSpec::parse("fattree:blocked").unwrap();
+        assert_eq!(blocked.oversub, 4.0);
+        assert_eq!(blocked.placement, PlacementPolicy::Blocked);
+        assert_eq!(DEFAULT_OVERSUB, 4.0);
+    }
+
+    #[test]
+    fn non_finite_and_sub_unit_ratios_name_the_knob() {
+        for bad in [
+            "fattree:inf",
+            "fattree:0.5",
+            "dragonfly:NaN:blocked",
+            "fattree:-1",
+        ] {
+            let err = FabricSpec::parse(bad).unwrap_err();
+            assert!(err.contains("ABR_FABRIC"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -305,25 +305,19 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Read a plan from the `ABR_FAULTS` environment variable: either an
-    /// inline scenario string or `@path` naming a scenario file. Returns
-    /// `Ok(None)` when the variable is unset and an error (naming the
-    /// variable) for anything invalid — never a silent fallback.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        let raw = match std::env::var("ABR_FAULTS") {
-            Err(std::env::VarError::NotPresent) => return Ok(None),
-            Err(e) => return Err(format!("ABR_FAULTS is not valid unicode: {e}")),
-            Ok(s) => s,
-        };
-        let spec = if let Some(path) = raw.strip_prefix('@') {
-            std::fs::read_to_string(path)
-                .map_err(|e| format!("ABR_FAULTS names unreadable file {path:?}: {e}"))?
-        } else {
-            raw
-        };
-        FaultPlan::parse(&spec)
-            .map(Some)
-            .map_err(|e| format!("ABR_FAULTS is invalid: {e}"))
+    /// The plan the `ABR_FAULTS` knob names, inline or as `@path` to a
+    /// plan file; `None` when the knob is unset.
+    ///
+    /// # Panics
+    /// On an unreadable file or an invalid plan, with a message naming
+    /// `ABR_FAULTS`: never a silent fallback.
+    pub fn from_env() -> Option<FaultPlan> {
+        abr_trace::knob::FAULTS.read(|raw| match raw.strip_prefix('@') {
+            Some(path) => std::fs::read_to_string(path)
+                .map_err(|e| format!("ABR_FAULTS names unreadable file {path:?}: {e}"))
+                .and_then(|spec| FaultPlan::parse(&spec)),
+            None => FaultPlan::parse(raw),
+        })
     }
 }
 

@@ -13,9 +13,8 @@
 //! * [`place`] — a placement layer mapping every job rank onto a cluster
 //!   node under a per-node slot limit, with [`PlacePolicy::Blocked`] /
 //!   [`PlacePolicy::Cyclic`] / [`PlacePolicy::Packed`] policies.
-//! * Fail-fast environment knobs (`ABR_TENANT_JOBS`, `ABR_TENANT_LOAD`,
-//!   `ABR_TENANT_SLOTS`) parsed through [`abr_trace::parse_env`], so a
-//!   typo'd value aborts loudly instead of silently running the default.
+//! * [`parse_load`] — the offered-load grammar of the `ABR_TENANT_LOAD`
+//!   knob (declared with the other knobs in [`abr_trace::knob`]).
 //!
 //! Everything is a pure function of its seed: the same `(seed, jobs, load)`
 //! triple generates byte-identical mixes, and placement is deterministic in
@@ -170,47 +169,15 @@ impl JobMix {
     }
 }
 
-/// `ABR_TENANT_JOBS`: number of jobs in the tenant mix.
-///
-/// # Panics
-/// Panics on a set-but-invalid value (non-numeric or zero).
-pub fn tenant_jobs_from_env() -> Option<usize> {
-    abr_trace::parse_env("ABR_TENANT_JOBS", |raw| match raw.trim().parse::<usize>() {
-        Ok(0) | Err(_) => Err(format!(
-            "ABR_TENANT_JOBS must be a positive job count, got {raw:?}"
-        )),
-        Ok(n) => Ok(n),
-    })
-}
-
-/// `ABR_TENANT_LOAD`: cap the offered-load sweep at this factor (the
-/// figure sweeps a fixed ladder of load points and drops those above the
-/// cap).
-///
-/// # Panics
-/// Panics on a set-but-invalid value (non-positive or non-finite).
-pub fn tenant_load_from_env() -> Option<f64> {
-    abr_trace::parse_env("ABR_TENANT_LOAD", |raw| match raw.trim().parse::<f64>() {
+/// Parse an offered-load factor (the `ABR_TENANT_LOAD` grammar): a
+/// positive finite number.
+pub fn parse_load(raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
         Ok(l) if l.is_finite() && l > 0.0 => Ok(l),
         _ => Err(format!(
             "ABR_TENANT_LOAD must be a positive load factor, got {raw:?}"
         )),
-    })
-}
-
-/// `ABR_TENANT_SLOTS`: ranks a single cluster node can host.
-///
-/// # Panics
-/// Panics on a set-but-invalid value (non-numeric or zero).
-pub fn tenant_slots_from_env() -> Option<usize> {
-    abr_trace::parse_env("ABR_TENANT_SLOTS", |raw| {
-        match raw.trim().parse::<usize>() {
-            Ok(0) | Err(_) => Err(format!(
-                "ABR_TENANT_SLOTS must be a positive slot count, got {raw:?}"
-            )),
-            Ok(n) => Ok(n),
-        }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +228,15 @@ mod tests {
     #[should_panic(expected = "offered load")]
     fn nonpositive_load_fails_fast() {
         let _ = JobMix::generate(1, 2, 0.0);
+    }
+
+    #[test]
+    fn load_factor_grammar_names_the_knob() {
+        assert_eq!(parse_load(" 2.5 "), Ok(2.5));
+        for bad in ["", "0", "-1", "inf", "NaN", "x"] {
+            let err = parse_load(bad).unwrap_err();
+            assert!(err.contains("ABR_TENANT_LOAD"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// A tree family for reduction/broadcast collectives.
 ///
 /// Selected process-wide via the `ABR_TOPO` environment knob (see
-/// [`TopologyKind::from_env`]); defaults to [`TopologyKind::Binomial`],
+/// [`TopologyKind::from_env_or_default`]); defaults to [`TopologyKind::Binomial`],
 /// which is bit-identical to the MPICH mask loop the paper models.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
@@ -113,7 +113,7 @@ impl TopologyKind {
     /// `locality[<R>x<P>][:cyclic|:blocked]`
     /// (defaults `locality4x16:cyclic`, matching `abr_fabric`'s default
     /// fat-tree shape). Errors name the variable per the fail-fast
-    /// contract of [`abr_trace::parse_env`].
+    /// contract of [`abr_trace::knob`].
     ///
     /// # Examples
     ///
@@ -198,17 +198,11 @@ impl TopologyKind {
         })
     }
 
-    /// Read `ABR_TOPO` from the environment; `None` when unset, panics
-    /// (naming the variable) on an invalid value.
-    pub fn from_env() -> Option<TopologyKind> {
-        abr_trace::parse_env("ABR_TOPO", TopologyKind::parse)
-    }
-
-    /// [`TopologyKind::from_env`] with the binomial default applied — the
-    /// process-wide topology every driver and figure uses unless a spec
-    /// overrides it explicitly.
+    /// The `ABR_TOPO` knob, binomial when unset — the process-wide
+    /// topology every driver and figure uses unless a spec overrides it
+    /// explicitly. Panics (naming the variable) on an invalid value.
     pub fn from_env_or_default() -> TopologyKind {
-        TopologyKind::from_env().unwrap_or_default()
+        abr_trace::knob::TOPO.read_or_default(TopologyKind::parse)
     }
 
     /// Build the schedule for a `size`-rank communicator rooted at `root`.

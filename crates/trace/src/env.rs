@@ -1,47 +1,5 @@
-//! `ABR_TRACE` configuration and the shared fail-fast env-var helper.
-//!
-//! Every `ABR_*` knob in the workspace follows the same contract: an
-//! unset variable means "use the default"; a set-but-invalid value
-//! aborts immediately with a message that names the variable, instead
-//! of silently falling back and producing a misleading benchmark run.
-//! [`parse_env`] centralizes that contract so each binary stops
-//! re-implementing it.
-
-use std::env::VarError;
-
-/// Read `name` from the environment and parse it fail-fast.
-///
-/// Returns `None` when the variable is unset. When it is set, `parse`
-/// must accept the raw string or return an error message *naming the
-/// variable*; any error (or a non-unicode value) panics, so a typo in a
-/// benchmark invocation can never degrade into a silent default.
-///
-/// # Examples
-///
-/// ```
-/// use abr_trace::parse_env;
-///
-/// std::env::set_var("DOCTEST_ABR_KNOB", "41");
-/// let v: Option<u32> = parse_env("DOCTEST_ABR_KNOB", |raw| {
-///     raw.parse().map_err(|_| format!("DOCTEST_ABR_KNOB must be a number, got {raw:?}"))
-/// });
-/// assert_eq!(v, Some(41));
-/// std::env::remove_var("DOCTEST_ABR_KNOB");
-/// assert_eq!(parse_env("DOCTEST_ABR_KNOB", |_| Ok(0u32)), None);
-/// ```
-pub fn parse_env<T>(
-    name: &'static str,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Option<T> {
-    match std::env::var(name) {
-        Ok(raw) => match parse(&raw) {
-            Ok(v) => Some(v),
-            Err(e) => panic!("{e}"),
-        },
-        Err(VarError::NotPresent) => None,
-        Err(VarError::NotUnicode(_)) => panic!("{name} is set but is not valid unicode"),
-    }
-}
+//! `ABR_TRACE` configuration: the grammar [`crate::knob::TRACE`] is read
+//! with.
 
 /// Parsed `ABR_TRACE` configuration.
 ///
@@ -153,13 +111,6 @@ impl TraceConfig {
             }
         }
         Ok(Some(cfg))
-    }
-
-    /// Read `ABR_TRACE` from the environment. `None` when unset or
-    /// explicitly disabled; panics (naming the variable) on an invalid
-    /// value.
-    pub fn from_env() -> Option<TraceConfig> {
-        parse_env("ABR_TRACE", TraceConfig::parse).flatten()
     }
 }
 

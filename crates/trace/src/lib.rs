@@ -13,8 +13,8 @@
 //!
 //! Instrumented components hold a [`TraceHandle`]; the default handle
 //! is disabled and every `emit` is a single `None` branch. No recorder
-//! is ever allocated unless `ABR_TRACE` (or an explicit
-//! [`TraceConfig`]) turns tracing on, so benchmark output is
+//! is ever allocated unless a caller installs one (`trace_figure` does,
+//! configured by `ABR_TRACE` into a [`TraceConfig`]), so benchmark output is
 //! byte-identical with tracing off — the same cost-neutrality contract
 //! `FaultPlan::none()` follows.
 //!
@@ -27,7 +27,8 @@
 //! | [`recorder`] | [`Tracer`] trait, [`RingRecorder`], [`TraceHandle`], drained [`Trace`] |
 //! | [`chrome`] | Chrome `trace_event` JSON exporter + mini JSON validator |
 //! | [`report`] | per-rank CPU-attribution report ([`cpu_attribution`]) |
-//! | [`mod@env`] | `ABR_TRACE` parsing ([`TraceConfig`]) and the shared fail-fast [`parse_env`] helper |
+//! | [`mod@env`] | `ABR_TRACE` parsing ([`TraceConfig`]) |
+//! | [`knob`] | the one table of `ABR_*` environment knobs ([`knob::KNOBS`]) and their fail-fast readers |
 //!
 //! # End-to-end example
 //!
@@ -61,12 +62,13 @@
 pub mod chrome;
 pub mod env;
 pub mod event;
+pub mod knob;
 pub mod recorder;
 pub mod report;
 pub mod ring;
 
 pub use chrome::{chrome_trace_json, validate_json};
-pub use env::{parse_env, TraceConfig};
+pub use env::TraceConfig;
 pub use event::{TraceEvent, TraceRecord};
 pub use recorder::{RingRecorder, Trace, TraceClock, TraceHandle, Tracer};
 pub use report::{cpu_attribution, CpuAttribution, RankCpu};

@@ -195,8 +195,8 @@ impl Tracer for RingRecorder {
 ///
 /// A disabled handle (the [`Default`]) makes every `emit` a single
 /// branch on a `None` — this is the zero-cost-when-disabled guarantee:
-/// with `ABR_TRACE` unset no recorder exists and the instrumented hot
-/// paths do no other work.
+/// with no recorder installed the instrumented hot paths do no other
+/// work.
 ///
 /// # Examples
 ///
