@@ -7,8 +7,8 @@
 //! (`fattree[:<ratio>][:blocked|:cyclic]`, `dragonfly[...]`; `flat` turns
 //! contention off), `ABR_SCALE_MAX` caps the largest
 //! cluster (CI smoke uses a small cap), `ABR_RECORD_JSON` redirects the
-//! JSON record. Contended fabrics run on the sequential executor; setting
-//! `ABR_DES_SHARDS` alongside one fails fast.
+//! JSON record. Contended fabrics run on one executor shard; setting
+//! `ABR_DES_SHARDS` above 1 alongside one fails fast.
 
 use abr_bench::{figures, record};
 use abr_trace::knob;

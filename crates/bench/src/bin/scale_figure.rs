@@ -3,8 +3,8 @@
 //! scale.
 //!
 //! Knobs: `ABR_SCALE_MAX` caps the largest cluster (CI smoke uses 1,024),
-//! `ABR_DES_SHARDS` runs the figure sweep on the parallel conservative
-//! executor, `ABR_RECORD_JSON` redirects the throughput summary.
+//! `ABR_DES_SHARDS` sets the executor's shard count (the tables do not
+//! change), `ABR_RECORD_JSON` redirects the throughput summary.
 
 use abr_bench::{figures, record};
 use abr_cluster::microbench::run_scale_bench;

@@ -33,25 +33,27 @@
 //! `P` so homogeneous program lists run with no `Box<dyn Program>` vtable
 //! hop (the boxed form still works via the default type parameter).
 //!
-//! # Execution: sequential and parallel-in-one-run
+//! # Execution: one conservative window loop
 //!
-//! [`DesDriver::run`] is the sequential executor: one event queue, FIFO
-//! tie-breaking, byte-identical to the historical driver. For large
-//! clusters, [`DesDriver::run_sharded`] partitions ranks into contiguous
-//! region shards and advances them concurrently between conservative
+//! Every run is the same loop. Ranks are partitioned into contiguous
+//! region shards (one by default) that advance between conservative
 //! synchronization horizons (a YAWNS-style window): with `T` the globally
 //! earliest pending event and `L` the cost model's minimum cross-node
 //! delivery latency ([`FabricNetwork::min_delivery_delay`]), every shard may
 //! safely process all events strictly before `T + L`, because any packet a
 //! handler in the window sends cannot arrive before `T + L`. Cross-shard
-//! packets are exchanged through per-shard outboxes at each horizon.
+//! packets are exchanged through per-shard outboxes at each horizon. A run
+//! stops at the first horizon where every program is done, and
+//! [`DesDriver::now`] is the latest instant a program finished.
 //!
 //! Determinism does not depend on the shard count: every event is stamped
 //! with a `(origin rank, per-origin counter)` tie-break key, and each
 //! origin's handlers run in the same order under any partitioning, so the
-//! per-rank event sequences — and therefore all results — are identical for
-//! 1, 2, or 8 shards. [`DesDriver::run_auto`] dispatches between the two
-//! executors on the `ABR_DES_SHARDS` environment knob.
+//! per-rank event sequences, the horizons, the stopping window — and
+//! therefore all results — are identical for 1, 2, or 8 shards. (Fault
+//! injection pins a run to one shard, so its events keep the queue's
+//! scheduling sequence instead.) [`DesDriver::run`] takes the shard count from the `ABR_DES_SHARDS`
+//! environment knob; [`DesDriver::run_sharded`] takes it as an argument.
 
 use crate::node::ClusterSpec;
 use crate::program::{Obs, Program, Step, StepCtx};
@@ -67,8 +69,7 @@ use abr_mpr::request::Outcome;
 use abr_mpr::types::TagSel;
 use abr_mpr::ReqId;
 use abr_trace::{TraceEvent, TraceHandle, Tracer};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Once};
 
 enum Ev {
     Deliver {
@@ -186,6 +187,9 @@ struct RankState {
     /// per sender is strictly increasing on each of its `(src, dst)`
     /// pairs, which is all the receivers' FIFO check needs.
     wire_seq: u64,
+    /// Tie-break counter of the events this rank originates (see
+    /// `Core::next_key`).
+    key_ctr: u64,
 }
 
 impl RankState {
@@ -202,6 +206,7 @@ impl RankState {
             last_nic_charge: SimDuration::ZERO,
             polling_counted: false,
             wire_seq: 0,
+            key_ctr: 0,
         }
     }
 
@@ -224,25 +229,23 @@ struct OutMsg {
     pkt: Packet,
 }
 
-/// Coordinator-to-worker message in the parallel executor.
-enum Cmd {
-    /// Merge `inbox` into the shard's queue, then process every local event
-    /// strictly before `horizon`.
-    Window {
-        horizon: SimTime,
-        inbox: Vec<OutMsg>,
-    },
-    /// Run complete: return the shard core to the coordinator.
-    Finish,
+/// Coordinator-to-worker command: merge `inbox` into the shard's queue,
+/// then process every local event strictly before `horizon`. A worker
+/// returns its core when the coordinator drops the command channel.
+struct Window {
+    horizon: SimTime,
+    inbox: Vec<OutMsg>,
 }
 
-/// Worker-to-coordinator report after each window.
+/// Shard-to-coordinator report after start-up and after each window.
 struct Rep {
     outbox: Vec<OutMsg>,
-    /// `(time, key)` of the shard's next pending event.
-    next: Option<(SimTime, u64)>,
+    /// Time of the shard's next pending event.
+    next: Option<SimTime>,
     /// Cumulative events processed by this shard.
     events: u64,
+    /// Programs of this shard that have finished.
+    done: usize,
 }
 
 /// Per-node results extracted after a run.
@@ -270,7 +273,7 @@ pub struct NodeResult {
 
 /// The per-shard simulation core: an event queue, a network, and the rank
 /// arenas for the contiguous range `base .. base + len` of global ranks.
-/// The sequential executor is a single core owning every rank.
+/// A one-shard run is a single core owning every rank.
 struct Core<E: MessageEngine, P: Program> {
     /// First global rank owned by this core.
     base: usize,
@@ -289,19 +292,17 @@ struct Core<E: MessageEngine, P: Program> {
     /// destination lives in another shard.
     hw: Vec<NodeHw>,
     done_count: usize,
+    /// Queue time at which the latest owned program finished.
+    done_at: SimTime,
     packets_delivered: u64,
     /// Events processed by this core.
     events: u64,
+    /// Event cap (runaway protection), per core and for the run's total.
+    max_events: u64,
     /// Reused buffer for draining engine actions (see `route_actions`).
     action_scratch: Vec<Action>,
     faults: Option<FaultState>,
     tenant: Option<TenantState>,
-    /// Stamp events with partition-independent `(origin, counter)` keys
-    /// instead of the queue's FIFO sequence. Off for the sequential
-    /// executor (byte-identical legacy order), on for the sharded one.
-    keyed: bool,
-    /// Per-owned-rank tie-break counters (keyed mode).
-    key_ctr: Vec<u64>,
     /// Packets destined for ranks outside this core, exchanged at horizons.
     outbox: Vec<OutMsg>,
 }
@@ -323,7 +324,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     /// for any shard count.
     #[inline]
     fn next_key(&mut self, origin: usize) -> u64 {
-        let c = &mut self.key_ctr[origin - self.base];
+        let c = &mut self.rank[origin - self.base].key_ctr;
         let key = ((origin as u64) << 40) | *c;
         *c += 1;
         debug_assert!(*c < (1 << 40), "per-origin event counter overflow");
@@ -331,15 +332,16 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     }
 
     /// Schedule an event originated by `origin` (the rank whose handler is
-    /// running). Sequential mode uses the queue's FIFO sequence; keyed mode
-    /// stamps the partition-independent key.
+    /// running), stamped with the partition-independent key. A run with
+    /// faults installed always runs one shard, so no partition can reorder
+    /// it: its events keep the queue's scheduling sequence, the order every
+    /// fault-injected result was measured in.
     fn sched(&mut self, origin: usize, at: SimTime, ev: Ev) -> EventId {
-        if self.keyed {
-            let key = self.next_key(origin);
-            self.queue.schedule_keyed(at, key, ev)
-        } else {
-            self.queue.schedule(at, ev)
+        if self.faults.is_some() {
+            return self.queue.schedule(at, ev);
         }
+        let key = self.next_key(origin);
+        self.queue.schedule_keyed(at, key, ev)
     }
 
     // ------------------------------------------------------------------
@@ -528,15 +530,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 .network
                 .delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes)
                 + SimDuration::from_nanos(verdict.extra_delay_ns);
-            // Faults imply the sequential executor (asserted in
-            // `run_sharded`), so every destination is local.
-            self.queue.schedule(
-                arrive,
-                Ev::Deliver {
-                    node: dst,
-                    pkt: pkt.clone(),
-                },
-            );
+            self.send_deliver(i, dst, arrive, pkt.clone());
         }
     }
 
@@ -577,7 +571,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 if let Some((_, ev)) = prev {
                     self.queue.cancel(ev);
                 }
-                let ev = self.queue.schedule(at, Ev::RelTick { node: i });
+                let ev = self.sched(i, at, Ev::RelTick { node: i });
                 let f = self.faults.as_mut().expect("checked above");
                 f.tick[l] = Some((at, ev));
             }
@@ -882,6 +876,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                     self.rank[l].state = NodeState::Done;
                     self.rank[l].gen += 1;
                     self.done_count += 1;
+                    self.done_at = self.queue.now();
                     return;
                 }
                 Step::ReduceSplit {
@@ -1021,25 +1016,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         }
     }
 
-    /// Process every pending event strictly before `horizon` (all of them
-    /// when `horizon` is `None`). Cross-shard sends accumulate in the
-    /// outbox.
-    fn run_window(&mut self, horizon: Option<SimTime>, max_events: u64) {
-        loop {
-            if let Some(h) = horizon {
-                match self.queue.peek_coord() {
-                    Some((at, _)) if at < h => {}
-                    _ => return,
-                }
-            }
-            let Some(ev) = self.queue.pop() else { return };
-            self.events += 1;
-            assert!(self.events <= max_events, "event cap exceeded: livelock?");
-            let at = ev.at;
-            self.dispatch(ev.payload, at);
-        }
-    }
-
     /// Report a run that ran out of events with programs unfinished,
     /// naming each stuck rank and what it waits on.
     fn panic_deadlock(&self) -> ! {
@@ -1062,22 +1038,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         );
     }
 
-    /// The historical sequential loop: pop until every program is done,
-    /// panic on deadlock. Byte-identical to the pre-arena driver.
-    fn run_seq(&mut self, max_events: u64) {
-        let n = self.len();
-        self.init_programs();
-        while self.done_count < n {
-            let Some(ev) = self.queue.pop() else {
-                self.panic_deadlock();
-            };
-            self.events += 1;
-            assert!(self.events <= max_events, "event cap exceeded: livelock?");
-            let at = ev.at;
-            self.dispatch(ev.payload, at);
-        }
-    }
-
     /// Split this core's rank arenas into `starts.len()` contiguous shard
     /// cores (`starts[s]` = first global rank of shard `s`), leaving this
     /// core empty. Shards get fresh queues and networks; `hw` (read-only)
@@ -1085,7 +1045,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     fn split(&mut self, starts: &[usize]) -> Vec<Core<E, P>> {
         let mut cores: Vec<Core<E, P>> = Vec::with_capacity(starts.len());
         for &start in starts.iter().rev() {
-            let key_ctr = self.key_ctr.split_off(start);
             cores.push(Core {
                 base: start,
                 queue: EventQueue::new(),
@@ -1099,13 +1058,13 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 traces: self.traces.split_off(start),
                 hw: self.hw.clone(),
                 done_count: 0,
+                done_at: SimTime::ZERO,
                 packets_delivered: 0,
                 events: 0,
+                max_events: self.max_events,
                 action_scratch: Vec::new(),
                 faults: None,
                 tenant: None,
-                keyed: true,
-                key_ctr,
                 outbox: Vec::new(),
             });
         }
@@ -1113,11 +1072,9 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         cores
     }
 
-    /// Re-absorb shard cores (in shard order) after a parallel run,
+    /// Re-absorb shard cores (in shard order) after a multi-shard run,
     /// restoring the rank arenas in global order and summing counters.
-    /// Returns the latest virtual time any shard reached.
-    fn absorb_shards(&mut self, cores: Vec<Core<E, P>>) -> SimTime {
-        let mut latest = SimTime::ZERO;
+    fn absorb_shards(&mut self, cores: Vec<Core<E, P>>) {
         for c in cores {
             debug_assert_eq!(c.base, self.base + self.len(), "shards out of order");
             self.engines.extend(c.engines);
@@ -1127,22 +1084,21 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             self.ctxs.extend(c.ctxs);
             self.rank.extend(c.rank);
             self.traces.extend(c.traces);
-            self.key_ctr.extend(c.key_ctr);
             self.done_count += c.done_count;
+            self.done_at = self.done_at.max(c.done_at);
             self.packets_delivered += c.packets_delivered;
             self.events += c.events;
             self.network.absorb(&c.network);
-            latest = latest.max(c.queue.now());
         }
-        latest
     }
 
-    /// Worker-side window report: drained outbox plus queue status.
+    /// Shard-side window report: drained outbox plus queue status.
     fn report(&mut self) -> Rep {
         Rep {
             outbox: std::mem::take(&mut self.outbox),
-            next: self.queue.peek_coord(),
+            next: self.queue.peek_time(),
             events: self.events,
+            done: self.done_count,
         }
     }
 }
@@ -1152,13 +1108,9 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
 /// heterogeneous (type-erased) program lists keep working unchanged.
 pub struct DesDriver<E: MessageEngine, P: Program = Box<dyn Program>> {
     core: Core<E, P>,
-    max_events: u64,
     /// Total packets delivered (synced from the core after each run).
     pub packets_delivered: u64,
     tracer: Option<Arc<dyn Tracer>>,
-    /// Latest virtual time reached by any shard of a parallel run;
-    /// [`DesDriver::now`] folds it into the sequential queue clock.
-    now_floor: SimTime,
     started: bool,
 }
 
@@ -1282,21 +1234,19 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
             traces: vec![TraceHandle::default(); n],
             hw,
             done_count: 0,
+            done_at: SimTime::ZERO,
             packets_delivered: 0,
             events: 0,
+            max_events: 2_000_000_000,
             action_scratch: Vec::new(),
             faults: None,
             tenant,
-            keyed: false,
-            key_ctr: vec![0; n],
             outbox: Vec::new(),
         };
         DesDriver {
             core,
-            max_events: 2_000_000_000,
             packets_delivered: 0,
             tracer: None,
-            now_floor: SimTime::ZERO,
             started: false,
         }
     }
@@ -1396,27 +1346,17 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
 
     /// Cap the number of events (runaway protection in tests).
     pub fn with_max_events(mut self, max: u64) -> Self {
-        self.max_events = max;
+        self.core.max_events = max;
         self
     }
 
-    /// Run to completion (every program `Done`) on the sequential executor.
-    ///
-    /// # Panics
-    /// Panics on deadlock (event queue drained with programs unfinished) or
-    /// on exceeding the event cap.
-    pub fn run(&mut self) {
-        self.started = true;
-        self.core.run_seq(self.max_events);
-        self.packets_delivered = self.core.packets_delivered;
-    }
-
-    /// Current virtual time.
+    /// The latest instant a program finished: the run's makespan once
+    /// [`DesDriver::run`] returns.
     pub fn now(&self) -> SimTime {
-        self.core.queue.now().max(self.now_floor)
+        self.core.done_at
     }
 
-    /// Events processed so far (summed across shards after a parallel run).
+    /// Events processed so far (summed across shards).
     pub fn events_processed(&self) -> u64 {
         self.core.events
     }
@@ -1447,192 +1387,246 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
             })
             .collect()
     }
-}
 
-impl<E: MessageEngine + Send, P: Program> DesDriver<E, P> {
-    /// Run to completion on the parallel-in-one-run conservative executor:
-    /// ranks are partitioned into `shards` contiguous regions, each advanced
-    /// by its own worker between synchronization horizons `T + L` (`T` =
-    /// globally earliest pending event, `L` = the cost model's minimum
-    /// delivery latency). Results are identical for every shard count; see
-    /// the module docs for the determinism argument.
-    ///
-    /// Unlike [`DesDriver::run`], the parallel executor drains *all* events
-    /// (stray deliveries to finished nodes included) rather than stopping at
-    /// the instant the last program finishes — a partition-independent
-    /// stopping rule. Figures derived from per-node results are unaffected.
+    /// Run to completion (every program `Done`) on `ABR_DES_SHARDS` shards
+    /// (default 1). Fault injection, multi-tenant state and tracing are
+    /// order-dependent state no shard can own alone, so a driver holding
+    /// any of them runs one shard and says so once per process. Results do
+    /// not depend on the shard count.
     ///
     /// # Panics
-    /// Panics if the driver has already run, on a contended fabric, or if
-    /// fault injection, multi-tenant state or tracing is installed (their
-    /// state is inherently order-dependent; use the sequential executor —
-    /// [`DesDriver::run_auto`] falls back automatically). Panics on
-    /// deadlock, naming every stuck rank, like [`DesDriver::run`].
+    /// Panics if the driver has already run, if `ABR_DES_SHARDS` asks for
+    /// more than one shard on a contended fabric, on deadlock (naming every
+    /// stuck rank), or on exceeding the event cap.
+    pub fn run(&mut self) {
+        let mut shards = abr_trace::knob::DES_SHARDS.positive_or_default::<usize>();
+        let held = self.unshardable();
+        // A contended fabric keeps the count, so `run_sharded` fails fast
+        // on it rather than silently running one shard: the user asked for
+        // two things that cannot be combined.
+        if shards > 1 && !held.is_empty() && self.core.network.spec().is_flat() {
+            static NOTICE: Once = Once::new();
+            NOTICE.call_once(|| {
+                eprintln!(
+                    "abr_cluster: ABR_DES_SHARDS ignored — {} installed; running one \
+                     shard (results are unchanged, only slower)",
+                    held.join(" + ")
+                )
+            });
+            shards = 1;
+        }
+        self.run_sharded(shards);
+    }
+
+    /// The installed order-dependent state that no shard can own alone.
+    fn unshardable(&self) -> Vec<&'static str> {
+        [
+            (self.core.faults.is_some(), "fault injection"),
+            (self.core.tenant.is_some(), "multi-tenant state"),
+            (self.tracer.is_some(), "tracing"),
+        ]
+        .into_iter()
+        .filter_map(|(held, what)| held.then_some(what))
+        .collect()
+    }
+
+    /// [`DesDriver::run`] on an explicit shard count: ranks are partitioned
+    /// into `shards` contiguous regions (clamped to the rank count), all
+    /// advanced between synchronization horizons `T + L` (`T` = globally
+    /// earliest pending event, `L` = the cost model's minimum delivery
+    /// latency) — one shard on the calling thread, more on one worker
+    /// thread each. Results are identical for every shard count; see the
+    /// module docs for the determinism argument.
+    ///
+    /// # Panics
+    /// Panics if the driver has already run, and — for more than one shard
+    /// — on a contended fabric or if fault injection, multi-tenant state or
+    /// tracing is installed (their state is global and order-dependent).
+    /// Panics on deadlock, naming every stuck rank, and on exceeding the
+    /// event cap.
     pub fn run_sharded(&mut self, shards: usize) {
-        assert!(!self.started, "run_sharded requires a fresh driver");
-        assert!(
-            self.core.network.spec().is_flat(),
-            "parallel execution requires the flat (contention-free) fabric: per-link \
-             busy clocks are global order-dependent state that cannot be sharded; \
-             unset ABR_FABRIC (or set ABR_FABRIC=flat) or drop ABR_DES_SHARDS"
-        );
+        assert!(!self.started, "a driver runs once; build a fresh one");
         self.started = true;
-        assert!(
-            self.core.faults.is_none(),
-            "parallel execution does not support fault injection; use run()"
-        );
-        assert!(
-            self.core.tenant.is_none(),
-            "parallel execution does not support multi-tenant drivers: the \
-             per-node poller tallies are global order-dependent state; use run()"
-        );
-        assert!(
-            self.tracer.is_none(),
-            "parallel execution does not support tracing; use run()"
-        );
         let n = self.core.len();
         let shards = shards.clamp(1, n);
-        let max_events = self.max_events;
-        self.core.keyed = true;
-        if shards == 1 {
-            // Same keyed order and same full-drain stopping rule as the
-            // multi-shard path, without the worker machinery.
-            self.core.init_programs();
-            self.core.run_window(None, max_events);
-            if self.core.done_count < n {
-                self.core.panic_deadlock();
-            }
-            self.now_floor = self.core.queue.now();
-            self.packets_delivered = self.core.packets_delivered;
-            return;
-        }
         let lookahead = self.core.network.min_delivery_delay(&self.core.hw);
-        assert!(
-            !lookahead.is_zero(),
-            "cost model has zero minimum delivery latency; no conservative lookahead exists"
-        );
-        // Contiguous region partition: shard s owns starts[s]..starts[s+1].
-        let starts: Vec<usize> = (0..shards).map(|s| s * n / shards).collect();
-        let cores = self.core.split(&starts);
-        let cores = std::thread::scope(|scope| {
-            let mut txs = Vec::with_capacity(shards);
-            let mut rxs = Vec::with_capacity(shards);
-            let mut handles = Vec::with_capacity(shards);
-            for mut core in cores {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-                let (rep_tx, rep_rx) = mpsc::channel::<Rep>();
-                handles.push(scope.spawn(move || {
-                    core.init_programs();
-                    rep_tx.send(core.report()).expect("coordinator alive");
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Window { horizon, inbox } => {
-                                for m in inbox {
-                                    core.queue.schedule_keyed(
-                                        m.at,
-                                        m.key,
-                                        Ev::Deliver {
-                                            node: m.dst,
-                                            pkt: m.pkt,
-                                        },
-                                    );
-                                }
-                                core.run_window(Some(horizon), max_events);
-                                rep_tx.send(core.report()).expect("coordinator alive");
-                            }
-                            Cmd::Finish => break,
-                        }
-                    }
-                    core
-                }));
-                txs.push(cmd_tx);
-                rxs.push(rep_rx);
-            }
-            let mut inboxes: Vec<Vec<OutMsg>> = (0..shards).map(|_| Vec::new()).collect();
-            loop {
-                let mut reps: Vec<Rep> = rxs
-                    .iter()
-                    .map(|rx| rx.recv().expect("worker alive"))
-                    .collect();
-                let total_events: u64 = reps.iter().map(|r| r.events).sum();
-                assert!(total_events <= max_events, "event cap exceeded: livelock?");
-                let mut t_min: Option<(SimTime, u64)> = reps.iter().filter_map(|r| r.next).min();
-                for rep in &mut reps {
-                    for m in rep.outbox.drain(..) {
-                        let coord = (m.at, m.key);
-                        t_min = Some(match t_min {
-                            Some(b) if b <= coord => b,
-                            _ => coord,
-                        });
-                        let s = starts.partition_point(|&b| b <= m.dst) - 1;
-                        inboxes[s].push(m);
-                    }
-                }
-                // Nothing pending anywhere: finished, or deadlocked (which
-                // is reported once the shards are absorbed).
-                let Some((t0, _)) = t_min else { break };
-                let horizon = t0 + lookahead;
-                for (s, tx) in txs.iter().enumerate() {
-                    tx.send(Cmd::Window {
-                        horizon,
-                        inbox: std::mem::take(&mut inboxes[s]),
-                    })
-                    .expect("worker alive");
-                }
-            }
-            for tx in &txs {
-                tx.send(Cmd::Finish).expect("worker alive");
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        self.now_floor = self.core.absorb_shards(cores);
+        if shards == 1 {
+            // A zero lookahead still needs windows that move forward; with
+            // one shard the horizon only sets where the run may stop.
+            let lookahead = lookahead.max(SimDuration::from_nanos(1));
+            self.core.init_programs();
+            coordinate(&mut self.core, n, lookahead);
+        } else {
+            self.run_on_workers(shards, lookahead);
+        }
         self.packets_delivered = self.core.packets_delivered;
         if self.core.done_count < n {
             self.core.panic_deadlock();
         }
     }
 
-    /// Dispatch on the `ABR_DES_SHARDS` environment knob: run the parallel
-    /// executor with that many shards when set (and no order-dependent
-    /// instrumentation — faults, tenants, tracer — is installed), the
-    /// sequential executor otherwise. Invalid values fail fast, naming the
-    /// variable.
-    pub fn run_auto(&mut self) {
-        let shards = abr_trace::knob::DES_SHARDS.positive();
-        if shards.is_some() && !self.core.network.spec().is_flat() {
-            // Fail fast rather than silently running sequentially: the user
-            // asked for two things that cannot be combined.
-            panic!(
-                "ABR_DES_SHARDS is set but ABR_FABRIC={} models link contention, \
-                 which the sharded executor cannot replay deterministically; \
-                 unset one of the two variables",
-                self.core.network.spec().label()
-            );
-        }
-        let mut reasons: Vec<&str> = Vec::new();
-        if self.core.faults.is_some() {
-            reasons.push("fault injection");
-        }
-        if self.core.tenant.is_some() {
-            reasons.push("multi-tenant state");
-        }
-        if self.tracer.is_some() {
-            reasons.push("tracing");
-        }
-        match shards {
-            Some(s) if reasons.is_empty() => self.run_sharded(s),
-            Some(_) => {
-                eprintln!(
-                    "abr_cluster: ABR_DES_SHARDS ignored — {} installed; falling back \
-                     to the sequential executor (results are unchanged, only slower)",
-                    reasons.join(" + ")
-                );
-                self.run()
+    /// The multi-shard half of [`DesDriver::run_sharded`]: split the core,
+    /// run each shard on a worker thread under [`coordinate`], and absorb
+    /// the shards back in rank order.
+    fn run_on_workers(&mut self, shards: usize, lookahead: SimDuration) {
+        assert!(
+            self.core.network.spec().is_flat(),
+            "parallel execution requires the flat (contention-free) fabric, but \
+             ABR_FABRIC={} models link contention: per-link busy clocks are global \
+             order-dependent state that cannot be sharded; unset ABR_FABRIC (or set \
+             ABR_FABRIC=flat) or drop ABR_DES_SHARDS",
+            self.core.network.spec().label()
+        );
+        let held = self.unshardable();
+        assert!(
+            held.is_empty(),
+            "parallel execution does not support {}: its state is global and \
+             order-dependent; use one shard",
+            held.join(" + ")
+        );
+        assert!(
+            !lookahead.is_zero(),
+            "cost model has zero minimum delivery latency; no conservative lookahead exists"
+        );
+        let n = self.core.len();
+        let max_events = self.core.max_events;
+        // Contiguous region partition: shard s owns starts[s]..starts[s+1].
+        let starts: Vec<usize> = (0..shards).map(|s| s * n / shards).collect();
+        let cores = self.core.split(&starts);
+        let cores = std::thread::scope(|scope| {
+            let mut workers = Workers {
+                inboxes: (0..shards).map(|_| Vec::new()).collect(),
+                starts,
+                max_events,
+                txs: Vec::with_capacity(shards),
+                rxs: Vec::with_capacity(shards),
+                reps: Vec::with_capacity(shards),
+            };
+            let mut handles = Vec::with_capacity(shards);
+            for mut core in cores {
+                let (cmd_tx, cmd_rx) = mpsc::channel::<Window>();
+                let (rep_tx, rep_rx) = mpsc::channel::<Rep>();
+                handles.push(scope.spawn(move || {
+                    core.init_programs();
+                    rep_tx.send(core.report()).expect("coordinator alive");
+                    while let Ok(Window { horizon, inbox }) = cmd_rx.recv() {
+                        for m in inbox {
+                            let deliver = Ev::Deliver {
+                                node: m.dst,
+                                pkt: m.pkt,
+                            };
+                            core.queue.schedule_keyed(m.at, m.key, deliver);
+                        }
+                        core.window(horizon);
+                        rep_tx.send(core.report()).expect("coordinator alive");
+                    }
+                    core
+                }));
+                workers.txs.push(cmd_tx);
+                workers.rxs.push(rep_rx);
             }
-            None => self.run(),
+            workers.collect();
+            coordinate(&mut workers, n, lookahead);
+            drop(workers);
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        self.core.absorb_shards(cores);
+    }
+}
+
+/// The shards a run's window loop drives: one [`Core`] on the calling
+/// thread, or [`Workers`] running one core per thread.
+trait Shards {
+    /// Hand cross-shard packets to their shards and report
+    /// `(programs done, earliest pending event)` over every shard.
+    fn sync(&mut self) -> (usize, Option<SimTime>);
+    /// Process every event strictly before `horizon` on every shard,
+    /// panicking past the event cap.
+    fn window(&mut self, horizon: SimTime);
+}
+
+impl<E: MessageEngine, P: Program> Shards for Core<E, P> {
+    fn sync(&mut self) -> (usize, Option<SimTime>) {
+        debug_assert!(self.outbox.is_empty(), "a lone shard owns every rank");
+        (self.done_count, self.queue.peek_time())
+    }
+
+    /// Cross-shard sends accumulate in the outbox.
+    fn window(&mut self, horizon: SimTime) {
+        while self.queue.peek_time().is_some_and(|at| at < horizon) {
+            let ev = self.queue.pop().expect("peeked a live event");
+            self.events += 1;
+            assert!(
+                self.events <= self.max_events,
+                "event cap exceeded: livelock?"
+            );
+            self.dispatch(ev.payload, ev.at);
         }
+    }
+}
+
+/// The coordinator's side of a multi-shard run: a command and a report
+/// channel per worker, each worker's latest report, and the packets bound
+/// for each shard's next window.
+struct Workers {
+    /// First global rank of each shard.
+    starts: Vec<usize>,
+    max_events: u64,
+    txs: Vec<mpsc::Sender<Window>>,
+    rxs: Vec<mpsc::Receiver<Rep>>,
+    reps: Vec<Rep>,
+    inboxes: Vec<Vec<OutMsg>>,
+}
+
+impl Workers {
+    /// Wait for every worker's next report.
+    fn collect(&mut self) {
+        self.reps = self
+            .rxs
+            .iter()
+            .map(|rx| rx.recv().expect("worker alive"))
+            .collect();
+    }
+}
+
+impl Shards for Workers {
+    fn sync(&mut self) -> (usize, Option<SimTime>) {
+        let mut t0 = self.reps.iter().filter_map(|r| r.next).min();
+        for rep in &mut self.reps {
+            for m in rep.outbox.drain(..) {
+                t0 = Some(t0.map_or(m.at, |t| t.min(m.at)));
+                let s = self.starts.partition_point(|&b| b <= m.dst) - 1;
+                self.inboxes[s].push(m);
+            }
+        }
+        let events: u64 = self.reps.iter().map(|r| r.events).sum();
+        assert!(events <= self.max_events, "event cap exceeded: livelock?");
+        (self.reps.iter().map(|r| r.done).sum(), t0)
+    }
+
+    fn window(&mut self, horizon: SimTime) {
+        for (tx, inbox) in self.txs.iter().zip(&mut self.inboxes) {
+            let inbox = std::mem::take(inbox);
+            tx.send(Window { horizon, inbox }).expect("worker alive");
+        }
+        self.collect();
+    }
+}
+
+/// The conservative window loop every run goes through: grant every shard
+/// the window `[t0, t0 + lookahead)` from the earliest pending event `t0`,
+/// until the first horizon where all `n` programs are done, or until
+/// nothing is pending anywhere (a deadlock, which the caller reports).
+fn coordinate(shards: &mut impl Shards, n: usize, lookahead: SimDuration) {
+    loop {
+        let (done, next) = shards.sync();
+        if done == n {
+            return;
+        }
+        let Some(t0) = next else { return };
+        shards.window(t0 + lookahead);
     }
 }

@@ -449,11 +449,10 @@ fn aggregate_cpu(nodes: Vec<NodeResult>) -> CpuUtilResult {
 }
 
 /// Run a built driver to completion under the benchmark's fault plan and
-/// aggregate into a [`CpuUtilResult`]. Dispatches through
-/// [`DesDriver::run_auto`], so `ABR_DES_SHARDS` selects the parallel
-/// executor for any benchmark run (the sequential executor remains the
-/// default, and the fallback whenever faults or a tracer are installed).
-fn run_cpu_driver<E: abr_mpr::engine::MessageEngine + Send, P: Program + Send>(
+/// aggregate into a [`CpuUtilResult`]. [`DesDriver::run`] takes the shard
+/// count from `ABR_DES_SHARDS` (one shard whenever faults or a tracer are
+/// installed).
+fn run_cpu_driver<E: abr_mpr::engine::MessageEngine, P: Program>(
     mut d: DesDriver<E, P>,
     faults: &FaultPlan,
     tracer: Option<Arc<dyn Tracer>>,
@@ -462,7 +461,7 @@ fn run_cpu_driver<E: abr_mpr::engine::MessageEngine + Send, P: Program + Send>(
         d.install_tracer(t);
     }
     d.set_faults(faults, RelConfig::sim_default());
-    d.run_auto();
+    d.run();
     let rel = d.rel_stats();
     let (link_waits, link_wait_us) = (d.network().link_waits(), d.network().link_wait_us());
     let mut res = aggregate_cpu(d.results());
@@ -837,7 +836,7 @@ pub fn run_app_bench(cfg: &AppBenchConfig) -> AppBenchResult {
                 programs,
             );
             d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run_auto();
+            d.run();
             let makespan = d.now().as_us_f64();
             finish(d.results(), makespan)
         }
@@ -857,7 +856,7 @@ pub fn run_app_bench(cfg: &AppBenchConfig) -> AppBenchResult {
                 programs,
             );
             d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run_auto();
+            d.run();
             let makespan = d.now().as_us_f64();
             finish(d.results(), makespan)
         }
@@ -1145,7 +1144,7 @@ pub fn run_latency(cfg: &LatencyConfig) -> LatencyResult {
                 programs,
             );
             d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run_auto();
+            d.run();
             aggregate_latency(d.results())
         }
         Mode::Bypass(_) | Mode::SplitPhase | Mode::NicBypass => {
@@ -1171,7 +1170,7 @@ pub fn run_latency(cfg: &LatencyConfig) -> LatencyResult {
                 programs,
             );
             d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run_auto();
+            d.run();
             aggregate_latency(d.results())
         }
     }
@@ -1202,9 +1201,8 @@ pub struct ScaleRunResult {
     pub packets_delivered: u64,
 }
 
-/// Time the baseline-engine CPU-utilization workload at `n` ranks on the
-/// sequential executor ([`DesDriver::run`]) and report DES throughput
-/// (events/sec).
+/// Time the baseline-engine CPU-utilization workload at `n` ranks through
+/// [`DesDriver::run`] and report DES throughput (events/sec).
 pub fn run_scale_bench(n: u32, iters: u64) -> ScaleRunResult {
     let cfg = CpuUtilConfig {
         elems: 4,

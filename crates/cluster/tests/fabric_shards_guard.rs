@@ -1,4 +1,4 @@
-//! `run_auto` fallback behaviour around `ABR_DES_SHARDS` (own test binary:
+//! `run` guards and fallbacks around `ABR_DES_SHARDS` (own test binary:
 //! these tests mutate process-global environment variables, so they live
 //! alone and run as one sequential test).
 
@@ -38,15 +38,15 @@ fn driver(spec: &ClusterSpec) -> DesDriver<Engine, ScriptProgram> {
 }
 
 #[test]
-fn run_auto_guards_and_fallbacks() {
+fn run_guards_and_fallbacks() {
     std::env::set_var("ABR_DES_SHARDS", "2");
 
     // 1. Sharding requested + contended fabric: fail fast, naming both
     //    knobs, instead of silently picking one.
     let contended = ClusterSpec::heterogeneous(16).with_fabric(FabricSpec::fat_tree(4.0));
     let mut d = driver(&contended);
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.run_auto()))
-        .expect_err("run_auto accepted ABR_DES_SHARDS with a contended fabric");
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.run()))
+        .expect_err("run accepted ABR_DES_SHARDS with a contended fabric");
     let msg = err
         .downcast_ref::<String>()
         .cloned()
@@ -56,13 +56,13 @@ fn run_auto_guards_and_fallbacks() {
     assert!(msg.contains("ABR_FABRIC"), "missing knob name: {msg}");
 
     // 2. Sharding requested + order-dependent instrumentation (tracer):
-    //    warn and fall back to the sequential executor, producing exactly
-    //    the sequential results.
+    //    warn and fall back to one shard, producing exactly the results of
+    //    an unset knob.
     let flat = ClusterSpec::heterogeneous(16);
     let recorder = abr_trace::RingRecorder::new(16, 1 << 12, abr_trace::TraceClock::Virtual, 7, 0);
     let mut traced = driver(&flat);
     traced.install_tracer(Arc::clone(&recorder) as Arc<dyn abr_trace::Tracer>);
-    traced.run_auto(); // must not panic, must fall back
+    traced.run(); // must not panic, must fall back
     let mut plain = driver(&flat);
     std::env::remove_var("ABR_DES_SHARDS");
     plain.run();
@@ -91,6 +91,6 @@ fn run_auto_guards_and_fallbacks() {
             })
             .collect(),
     );
-    d.run_auto();
+    d.run();
     assert!(d.network().link_waits() > 0);
 }

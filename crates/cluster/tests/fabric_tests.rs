@@ -1,5 +1,5 @@
 //! Driver-level behaviour of the contended fabric: determinism of the
-//! sequential executor under link contention, the flat fabric's
+//! one-shard executor under link contention, the flat fabric's
 //! equivalence with the default (fabric-less) configuration, and the
 //! executor guard that keeps per-link busy clocks off the sharded path.
 

@@ -1,16 +1,16 @@
-//! Determinism of the parallel conservative executor: for any shard count
-//! the sharded run must produce *identical* results — per-node CPU meters,
-//! observations, signal counts, packet totals, and the final virtual clock
-//! — because every event carries a partition-independent
-//! `(origin, counter)` tie-break key and shards only advance inside
-//! provably safe lookahead windows.
+//! Determinism of the conservative window executor: `run()` and every
+//! shard count must produce *identical* results — per-node CPU meters,
+//! observations, signal counts, packet and event totals, and the final
+//! virtual clock — because every event carries a partition-independent
+//! `(origin, counter)` tie-break key, shards only advance inside provably
+//! safe lookahead windows, and every run stops at the same horizon.
 
 use abr_cluster::node::ClusterSpec;
 use abr_cluster::program::ScriptProgram;
 use abr_cluster::{DesDriver, Step};
 use abr_core::{AbConfig, AbEngine};
 use abr_des::{SimDuration, SimTime};
-use abr_mpr::engine::{Engine, EngineConfig};
+use abr_mpr::engine::{Engine, EngineConfig, MessageEngine};
 use abr_mpr::op::ReduceOp;
 use abr_mpr::types::{f64s_to_bytes, Datatype};
 
@@ -47,10 +47,35 @@ fn programs(n: u32, seed: u64) -> Vec<ScriptProgram> {
 }
 
 /// Everything a run can disagree on, in one comparable bundle.
-fn fingerprint(
-    d: &DesDriver<Engine, ScriptProgram>,
-) -> (Vec<abr_cluster::driver::NodeResult>, u64, SimTime) {
-    (d.results(), d.packets_delivered, d.now())
+type Fingerprint = (Vec<abr_cluster::driver::NodeResult>, u64, u64, SimTime);
+
+fn fingerprint<E: MessageEngine>(d: &DesDriver<E, ScriptProgram>) -> Fingerprint {
+    (
+        d.results(),
+        d.packets_delivered,
+        d.events_processed(),
+        d.now(),
+    )
+}
+
+/// `run()` and `run_sharded(k)` for k in {1, 2, 3, 8} must agree on the
+/// whole fingerprint.
+fn assert_shard_invariant<E: MessageEngine>(
+    what: &str,
+    build: impl Fn() -> DesDriver<E, ScriptProgram>,
+) {
+    let mut d = build();
+    d.run();
+    let reference = fingerprint(&d);
+    for shards in [1, 2, 3, 8] {
+        let mut d = build();
+        d.run_sharded(shards);
+        assert_eq!(
+            reference,
+            fingerprint(&d),
+            "{what}: run() and run_sharded({shards}) diverged"
+        );
+    }
 }
 
 #[test]
@@ -58,20 +83,13 @@ fn sharded_runs_identical_across_shard_counts() {
     let n = 13u32; // odd: shards get unequal contiguous ranges
     for seed in [1u64, 0xDEAD_BEEF, 42] {
         let spec = ClusterSpec::heterogeneous(n);
-        let run = |shards: usize| {
-            let mut d = DesDriver::new(
+        assert_shard_invariant(&format!("seed {seed:#x}"), || {
+            DesDriver::new(
                 &spec,
                 |r, ec: EngineConfig| Engine::new(r, n, ec),
                 programs(n, seed),
-            );
-            d.run_sharded(shards);
-            fingerprint(&d)
-        };
-        let one = run(1);
-        let two = run(2);
-        let eight = run(8);
-        assert_eq!(one, two, "seed {seed:#x}: 1 vs 2 shards diverged");
-        assert_eq!(one, eight, "seed {seed:#x}: 1 vs 8 shards diverged");
+            )
+        });
     }
 }
 
@@ -82,33 +100,63 @@ fn sharded_runs_identical_with_bypass_engine() {
     // sensitive to tie-breaking.
     let n = 12u32;
     let spec = ClusterSpec::heterogeneous(n);
-    let run = |shards: usize| {
-        let mut d = DesDriver::new(
+    assert_shard_invariant("bypass engine", || {
+        DesDriver::new(
             &spec,
             |r, ec: EngineConfig| AbEngine::new(r, n, ec, AbConfig::default()),
             programs(n, 7),
-        );
-        d.run_sharded(shards);
-        (d.results(), d.packets_delivered, d.now())
-    };
-    let one = run(1);
-    for shards in [2usize, 3, 8] {
-        assert_eq!(one, run(shards), "{shards} shards diverged from 1");
-    }
+        )
+    });
+}
+
+#[test]
+fn sharded_runs_identical_on_the_dual_root_allreduce() {
+    // The bandwidth figure's dual-root point: 1 MiB segmented allreduces
+    // between zero-length busy steps and barriers, as the figure's
+    // zero-skew iterations run them, so many events collide at the same
+    // instant and only the tie-break key orders them.
+    let n = 8u32;
+    let spec = ClusterSpec::heterogeneous(n).with_segments(8);
+    let elems = (1usize << 20) / 8;
+    assert_shard_invariant("dual-root allreduce", || {
+        let programs = (0..n)
+            .map(|rank| {
+                let iteration = [
+                    Step::Busy(SimDuration::ZERO),
+                    Step::AllreduceDual {
+                        op: ReduceOp::Sum,
+                        dtype: Datatype::F64,
+                        data: f64s_to_bytes(&vec![f64::from(rank) + 1.0; elems]),
+                    },
+                    Step::Busy(SimDuration::ZERO),
+                    Step::Barrier,
+                ];
+                ScriptProgram::new((0..3).flat_map(|_| iteration.clone()).collect())
+            })
+            .collect();
+        DesDriver::new(&spec, |r, ec: EngineConfig| Engine::new(r, n, ec), programs)
+    });
 }
 
 #[test]
 fn sharded_executor_rejects_reuse() {
     let n = 4u32;
     let spec = ClusterSpec::homogeneous_1000(n);
-    let mut d = DesDriver::new(
-        &spec,
-        |r, ec: EngineConfig| Engine::new(r, n, ec),
-        programs(n, 1),
-    );
+    let build = || {
+        DesDriver::new(
+            &spec,
+            |r, ec: EngineConfig| Engine::new(r, n, ec),
+            programs(n, 1),
+        )
+    };
+    let mut d = build();
     d.run_sharded(2);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.run_sharded(2)));
-    assert!(err.is_err(), "a second run must be rejected");
+    assert!(err.is_err(), "a second run_sharded() must be rejected");
+    let mut d = build();
+    d.run();
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.run()));
+    assert!(err.is_err(), "a second run() must be rejected");
 }
 
 #[test]

@@ -21,8 +21,8 @@
 //!   Same-node pairs take the crossbar formula on every kind.
 //!
 //! Contention is deterministic but order-sensitive: link clocks are
-//! global state, so the contended kinds require the sequential DES
-//! executor (the driver rejects `ABR_DES_SHARDS` combined with a
+//! global state, so the contended kinds run on one DES executor shard
+//! (the driver rejects `ABR_DES_SHARDS` above 1 combined with a
 //! contended `ABR_FABRIC` instead of silently computing different
 //! arrival times per shard count).
 

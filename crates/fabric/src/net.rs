@@ -35,8 +35,8 @@
 //! on every kind.
 //!
 //! Link clocks are global, order-sensitive state. The DES driver refuses
-//! to combine a contended fabric with the sharded executor rather than
-//! let per-shard clocks drift (see `run_auto` in `abr_cluster`).
+//! to run a contended fabric on more than one shard rather than let
+//! per-shard clocks drift (see `DesDriver::run_sharded` in `abr_cluster`).
 
 use crate::spec::{FabricKind, FabricSpec, Placement};
 use abr_des::{FxHashMap, SimDuration, SimTime};

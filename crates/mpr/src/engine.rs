@@ -2241,8 +2241,9 @@ impl Engine {
 
 /// The uniform surface drivers and benchmarks program against; implemented
 /// by [`Engine`] (baseline) and by `abr_core::AbEngine` (application
-/// bypass).
-pub trait MessageEngine {
+/// bypass). `Send` because a driver run may move each rank's engine to a
+/// shard worker thread.
+pub trait MessageEngine: Send {
     /// This rank.
     fn rank(&self) -> Rank;
     /// Communicator size.

@@ -115,16 +115,17 @@ pub const TOPO: Knob = Knob {
     doc: "reduction-tree family",
 };
 
-/// Parallel DES executor shard count.
+/// DES executor shard count.
 pub const DES_SHARDS: Knob = Knob {
     name: "ABR_DES_SHARDS",
     values: POSITIVE_INTEGER,
-    default: None,
-    consumed_by: "`DesDriver::run_auto`",
-    doc: "worker shards for the parallel conservative executor, byte-identical \
-          at any count; falls back to sequential when faults, multi-tenant \
-          state or tracing are installed, and panics on a contended fabric; \
-          unset: sequential",
+    default: Some("1"),
+    consumed_by: "`DesDriver::run`",
+    doc: "shard count of the conservative window executor (above 1, one \
+          worker thread per shard); results are identical to the knob unset; \
+          runs one shard (with one notice per process) when faults, \
+          multi-tenant state or tracing are installed, and panics above 1 on \
+          a contended fabric",
 };
 
 /// Largest cluster the scale and fabric sweeps reach.
@@ -146,7 +147,7 @@ pub const FABRIC: Knob = Knob {
     consumed_by: "`ClusterSpec` constructors, `fabric_figure`",
     doc: "interconnect model: the ideal crossbar, or a contended fabric whose \
           uplinks are oversubscribed by the ratio and whose shared links \
-          serialize packets (sequential executor only); `fabric_figure` \
+          serialize packets (one executor shard only); `fabric_figure` \
           alone defaults to `fattree:4:cyclic`",
 };
 

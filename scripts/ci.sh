@@ -111,7 +111,7 @@ cargo run -q --release --example fig2_timeline > /dev/null
 echo "==> docs link check (intra-repo links in the teaching docs)"
 ./scripts/check_links.sh
 
-echo "==> parallel executor determinism (same figure under 2 and 8 shards)"
+echo "==> sharded executor determinism (same figures under 1, 2 and 8 shards)"
 ABR_DES_SHARDS=2 ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=1 \
   ABR_RECORD_JSON=/dev/null \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale_s2.txt
@@ -120,9 +120,17 @@ ABR_DES_SHARDS=8 ABR_SCALE_MAX=1024 ABR_ITERS=5 ABR_JOBS=1 \
   cargo run -q --release -p abr_bench --bin scale_figure > FIG_scale_s8.txt
 # Compare only the figure tables: the trailing throughput section reports
 # wall-clock timings, which legitimately vary run to run.
+sed '/^### hot-path/,$d' FIG_scale.txt > FIG_scale.tables
 sed '/^### hot-path/,$d' FIG_scale_s2.txt > FIG_scale_s2.tables
 sed '/^### hot-path/,$d' FIG_scale_s8.txt > FIG_scale_s8.tables
+diff -u FIG_scale.tables FIG_scale_s2.tables \
+  || { echo "scale figure diverged between one shard and 2 shards"; exit 1; }
 diff -u FIG_scale_s2.tables FIG_scale_s8.tables \
   || { echo "scale figure diverged between 2 and 8 shards"; exit 1; }
+# The dual-root columns order many same-instant sends by tie-break key.
+ABR_DES_SHARDS=2 ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
+  cargo run -q --release -p abr_bench --bin bandwidth_figure > FIG_bandwidth_smoke_s2.txt
+diff -u FIG_bandwidth_smoke.txt FIG_bandwidth_smoke_s2.txt \
+  || { echo "bandwidth figure diverged between one shard and 2 shards"; exit 1; }
 
 echo "CI gate passed."
