@@ -49,6 +49,12 @@ done
 diff -u crates/bench/golden/fig6_iters5.txt FIG6_binomial.txt \
   || { echo "ABR_TOPO=binomial diverged from the pre-refactor golden"; exit 1; }
 
+echo "==> all-figures golden diff (Figs. 6-10 and every ablation pinned at 5 iterations)"
+ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
+  cargo run -q --release -p abr_bench --bin all_figures > FIG_all_iters5.txt
+diff -u crates/bench/golden/all_figures_iters5.txt FIG_all_iters5.txt \
+  || { echo "all_figures diverged from its golden"; exit 1; }
+
 echo "==> skew-vs-topology figure"
 ABR_ITERS=20 ABR_JOBS=2 \
   cargo run -q --release -p abr_bench --bin topology_figure > FIG_topology.txt
@@ -104,6 +110,11 @@ grep -q '"schema": "abr-tenant-v1"' BENCH_tenant_smoke.json \
   || { echo "BENCH_tenant_smoke.json missing or malformed"; exit 1; }
 grep -q '"widening": true' BENCH_tenant_smoke.json \
   || { echo "BENCH_tenant_smoke.json lost the widening CPU gap"; exit 1; }
+# The full saturation ladder must reproduce the committed figure.
+ABR_RECORD_JSON=/dev/null \
+  cargo run -q --release -p abr_bench --bin tenant_figure > FIG_tenant_check.txt
+diff -u FIG_tenant.txt FIG_tenant_check.txt \
+  || { echo "tenant figure diverged from the committed FIG_tenant.txt"; exit 1; }
 
 echo "==> Fig. 2 time lines from the trace rings (bypass must free node 2)"
 cargo run -q --release --example fig2_timeline > /dev/null
