@@ -5,7 +5,8 @@
 //! * [`node`] — node and cluster specifications, including the paper's
 //!   heterogeneous 32-node testbed with its interlaced host list (§VI),
 //! * [`program`] — resumable per-node benchmark programs (busy loops,
-//!   collectives, timing marks),
+//!   collectives, timing marks); every workload is an `IterProgram` over a
+//!   per-iteration step template,
 //! * [`driver`] — the discrete-event driver: virtual time, per-node CPU
 //!   accounting, blocking-call emulation by event-driven polling, signal
 //!   delivery with preemption, and the GM network model,
@@ -52,6 +53,6 @@ pub use abr_faults::{FaultPlan, RelConfig, RelStats};
 pub use driver::DesDriver;
 pub use microbench::{CpuUtilConfig, CpuUtilResult, LatencyConfig, LatencyResult};
 pub use node::ClusterSpec;
-pub use program::{Program, Step, StepCtx};
+pub use program::{IterProgram, Program, Step, StepCtx, StepTemplate};
 pub use report::{percentile, Percentiles};
 pub use tenant::{run_tenant, saturation_config, TenantConfig, TenantResult};

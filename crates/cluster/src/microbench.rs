@@ -13,16 +13,23 @@
 //! each iteration times from the instant the last node enters the reduction
 //! until it receives the root's completion notification, minus the one-way
 //! latency. No skew is injected.
+//!
+//! Each benchmark is a [`StepTemplate`] that [`IterProgram`] runs: the
+//! template lists one iteration's steps and its hook records the
+//! observations after the steps complete. One CPU-utilization template
+//! serves the blocking and split reduce, the dual-root allreduce and the
+//! broadcast; the application sweep and the latency benchmark (whose
+//! iteration 0 is the barrier and ping-pong prologue) are the other two.
 
 use crate::driver::{DesDriver, NodeResult};
 use crate::node::ClusterSpec;
-use crate::program::{Program, Step, StepCtx};
+use crate::program::{IterProgram, Program, Step, StepCtx, StepTemplate};
 use abr_core::{AbConfig, AbEngine, DelayPolicy};
 use abr_des::rng::StreamRng;
 use abr_des::stats::Accumulator;
 use abr_des::{SimDuration, SimTime};
 use abr_faults::{FaultPlan, RelConfig, RelStats};
-use abr_mpr::engine::{Engine, EngineConfig};
+use abr_mpr::engine::{Engine, MessageEngine};
 use abr_mpr::op::ReduceOp;
 use abr_mpr::types::{f64s_to_bytes, Datatype, Rank};
 use abr_trace::Tracer;
@@ -52,6 +59,20 @@ impl Mode {
             Mode::Bypass(_) => "ab",
             Mode::SplitPhase => "ab-split",
             Mode::NicBypass => "ab-nic",
+        }
+    }
+
+    /// The bypass-layer configuration this mode runs under.
+    pub fn ab_config(&self) -> AbConfig {
+        match *self {
+            Mode::Baseline => AbConfig::disabled(),
+            Mode::Bypass(delay) => AbConfig {
+                enabled: true,
+                delay,
+                nic_offload: false,
+            },
+            Mode::SplitPhase => AbConfig::default(),
+            Mode::NicBypass => AbConfig::nic_offload(),
         }
     }
 }
@@ -163,236 +184,153 @@ pub struct CpuUtilResult {
     pub nodes: Vec<NodeResult>,
 }
 
-struct CpuUtilProgram {
+/// An f64 sum of `data` to `root`: blocking, or split-phase if `split`.
+fn sum_to(root: Rank, data: Vec<u8>, split: bool) -> Step {
+    let (op, dtype) = (ReduceOp::Sum, Datatype::F64);
+    match split {
+        false => Step::Reduce {
+            root,
+            op,
+            dtype,
+            data,
+        },
+        true => Step::ReduceSplit {
+            root,
+            op,
+            dtype,
+            data,
+        },
+    }
+}
+
+/// The collective a CPU-utilization iteration posts.
+#[derive(Clone, Copy)]
+enum Post {
+    Reduce,
+    DualAllreduce,
+    /// The root's payload is the iteration number.
+    Bcast,
+}
+
+/// The §VI CPU-utilization loop as a step template. Each iteration opens
+/// the window, busy-loops the skew, posts the collective, busy-loops the
+/// catch-up delay (and waits on a split-phase post after it), closes the
+/// window, records it minus both delays, and ends at a barrier.
+struct CpuUtilTemplate<'a> {
+    cfg: &'a CpuUtilConfig,
     rank: Rank,
-    root: Rank,
-    elems: usize,
-    iters: u64,
-    max_skew_us: u64,
-    natural_jitter_us: u64,
-    catchup: SimDuration,
     rng: StreamRng,
-    iter: u64,
-    phase: u8,
-    cur_skew: SimDuration,
-    coll: BenchColl,
+    post: Post,
+    split: bool,
     record_wall: bool,
+    catchup: SimDuration,
+    /// This iteration's skew (injected plus natural).
+    skew: SimDuration,
+    /// When the collective was posted.
     t_coll: SimTime,
 }
 
-impl CpuUtilProgram {
-    /// This rank's contribution for the iteration.
-    fn payload(&self) -> Vec<u8> {
-        f64s_to_bytes(&vec![self.rank as f64 + 1.0; self.elems])
-    }
-
-    /// The blocking collective under test.
-    fn blocking_step(&self) -> Step {
-        match self.coll {
-            BenchColl::Reduce => Step::Reduce {
-                root: self.root,
-                op: ReduceOp::Sum,
-                dtype: Datatype::F64,
-                data: self.payload(),
-            },
-            BenchColl::DualAllreduce => Step::AllreduceDual {
-                op: ReduceOp::Sum,
-                dtype: Datatype::F64,
-                data: self.payload(),
-            },
+impl CpuUtilTemplate<'_> {
+    /// The collective step, carrying this rank's contribution.
+    fn post_step(&self, iter: u64) -> Step {
+        let (root, elems) = (self.cfg.root, self.cfg.elems);
+        if let Post::Bcast = self.post {
+            let data =
+                (self.rank == root).then(|| Bytes::from(f64s_to_bytes(&vec![iter as f64; elems])));
+            let len = elems * 8;
+            return match self.split {
+                false => Step::Bcast { root, data, len },
+                true => Step::BcastSplit { root, data, len },
+            };
         }
-    }
-
-    /// The split-phase collective under test.
-    fn split_step(&self) -> Step {
-        match self.coll {
-            BenchColl::Reduce => Step::ReduceSplit {
-                root: self.root,
-                op: ReduceOp::Sum,
-                dtype: Datatype::F64,
-                data: self.payload(),
-            },
-            BenchColl::DualAllreduce => Step::AllreduceDualSplit {
-                op: ReduceOp::Sum,
-                dtype: Datatype::F64,
-                data: self.payload(),
-            },
-        }
-    }
-
-    /// Record the post-to-completion wall time if asked to.
-    fn record_wall_obs(&self, ctx: &mut StepCtx) {
-        if self.record_wall {
-            ctx.record("iter_wall_us", (ctx.now - self.t_coll).as_us_f64());
+        let (op, dtype) = (ReduceOp::Sum, Datatype::F64);
+        let data = f64s_to_bytes(&vec![self.rank as f64 + 1.0; elems]);
+        match (self.post, self.split) {
+            (Post::Reduce, split) => sum_to(root, data, split),
+            (_, false) => Step::AllreduceDual { op, dtype, data },
+            (_, true) => Step::AllreduceDualSplit { op, dtype, data },
         }
     }
 }
 
-impl Program for CpuUtilProgram {
-    fn next(&mut self, ctx: &mut StepCtx) -> Step {
-        loop {
-            if self.iter >= self.iters {
-                return Step::Done;
+impl StepTemplate for CpuUtilTemplate<'_> {
+    fn iters(&self) -> u64 {
+        self.cfg.iters
+    }
+
+    fn steps(&mut self, iter: u64, _ctx: &StepCtx, out: &mut Vec<Step>) {
+        let mut r = self.rng.derive(&[iter, self.rank as u64]);
+        let injected = r.below(self.cfg.max_skew_us + 1);
+        let natural = r.below(self.cfg.natural_jitter_us + 1);
+        self.skew = SimDuration::from_us(injected + natural);
+        out.extend([
+            Step::WindowStart,
+            Step::Busy(self.skew),
+            self.post_step(iter),
+            Step::Busy(self.catchup),
+        ]);
+        if self.split {
+            out.push(Step::WaitSplit);
+        }
+        out.extend([Step::WindowStop, Step::Barrier]);
+    }
+
+    fn after(&mut self, _iter: u64, idx: usize, ctx: &mut StepCtx) {
+        match (idx, self.split) {
+            (1, _) => self.t_coll = ctx.now,
+            // The collective completed (blocking call or split wait).
+            (2, false) | (4, true) if self.record_wall => {
+                ctx.record("iter_wall_us", (ctx.now - self.t_coll).as_us_f64());
             }
-            match self.phase {
-                0 => {
-                    self.phase = 1;
-                    return Step::WindowStart;
+            // The window closed: the paper's subtraction of the two
+            // injected busy delays.
+            (4, false) | (5, true) => {
+                let window = ctx.last_window.expect("window just closed");
+                let util = window
+                    .host_total()
+                    .saturating_sub(self.skew)
+                    .saturating_sub(self.catchup);
+                ctx.record("cpu_util_us", util.as_us_f64());
+                if !window.nic.is_zero() {
+                    ctx.record("nic_us", window.nic.as_us_f64());
                 }
-                1 => {
-                    let mut r = self.rng.derive(&[self.iter, self.rank as u64]);
-                    let injected = r.below(self.max_skew_us + 1);
-                    let natural = r.below(self.natural_jitter_us + 1);
-                    self.cur_skew = SimDuration::from_us(injected + natural);
-                    self.phase = 2;
-                    return Step::Busy(self.cur_skew);
-                }
-                2 => {
-                    self.phase = 3;
-                    self.t_coll = ctx.now;
-                    return self.blocking_step();
-                }
-                3 => {
-                    self.record_wall_obs(ctx);
-                    self.phase = 4;
-                    return Step::Busy(self.catchup);
-                }
-                4 => {
-                    self.phase = 5;
-                    return Step::WindowStop;
-                }
-                5 => {
-                    // The paper's subtraction: measured window minus the
-                    // two injected busy delays.
-                    let window = ctx.last_window.expect("window just closed");
-                    let util = window
-                        .host_total()
-                        .saturating_sub(self.cur_skew)
-                        .saturating_sub(self.catchup);
-                    ctx.record("cpu_util_us", util.as_us_f64());
-                    if !window.nic.is_zero() {
-                        ctx.record("nic_us", window.nic.as_us_f64());
-                    }
-                    self.phase = 6;
-                    continue;
-                }
-                6 => {
-                    self.phase = 0;
-                    self.iter += 1;
-                    return Step::Barrier;
-                }
-                _ => unreachable!(),
             }
+            _ => {}
         }
     }
 }
 
-/// Split-phase variant: post the reduce, overlap the catch-up "computation"
-/// with it, and wait at the end of the window.
-struct SplitUtilProgram {
-    base: CpuUtilProgram,
-}
-
-impl Program for SplitUtilProgram {
-    fn next(&mut self, ctx: &mut StepCtx) -> Step {
-        let p = &mut self.base;
-        loop {
-            if p.iter >= p.iters {
-                return Step::Done;
-            }
-            match p.phase {
-                0 => {
-                    p.phase = 1;
-                    return Step::WindowStart;
-                }
-                1 => {
-                    let mut r = p.rng.derive(&[p.iter, p.rank as u64]);
-                    let injected = r.below(p.max_skew_us + 1);
-                    let natural = r.below(p.natural_jitter_us + 1);
-                    p.cur_skew = SimDuration::from_us(injected + natural);
-                    p.phase = 2;
-                    return Step::Busy(p.cur_skew);
-                }
-                2 => {
-                    p.phase = 3;
-                    p.t_coll = ctx.now;
-                    return p.split_step();
-                }
-                3 => {
-                    p.phase = 4;
-                    return Step::Busy(p.catchup);
-                }
-                4 => {
-                    p.phase = 5;
-                    return Step::WaitSplit;
-                }
-                5 => {
-                    p.record_wall_obs(ctx);
-                    p.phase = 6;
-                    return Step::WindowStop;
-                }
-                6 => {
-                    let window = ctx.last_window.expect("window just closed");
-                    let util = window
-                        .host_total()
-                        .saturating_sub(p.cur_skew)
-                        .saturating_sub(p.catchup);
-                    ctx.record("cpu_util_us", util.as_us_f64());
-                    if !window.nic.is_zero() {
-                        ctx.record("nic_us", window.nic.as_us_f64());
-                    }
-                    p.phase = 7;
-                    continue;
-                }
-                7 => {
-                    p.phase = 0;
-                    p.iter += 1;
-                    return Step::Barrier;
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-}
-
-fn cpu_util_program(cfg: &CpuUtilConfig, rank: u32) -> CpuUtilProgram {
+/// One CPU-utilization program per rank. `stream` labels the skew draws;
+/// concrete (unboxed) programs let the driver monomorphize its per-step
+/// dispatch.
+fn cpu_programs(
+    cfg: &CpuUtilConfig,
+    stream: u64,
+    post: Post,
+    split: bool,
+) -> Vec<IterProgram<CpuUtilTemplate<'_>>> {
     let root_rng = StreamRng::root(cfg.seed);
-    CpuUtilProgram {
-        rank,
-        root: cfg.root,
-        elems: cfg.elems,
-        iters: cfg.iters,
-        max_skew_us: cfg.max_skew_us,
-        natural_jitter_us: cfg.natural_jitter_us,
-        catchup: SimDuration::from_us(cfg.max_skew_us + cfg.catchup_margin_us),
-        rng: root_rng.derive(&[0xBE7C, rank as u64]),
-        iter: 0,
-        phase: 0,
-        cur_skew: SimDuration::ZERO,
-        coll: cfg.coll,
-        record_wall: cfg.record_wall,
-        t_coll: SimTime::ZERO,
-    }
-}
-
-/// Concrete (unboxed) program lists: every rank runs the same program
-/// type, so the driver monomorphizes over it and the per-step dispatch in
-/// `advance_program` is a direct call, not a vtable hop.
-fn cpu_util_programs(cfg: &CpuUtilConfig) -> Vec<CpuUtilProgram> {
     (0..cfg.cluster.len() as u32)
-        .map(|rank| cpu_util_program(cfg, rank))
-        .collect()
-}
-
-fn split_util_programs(cfg: &CpuUtilConfig) -> Vec<SplitUtilProgram> {
-    (0..cfg.cluster.len() as u32)
-        .map(|rank| SplitUtilProgram {
-            base: cpu_util_program(cfg, rank),
+        .map(|rank| {
+            IterProgram::new(CpuUtilTemplate {
+                cfg,
+                rank,
+                rng: root_rng.derive(&[stream, rank as u64]),
+                post,
+                split,
+                // The broadcast benchmark reports CPU only.
+                record_wall: cfg.record_wall && !matches!(post, Post::Bcast),
+                catchup: SimDuration::from_us(cfg.max_skew_us + cfg.catchup_margin_us),
+                skew: SimDuration::ZERO,
+                t_coll: SimTime::ZERO,
+            })
         })
         .collect()
 }
 
-fn aggregate_cpu(nodes: Vec<NodeResult>) -> CpuUtilResult {
+/// Fold a finished CPU-utilization run into a [`CpuUtilResult`].
+fn aggregate_cpu<E: MessageEngine, P: Program>(d: &DesDriver<E, P>) -> CpuUtilResult {
+    let nodes = d.results();
     let mut per_node_us = Vec::with_capacity(nodes.len());
     let mut grand = Accumulator::new();
     let mut wall = Accumulator::new();
@@ -441,34 +379,27 @@ fn aggregate_cpu(nodes: Vec<NodeResult>) -> CpuUtilResult {
         max_us,
         mean_wall_us: wall.mean(),
         nic_us_total,
-        rel: None,
-        link_waits: 0,
-        link_wait_us: 0.0,
+        rel: d.rel_stats(),
+        link_waits: d.network().link_waits(),
+        link_wait_us: d.network().link_wait_us(),
         nodes,
     }
 }
 
-/// Run a built driver to completion under the benchmark's fault plan and
-/// aggregate into a [`CpuUtilResult`]. [`DesDriver::run`] takes the shard
-/// count from `ABR_DES_SHARDS` (one shard whenever faults or a tracer are
-/// installed).
-fn run_cpu_driver<E: abr_mpr::engine::MessageEngine, P: Program>(
+/// Install the tracer (if any) and the fault plan, then run the driver to
+/// completion. [`DesDriver::run`] takes the shard count from
+/// `ABR_DES_SHARDS` (one shard whenever faults or a tracer are installed).
+fn run_driver<E: MessageEngine, P: Program>(
     mut d: DesDriver<E, P>,
     faults: &FaultPlan,
     tracer: Option<Arc<dyn Tracer>>,
-) -> CpuUtilResult {
+) -> DesDriver<E, P> {
     if let Some(t) = tracer {
         d.install_tracer(t);
     }
     d.set_faults(faults, RelConfig::sim_default());
     d.run();
-    let rel = d.rel_stats();
-    let (link_waits, link_wait_us) = (d.network().link_waits(), d.network().link_wait_us());
-    let mut res = aggregate_cpu(d.results());
-    res.rel = rel;
-    res.link_waits = link_waits;
-    res.link_wait_us = link_wait_us;
-    res
+    d
 }
 
 /// Run the CPU-utilization benchmark.
@@ -480,60 +411,24 @@ pub fn run_cpu_util(cfg: &CpuUtilConfig) -> CpuUtilResult {
 /// (see [`DesDriver::install_tracer`]); `None` is the cost-free default.
 pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>) -> CpuUtilResult {
     let n = cfg.cluster.len() as u32;
+    let post = match cfg.coll {
+        BenchColl::Reduce => Post::Reduce,
+        BenchColl::DualAllreduce => Post::DualAllreduce,
+    };
+    let programs = cpu_programs(cfg, 0xBE7C, post, cfg.mode == Mode::SplitPhase);
     match cfg.mode {
         Mode::Baseline => {
-            let d = DesDriver::new(
-                &cfg.cluster,
-                |rank, ec: EngineConfig| Engine::new(rank, n, ec),
-                cpu_util_programs(cfg),
-            );
-            run_cpu_driver(d, &cfg.faults, tracer)
+            let d = DesDriver::new(&cfg.cluster, |rank, ec| Engine::new(rank, n, ec), programs);
+            aggregate_cpu(&run_driver(d, &cfg.faults, tracer))
         }
-        Mode::Bypass(delay) => {
+        mode => {
+            let ab = mode.ab_config();
             let d = DesDriver::new(
                 &cfg.cluster,
-                |rank, ec: EngineConfig| {
-                    AbEngine::new(
-                        rank,
-                        n,
-                        ec,
-                        AbConfig {
-                            enabled: true,
-                            delay,
-                            nic_offload: false,
-                        },
-                    )
-                },
-                cpu_util_programs(cfg),
+                |rank, ec| AbEngine::new(rank, n, ec, ab.clone()),
+                programs,
             );
-            run_cpu_driver(d, &cfg.faults, tracer)
-        }
-        Mode::SplitPhase => {
-            let d = DesDriver::new(
-                &cfg.cluster,
-                |rank, ec: EngineConfig| {
-                    AbEngine::new(
-                        rank,
-                        n,
-                        ec,
-                        AbConfig {
-                            enabled: true,
-                            delay: DelayPolicy::None,
-                            nic_offload: false,
-                        },
-                    )
-                },
-                split_util_programs(cfg),
-            );
-            run_cpu_driver(d, &cfg.faults, tracer)
-        }
-        Mode::NicBypass => {
-            let d = DesDriver::new(
-                &cfg.cluster,
-                |rank, ec: EngineConfig| AbEngine::new(rank, n, ec, AbConfig::nic_offload()),
-                cpu_util_programs(cfg),
-            );
-            run_cpu_driver(d, &cfg.faults, tracer)
+            aggregate_cpu(&run_driver(d, &cfg.faults, tracer))
         }
     }
 }
@@ -542,129 +437,22 @@ pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>)
 // Broadcast benchmark (the ref. \[8\] companion system)
 // ---------------------------------------------------------------------
 
-/// The broadcast analogue of the CPU-utilization benchmark: a skewed root
-/// stalls the whole tree under the blocking broadcast; the bypass version
-/// posts, computes through the catch-up delay, and collects the payload at
-/// the end.
-struct BcastUtilProgram {
-    base: CpuUtilProgram,
-    split: bool,
-}
-
-impl Program for BcastUtilProgram {
-    fn next(&mut self, ctx: &mut StepCtx) -> Step {
-        let p = &mut self.base;
-        loop {
-            if p.iter >= p.iters {
-                return Step::Done;
-            }
-            match p.phase {
-                0 => {
-                    p.phase = 1;
-                    return Step::WindowStart;
-                }
-                1 => {
-                    let mut r = p.rng.derive(&[p.iter, p.rank as u64]);
-                    let injected = r.below(p.max_skew_us + 1);
-                    let natural = r.below(p.natural_jitter_us + 1);
-                    p.cur_skew = SimDuration::from_us(injected + natural);
-                    p.phase = 2;
-                    return Step::Busy(p.cur_skew);
-                }
-                2 => {
-                    let payload = (p.rank == p.root)
-                        .then(|| Bytes::from(f64s_to_bytes(&vec![p.iter as f64; p.elems])));
-                    if self.split {
-                        p.phase = 3;
-                        return Step::BcastSplit {
-                            root: p.root,
-                            data: payload,
-                            len: p.elems * 8,
-                        };
-                    }
-                    p.phase = 4;
-                    return Step::Bcast {
-                        root: p.root,
-                        data: payload,
-                        len: p.elems * 8,
-                    };
-                }
-                3 => {
-                    p.phase = 35;
-                    return Step::Busy(p.catchup);
-                }
-                35 => {
-                    p.phase = 5;
-                    return Step::WaitSplit;
-                }
-                4 => {
-                    p.phase = 5;
-                    return Step::Busy(p.catchup);
-                }
-                5 => {
-                    p.phase = 6;
-                    return Step::WindowStop;
-                }
-                6 => {
-                    let window = ctx.last_window.expect("window just closed");
-                    let util = window
-                        .host_total()
-                        .saturating_sub(p.cur_skew)
-                        .saturating_sub(p.catchup);
-                    ctx.record("cpu_util_us", util.as_us_f64());
-                    p.phase = 7;
-                    continue;
-                }
-                7 => {
-                    p.phase = 0;
-                    p.iter += 1;
-                    return Step::Barrier;
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-}
-
-/// Run the broadcast CPU-utilization benchmark. `Mode::Baseline` is the
-/// blocking binomial broadcast; any bypass mode runs the split-phase
-/// application-bypass broadcast.
+/// Run the broadcast CPU-utilization benchmark: the CPU-utilization loop
+/// around a broadcast whose root payload is the iteration number. A skewed
+/// root stalls the whole tree under the blocking broadcast
+/// (`Mode::Baseline`); any bypass mode posts the split-phase
+/// application-bypass broadcast, computes through the catch-up delay, and
+/// collects the payload at the end.
 pub fn run_bcast_util(cfg: &CpuUtilConfig) -> CpuUtilResult {
     let n = cfg.cluster.len() as u32;
-    let split = !matches!(cfg.mode, Mode::Baseline);
-    let root_rng = StreamRng::root(cfg.seed);
-    let programs: Vec<BcastUtilProgram> = (0..n)
-        .map(|rank| BcastUtilProgram {
-            base: CpuUtilProgram {
-                rank,
-                root: cfg.root,
-                elems: cfg.elems,
-                iters: cfg.iters,
-                max_skew_us: cfg.max_skew_us,
-                natural_jitter_us: cfg.natural_jitter_us,
-                catchup: SimDuration::from_us(cfg.max_skew_us + cfg.catchup_margin_us),
-                rng: root_rng.derive(&[0xBCA7, rank as u64]),
-                iter: 0,
-                phase: 0,
-                cur_skew: SimDuration::ZERO,
-                coll: BenchColl::Reduce,
-                record_wall: false,
-                t_coll: SimTime::ZERO,
-            },
-            split,
-        })
-        .collect();
-    let ab = if split {
-        AbConfig::default()
-    } else {
-        AbConfig::disabled()
-    };
+    let programs = cpu_programs(cfg, 0xBCA7, Post::Bcast, cfg.mode != Mode::Baseline);
+    let ab = cfg.mode.ab_config();
     let d = DesDriver::new(
         &cfg.cluster,
-        |rank, ec: EngineConfig| AbEngine::new(rank, n, ec, ab.clone()),
+        |rank, ec| AbEngine::new(rank, n, ec, ab.clone()),
         programs,
     );
-    run_cpu_driver(d, &cfg.faults, None)
+    aggregate_cpu(&run_driver(d, &cfg.faults, None))
 }
 
 // ---------------------------------------------------------------------
@@ -724,75 +512,34 @@ pub struct AppBenchResult {
     pub signals: u64,
 }
 
-struct AppProgram {
+/// One rank's sweeps: compute (imbalanced), then contribute the residual.
+/// Split mode pipelines: each sweep collects the *previous* sweep's
+/// residual only after its compute, so the reduction's latency hides under
+/// it, and the last sweep drains its own.
+struct AppTemplate<'a> {
+    cfg: &'a AppBenchConfig,
     rank: Rank,
-    sweeps: u64,
-    compute_us: u64,
-    imbalance: f64,
-    elems: usize,
-    split: bool,
     rng: StreamRng,
-    sweep: u64,
-    phase: u8,
-    posted: bool,
 }
 
-impl Program for AppProgram {
-    fn next(&mut self, _ctx: &mut StepCtx) -> Step {
-        loop {
-            match self.phase {
-                // Compute this sweep's work (or finish).
-                0 => {
-                    if self.sweep >= self.sweeps {
-                        if self.split && self.posted {
-                            self.posted = false;
-                            self.phase = 4;
-                            return Step::WaitSplit; // drain the last reduce
-                        }
-                        return Step::Done;
-                    }
-                    let mut r = self.rng.derive(&[self.sweep, self.rank as u64]);
-                    let extra = (self.compute_us as f64 * self.imbalance) as u64;
-                    let work = self.compute_us + r.below(extra + 1);
-                    self.phase = 1;
-                    return Step::Busy(SimDuration::from_us(work));
-                }
-                // Pipelined split mode: collect the *previous* sweep's
-                // residual only now — its latency hid under this sweep's
-                // compute.
-                1 => {
-                    if self.split && self.posted {
-                        self.posted = false;
-                        self.phase = 2;
-                        return Step::WaitSplit;
-                    }
-                    self.phase = 2;
-                    continue;
-                }
-                // Contribute this sweep's residual.
-                2 => {
-                    let data = f64s_to_bytes(&vec![1.0; self.elems]);
-                    self.sweep += 1;
-                    self.phase = 0;
-                    if self.split {
-                        self.posted = true;
-                        return Step::ReduceSplit {
-                            root: 0,
-                            op: ReduceOp::Sum,
-                            dtype: Datatype::F64,
-                            data,
-                        };
-                    }
-                    return Step::Reduce {
-                        root: 0,
-                        op: ReduceOp::Sum,
-                        dtype: Datatype::F64,
-                        data,
-                    };
-                }
-                4 => return Step::Done,
-                _ => unreachable!(),
-            }
+impl StepTemplate for AppTemplate<'_> {
+    fn iters(&self) -> u64 {
+        self.cfg.sweeps
+    }
+
+    fn steps(&mut self, sweep: u64, _ctx: &StepCtx, out: &mut Vec<Step>) {
+        let cfg = self.cfg;
+        let mut r = self.rng.derive(&[sweep, self.rank as u64]);
+        let extra = (cfg.compute_us as f64 * cfg.imbalance) as u64;
+        let work = cfg.compute_us + r.below(extra + 1);
+        out.push(Step::Busy(SimDuration::from_us(work)));
+        let split = cfg.mode == Mode::SplitPhase;
+        if split && sweep > 0 {
+            out.push(Step::WaitSplit);
+        }
+        out.push(sum_to(0, f64s_to_bytes(&vec![1.0; cfg.elems]), split));
+        if split && sweep + 1 == cfg.sweeps {
+            out.push(Step::WaitSplit);
         }
     }
 }
@@ -800,66 +547,30 @@ impl Program for AppProgram {
 /// Run the application benchmark; the headline number is the makespan.
 pub fn run_app_bench(cfg: &AppBenchConfig) -> AppBenchResult {
     let n = cfg.cluster.len() as u32;
-    let split = matches!(cfg.mode, Mode::SplitPhase);
     let root_rng = StreamRng::root(cfg.seed);
-    let programs: Vec<AppProgram> = (0..n)
-        .map(|rank| AppProgram {
-            rank,
-            sweeps: cfg.sweeps,
-            compute_us: cfg.compute_us,
-            imbalance: cfg.imbalance,
-            elems: cfg.elems,
-            split,
-            rng: root_rng.derive(&[0xA99, rank as u64]),
-            sweep: 0,
-            phase: 0,
-            posted: false,
+    let programs: Vec<_> = (0..n)
+        .map(|rank| {
+            let rng = root_rng.derive(&[0xA99, rank as u64]);
+            IterProgram::new(AppTemplate { cfg, rank, rng })
         })
         .collect();
-    let finish = |nodes: Vec<crate::driver::NodeResult>, makespan: f64| {
-        let runtime_cpu_us = nodes
-            .iter()
-            .map(|r| r.cpu_poll_us + r.cpu_protocol_us + r.cpu_signal_us)
-            .sum::<f64>()
-            / nodes.len() as f64;
-        AppBenchResult {
-            makespan_us: makespan,
-            runtime_cpu_us,
-            signals: nodes.iter().map(|r| r.signals_raised).sum(),
-        }
-    };
-    match cfg.mode {
-        Mode::Baseline => {
-            let mut d = DesDriver::new(
-                &cfg.cluster,
-                |rank, ec: EngineConfig| AbEngine::new(rank, n, ec, AbConfig::disabled()),
-                programs,
-            );
-            d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run();
-            let makespan = d.now().as_us_f64();
-            finish(d.results(), makespan)
-        }
-        _ => {
-            let ab = match cfg.mode {
-                Mode::Bypass(delay) => AbConfig {
-                    enabled: true,
-                    delay,
-                    nic_offload: false,
-                },
-                Mode::NicBypass => AbConfig::nic_offload(),
-                _ => AbConfig::default(),
-            };
-            let mut d = DesDriver::new(
-                &cfg.cluster,
-                |rank, ec: EngineConfig| AbEngine::new(rank, n, ec, ab.clone()),
-                programs,
-            );
-            d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run();
-            let makespan = d.now().as_us_f64();
-            finish(d.results(), makespan)
-        }
+    let ab = cfg.mode.ab_config();
+    let d = DesDriver::new(
+        &cfg.cluster,
+        |rank, ec| AbEngine::new(rank, n, ec, ab.clone()),
+        programs,
+    );
+    let d = run_driver(d, &cfg.faults, None);
+    let nodes = d.results();
+    let runtime_cpu_us = nodes
+        .iter()
+        .map(|r| r.cpu_poll_us + r.cpu_protocol_us + r.cpu_signal_us)
+        .sum::<f64>()
+        / nodes.len() as f64;
+    AppBenchResult {
+        makespan_us: d.now().as_us_f64(),
+        runtime_cpu_us,
+        signals: nodes.iter().map(|r| r.signals_raised).sum(),
     }
 }
 
@@ -918,6 +629,17 @@ const NOTIFY_TAG: i32 = 990;
 const PING_TAG: i32 = 991;
 const PONG_TAG: i32 = 992;
 
+/// An 8-byte control message to `dst`.
+fn send(dst: Rank, tag: i32) -> Step {
+    let data = Bytes::from(vec![0u8; 8]);
+    Step::Send { dst, tag, data }
+}
+
+/// Receive an 8-byte control message from `src`.
+fn recv(src: Rank, tag: i32) -> Step {
+    Step::Recv { src, tag, cap: 8 }
+}
+
 /// Which latency-benchmark role a rank plays.
 enum LatRole {
     Root { last: Rank },
@@ -925,163 +647,76 @@ enum LatRole {
     Other,
 }
 
-struct LatencyProgram {
+/// One rank of the latency benchmark. Iteration 0 is the prologue: a
+/// barrier, the ping-pong calibration between the root and the last node,
+/// and a barrier. Each later iteration is one timed reduction: the root
+/// notifies the last node of completion, and a barrier ends it.
+struct LatencyTemplate<'a> {
+    cfg: &'a LatencyConfig,
     role: LatRole,
-    elems: usize,
-    iters: u64,
-    pings: u64,
-    root: Rank,
-    // progress
-    ping: u64,
-    iter: u64,
-    phase: u8,
+    /// Last node: when the open ping or timed reduction started.
     t_mark: SimTime,
     rtt_sum: f64,
     one_way_us: f64,
 }
 
-impl Program for LatencyProgram {
-    fn next(&mut self, ctx: &mut StepCtx) -> Step {
-        loop {
-            match self.phase {
-                // Phase 0: entry barrier.
-                0 => {
-                    self.phase = 1;
-                    return Step::Barrier;
-                }
-                // Phase 1: ping-pong calibration (root and last only).
-                1 => match &self.role {
+impl StepTemplate for LatencyTemplate<'_> {
+    fn iters(&self) -> u64 {
+        self.cfg.iters + 1
+    }
+
+    fn steps(&mut self, iter: u64, ctx: &StepCtx, out: &mut Vec<Step>) {
+        if iter == 0 {
+            out.push(Step::Barrier);
+            for _ in 0..self.cfg.pings {
+                match self.role {
                     LatRole::Last { root } => {
-                        if self.ping >= self.pings {
-                            self.one_way_us = self.rtt_sum / (2.0 * self.pings as f64);
-                            ctx.record("one_way_us", self.one_way_us);
-                            self.phase = 2;
-                            continue;
-                        }
-                        self.t_mark = ctx.now;
-                        self.phase = 10;
-                        return Step::Send {
-                            dst: *root,
-                            tag: PING_TAG,
-                            data: Bytes::from(vec![0u8; 8]),
-                        };
+                        out.extend([send(root, PING_TAG), recv(root, PONG_TAG)])
                     }
                     LatRole::Root { last } => {
-                        if self.ping >= self.pings {
-                            self.phase = 2;
-                            continue;
-                        }
-                        self.ping += 1;
-                        self.phase = 12;
-                        let last = *last;
-                        return Step::Recv {
-                            src: last,
-                            tag: PING_TAG,
-                            cap: 8,
-                        };
+                        out.extend([recv(last, PING_TAG), send(last, PONG_TAG)])
                     }
-                    LatRole::Other => {
-                        self.phase = 2;
-                        continue;
-                    }
-                },
-                // Last: waiting for pong.
-                10 => {
-                    self.phase = 11;
-                    let root = match &self.role {
-                        LatRole::Last { root } => *root,
-                        _ => unreachable!(),
-                    };
-                    return Step::Recv {
-                        src: root,
-                        tag: PONG_TAG,
-                        cap: 8,
-                    };
+                    LatRole::Other => {}
                 }
-                11 => {
-                    let rtt = (ctx.now - self.t_mark).as_us_f64();
-                    self.rtt_sum += rtt;
-                    self.ping += 1;
-                    self.phase = 1;
-                    continue;
-                }
-                // Root: send the pong back.
-                12 => {
-                    self.phase = 1;
-                    let last = match &self.role {
-                        LatRole::Root { last } => *last,
-                        _ => unreachable!(),
-                    };
-                    return Step::Send {
-                        dst: last,
-                        tag: PONG_TAG,
-                        data: Bytes::from(vec![0u8; 8]),
-                    };
-                }
-                // Phase 2: barrier before the timed loop.
-                2 => {
-                    self.phase = 3;
-                    return Step::Barrier;
-                }
-                // Phase 3: the timed reduction loop.
-                3 => {
-                    if self.iter >= self.iters {
-                        return Step::Done;
-                    }
-                    self.t_mark = ctx.now;
-                    self.phase = 4;
-                    return Step::Reduce {
-                        root: self.root,
-                        op: ReduceOp::Sum,
-                        dtype: Datatype::F64,
-                        data: f64s_to_bytes(&vec![1.0; self.elems]),
-                    };
-                }
-                4 => match &self.role {
-                    LatRole::Root { last } => {
-                        // Reduction complete at the root: notify the last
-                        // node.
-                        self.phase = 6;
-                        let last = *last;
-                        return Step::Send {
-                            dst: last,
-                            tag: NOTIFY_TAG,
-                            data: Bytes::from(vec![0u8; 8]),
-                        };
-                    }
-                    LatRole::Last { root } => {
-                        self.phase = 5;
-                        let root = *root;
-                        return Step::Recv {
-                            src: root,
-                            tag: NOTIFY_TAG,
-                            cap: 8,
-                        };
-                    }
-                    LatRole::Other => {
-                        self.phase = 6;
-                        continue;
-                    }
-                },
-                5 => {
-                    // Last node: notification received.
-                    let total = (ctx.now - self.t_mark).as_us_f64();
-                    ctx.record("latency_us", total - self.one_way_us);
-                    self.phase = 6;
-                    continue;
-                }
-                6 => {
-                    self.iter += 1;
-                    self.phase = 3;
-                    return Step::Barrier;
-                }
-                _ => unreachable!(),
             }
+        } else {
+            self.t_mark = ctx.now;
+            let data = f64s_to_bytes(&vec![1.0; self.cfg.elems]);
+            out.push(sum_to(self.cfg.root, data, false));
+            match self.role {
+                LatRole::Root { last } => out.push(send(last, NOTIFY_TAG)),
+                LatRole::Last { root } => out.push(recv(root, NOTIFY_TAG)),
+                LatRole::Other => {}
+            }
+        }
+        out.push(Step::Barrier);
+    }
+
+    fn after(&mut self, iter: u64, idx: usize, ctx: &mut StepCtx) {
+        if !matches!(self.role, LatRole::Last { .. }) {
+            return;
+        }
+        let pings = self.cfg.pings;
+        let last_pong = 2 * pings as usize;
+        if iter == 0 && idx.is_multiple_of(2) && idx <= last_pong {
+            // The entry barrier or a pong completed; the next ping leaves now.
+            if idx > 0 {
+                self.rtt_sum += (ctx.now - self.t_mark).as_us_f64();
+            }
+            if idx == last_pong {
+                self.one_way_us = self.rtt_sum / (2.0 * pings as f64);
+                ctx.record("one_way_us", self.one_way_us);
+            }
+            self.t_mark = ctx.now;
+        } else if iter > 0 && idx == 1 {
+            // The root's completion notice arrived.
+            let total = (ctx.now - self.t_mark).as_us_f64();
+            ctx.record("latency_us", total - self.one_way_us);
         }
     }
 }
 
-fn latency_programs(cfg: &LatencyConfig) -> Vec<LatencyProgram> {
+fn latency_programs(cfg: &LatencyConfig) -> Vec<IterProgram<LatencyTemplate<'_>>> {
     let n = cfg.cluster.len() as u32;
     // Topology-aware: the deepest rank of the configured tree, not the
     // binomial popcount rule.
@@ -1095,19 +730,13 @@ fn latency_programs(cfg: &LatencyConfig) -> Vec<LatencyProgram> {
             } else {
                 LatRole::Other
             };
-            LatencyProgram {
+            IterProgram::new(LatencyTemplate {
+                cfg,
                 role,
-                elems: cfg.elems,
-                iters: cfg.iters,
-                pings: cfg.pings,
-                root: cfg.root,
-                ping: 0,
-                iter: 0,
-                phase: 0,
                 t_mark: SimTime::ZERO,
                 rtt_sum: 0.0,
                 one_way_us: 0.0,
-            }
+            })
         })
         .collect()
 }
@@ -1138,40 +767,17 @@ pub fn run_latency(cfg: &LatencyConfig) -> LatencyResult {
     let programs = latency_programs(cfg);
     match cfg.mode {
         Mode::Baseline => {
-            let mut d = DesDriver::new(
-                &cfg.cluster,
-                |rank, ec: EngineConfig| Engine::new(rank, n, ec),
-                programs,
-            );
-            d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run();
-            aggregate_latency(d.results())
+            let d = DesDriver::new(&cfg.cluster, |rank, ec| Engine::new(rank, n, ec), programs);
+            aggregate_latency(run_driver(d, &cfg.faults, None).results())
         }
-        Mode::Bypass(_) | Mode::SplitPhase | Mode::NicBypass => {
-            let delay = match cfg.mode {
-                Mode::Bypass(d) => d,
-                _ => DelayPolicy::None,
-            };
-            let nic = matches!(cfg.mode, Mode::NicBypass);
-            let mut d = DesDriver::new(
+        mode => {
+            let ab = mode.ab_config();
+            let d = DesDriver::new(
                 &cfg.cluster,
-                |rank, ec: EngineConfig| {
-                    AbEngine::new(
-                        rank,
-                        n,
-                        ec,
-                        AbConfig {
-                            enabled: true,
-                            delay,
-                            nic_offload: nic,
-                        },
-                    )
-                },
+                |rank, ec| AbEngine::new(rank, n, ec, ab.clone()),
                 programs,
             );
-            d.set_faults(&cfg.faults, RelConfig::sim_default());
-            d.run();
-            aggregate_latency(d.results())
+            aggregate_latency(run_driver(d, &cfg.faults, None).results())
         }
     }
 }
@@ -1213,25 +819,19 @@ pub fn run_scale_bench(n: u32, iters: u64) -> ScaleRunResult {
     let start = std::time::Instant::now();
     let mut d = DesDriver::new(
         &cfg.cluster,
-        |rank, ec: EngineConfig| Engine::new(rank, n, ec),
-        cpu_util_programs(&cfg),
+        |rank, ec| Engine::new(rank, n, ec),
+        cpu_programs(&cfg, 0xBE7C, Post::Reduce, false),
     );
     d.run();
     let wall_secs = start.elapsed().as_secs_f64();
     let events = d.events_processed();
-    let mut acc = Accumulator::new();
-    for node in &d.results() {
-        for o in node.obs.iter().filter(|o| o.key == "cpu_util_us") {
-            acc.push(o.value);
-        }
-    }
     ScaleRunResult {
         ranks: n,
         events,
         wall_secs,
         events_per_sec: events as f64 / wall_secs.max(1e-9),
         makespan_us: d.now().as_us_f64(),
-        mean_cpu_us: acc.mean(),
+        mean_cpu_us: aggregate_cpu(&d).mean_cpu_us,
         packets_delivered: d.packets_delivered,
     }
 }

@@ -5,6 +5,10 @@
 //! back for the next. Zero-duration bookkeeping steps (timer marks,
 //! measurement windows) execute immediately, so a program reads like
 //! straight-line benchmark code.
+//!
+//! Every workload the harness ships is an [`IterProgram`]: a
+//! [`StepTemplate`] lists one iteration's steps, and one hook observes
+//! each completed step. [`ScriptProgram`] and [`FnProgram`] are for tests.
 
 use abr_des::{CpuWindow, SimDuration, SimTime};
 use abr_mpr::op::ReduceOp;
@@ -132,7 +136,7 @@ pub struct Obs {
 }
 
 /// Context handed to [`Program::next`] after each completed step.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StepCtx {
     /// Current virtual time at this node's CPU cursor.
     pub now: SimTime,
@@ -148,23 +152,12 @@ pub struct StepCtx {
 impl StepCtx {
     /// Fresh context.
     pub fn new() -> Self {
-        StepCtx {
-            now: SimTime::ZERO,
-            last_window: None,
-            last_data: None,
-            obs: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Record an observation.
     pub fn record(&mut self, key: &'static str, value: f64) {
         self.obs.push(Obs { key, value });
-    }
-}
-
-impl Default for StepCtx {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -214,9 +207,146 @@ impl Program for ScriptProgram {
     }
 }
 
+/// One iteration's worth of a workload: the data an [`IterProgram`] runs.
+pub trait StepTemplate: Send {
+    /// Iterations the program runs.
+    fn iters(&self) -> u64;
+
+    /// Push iteration `iter`'s steps onto `out`, which arrives empty.
+    /// Called once per iteration, in order, when the iteration's first
+    /// step is due: `ctx.now` is the iteration's start.
+    fn steps(&mut self, iter: u64, ctx: &StepCtx, out: &mut Vec<Step>);
+
+    /// Step `idx` of iteration `iter` completed at `ctx.now`. The hook
+    /// records observations and reads the window a `WindowStop` closed.
+    fn after(&mut self, _iter: u64, _idx: usize, _ctx: &mut StepCtx) {}
+}
+
+/// Runs a [`StepTemplate`] one iteration at a time: it fills a reused
+/// buffer with the iteration's steps, yields them in order, reports each
+/// completed one to [`StepTemplate::after`], and returns [`Step::Done`]
+/// after the last iteration.
+pub struct IterProgram<T> {
+    template: T,
+    buf: Vec<Step>,
+    /// Index in `buf` of the next step to yield.
+    pos: usize,
+    /// The iteration the next [`StepTemplate::steps`] call builds.
+    next_iter: u64,
+}
+
+impl<T: StepTemplate> IterProgram<T> {
+    /// Run `template`.
+    pub fn new(template: T) -> Self {
+        IterProgram {
+            template,
+            buf: Vec::new(),
+            pos: 0,
+            next_iter: 0,
+        }
+    }
+}
+
+impl<T: StepTemplate> Program for IterProgram<T> {
+    fn next(&mut self, ctx: &mut StepCtx) -> Step {
+        if self.pos > 0 {
+            self.template.after(self.next_iter - 1, self.pos - 1, ctx);
+        }
+        while self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+            if self.next_iter == self.template.iters() {
+                return Step::Done;
+            }
+            self.template.steps(self.next_iter, ctx, &mut self.buf);
+            self.next_iter += 1;
+        }
+        self.pos += 1;
+        // Move the step out without copying its payload; the placeholder
+        // is dropped when the buffer is cleared for the next iteration.
+        std::mem::replace(&mut self.buf[self.pos - 1], Step::Done)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Three iterations of `[Busy(iter), Barrier, WindowStart]`, logging
+    /// every template call.
+    #[derive(Default)]
+    struct Logged {
+        built: Vec<u64>,
+        seen: Vec<(u64, usize, SimTime)>,
+        /// Address of the buffer the first iteration was built into.
+        buf_addr: Option<usize>,
+    }
+
+    impl StepTemplate for Logged {
+        fn iters(&self) -> u64 {
+            3
+        }
+
+        fn steps(&mut self, iter: u64, _ctx: &StepCtx, out: &mut Vec<Step>) {
+            assert!(out.is_empty(), "the buffer arrives empty");
+            assert!(!self.built.contains(&iter), "iteration {iter} rebuilt");
+            self.built.push(iter);
+            out.push(Step::Busy(SimDuration::from_us(iter)));
+            out.push(Step::Barrier);
+            out.push(Step::WindowStart);
+            let addr = out.as_ptr() as usize;
+            assert_eq!(*self.buf_addr.get_or_insert(addr), addr, "buffer reused");
+        }
+
+        fn after(&mut self, iter: u64, idx: usize, ctx: &mut StepCtx) {
+            self.seen.push((iter, idx, ctx.now));
+        }
+    }
+
+    #[test]
+    fn iter_program_replays_each_iteration_then_finishes() {
+        let mut p = IterProgram::new(Logged::default());
+        let mut ctx = StepCtx::new();
+        // Call k (step `k % 3` of iteration `k / 3`) runs at k µs.
+        for k in 0..9u64 {
+            ctx.now = SimTime::from_us(k);
+            let (iter, idx) = (k / 3, k % 3);
+            match (idx, p.next(&mut ctx)) {
+                (0, Step::Busy(d)) => assert_eq!(d, SimDuration::from_us(iter)),
+                (1, Step::Barrier) | (2, Step::WindowStart) => {}
+                (_, step) => panic!("iteration {iter} step {idx}: got {step:?}"),
+            }
+        }
+        ctx.now = SimTime::from_us(9);
+        for _ in 0..3 {
+            assert!(matches!(p.next(&mut ctx), Step::Done));
+        }
+        let t = &p.template;
+        assert_eq!(t.built, vec![0, 1, 2]);
+        // Each step is reported once, by the call after it, at that
+        // call's time; the calls after the first Done report nothing.
+        let want: Vec<_> = (0..9u64)
+            .map(|k| (k / 3, (k % 3) as usize, SimTime::from_us(k + 1)))
+            .collect();
+        assert_eq!(t.seen, want);
+    }
+
+    #[test]
+    fn iter_program_with_no_iterations_is_done_at_once() {
+        struct Empty;
+        impl StepTemplate for Empty {
+            fn iters(&self) -> u64 {
+                0
+            }
+            fn steps(&mut self, _: u64, _: &StepCtx, _: &mut Vec<Step>) {
+                unreachable!("no iteration to build")
+            }
+        }
+        let mut p = IterProgram::new(Empty);
+        let mut ctx = StepCtx::new();
+        assert!(matches!(p.next(&mut ctx), Step::Done));
+        assert!(matches!(p.next(&mut ctx), Step::Done));
+    }
 
     #[test]
     fn script_program_replays_then_finishes() {

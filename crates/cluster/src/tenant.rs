@@ -6,7 +6,9 @@
 //! own engine set over job-local ranks and its own
 //! [`Communicator::job`] context, while co-located ranks contend for their
 //! node's NIC-injection clock and (when blocked-polling) stretch each
-//! other's CPU work. The harness turns the per-job results into the
+//! other's CPU work. Every job rank runs a [`TenantTemplate`] (think, then
+//! the job's collective, one iteration at a time) through
+//! [`IterProgram`]. The harness turns the per-job results into the
 //! saturation figure's metrics: aggregate reductions/sec, pooled
 //! p50/p99/p999 iteration latency, and Jain fairness across jobs.
 //!
@@ -17,7 +19,7 @@
 
 use crate::driver::{DesDriver, NodeResult};
 use crate::node::ClusterSpec;
-use crate::program::{Program, Step, StepCtx};
+use crate::program::{IterProgram, Step, StepCtx, StepTemplate};
 use crate::report::Percentiles;
 use abr_core::{AbConfig, AbEngine};
 use abr_des::rng::StreamRng;
@@ -106,22 +108,6 @@ pub fn jain_fairness(shares: &[f64]) -> f64 {
     (sum * sum) / (n * sq)
 }
 
-/// What a [`TenantProgram`] does next.
-enum Stage {
-    /// Start an iteration (or finish the program).
-    NewIter,
-    /// Think time charged; run the iteration's communication.
-    Communicate,
-    /// Shuffle hop sent; receive the neighbour's block.
-    ShuffleRecv,
-    /// Shuffle done; reduce to the job root.
-    ShuffleReduce,
-    /// The iteration's final collective completed; account and loop.
-    Account,
-    /// All iterations done.
-    Finished,
-}
-
 /// One rank of one tenant job: `iters` iterations of think-then-communicate.
 ///
 /// * [`JobKind::Training`]: think, then a blocking gradient allreduce.
@@ -137,9 +123,9 @@ enum Stage {
 /// sleeps on NIC signals and burns nothing.
 ///
 /// Rank 0 records one `"iter_us"` observation per iteration (wall latency
-/// of the whole iteration) and a final `"done_us"` stamp; the harness
-/// aggregates those into the saturation metrics.
-pub struct TenantProgram {
+/// of the whole iteration) and, after the last, a `"done_us"` stamp; the
+/// harness aggregates those into the saturation metrics.
+pub struct TenantTemplate {
     kind: JobKind,
     rank: u32,
     size: u32,
@@ -149,121 +135,99 @@ pub struct TenantProgram {
     payload: Vec<u8>,
     block: Bytes,
     rng: StreamRng,
-    iter: u32,
-    stage: Stage,
     iter_start: SimTime,
 }
 
+/// A tenant job rank's program.
+pub type TenantProgram = IterProgram<TenantTemplate>;
+
 impl TenantProgram {
-    /// Build the program for `rank` of `spec`.
-    pub fn new(spec: &JobSpec, rank: u32) -> TenantProgram {
-        let elems = spec.elems as usize;
-        TenantProgram {
-            kind: spec.kind,
-            rank,
-            size: spec.ranks,
-            iters: spec.iters,
-            think: SimDuration::from_us(spec.think_us),
-            jitter: SimDuration::from_us(spec.jitter_us),
-            payload: f64s_to_bytes(&vec![1.0; elems]),
-            block: Bytes::from(f64s_to_bytes(&vec![rank as f64; elems])),
-            rng: StreamRng::root(spec.seed).derive(&[STREAM_JITTER, rank as u64]),
-            iter: 0,
-            stage: Stage::NewIter,
-            iter_start: SimTime::ZERO,
-        }
-    }
-
     /// Programs for every rank of `spec`, in rank order.
+    ///
+    /// # Panics
+    /// Panics on a job with no iterations: rank 0's `done_us` stamp
+    /// follows its last iteration.
     pub fn job(spec: &JobSpec) -> Vec<TenantProgram> {
+        assert!(
+            spec.iters > 0,
+            "{}: a tenant job runs at least one iteration",
+            spec.id
+        );
+        let elems = spec.elems as usize;
         (0..spec.ranks)
-            .map(|r| TenantProgram::new(spec, r))
+            .map(|rank| {
+                IterProgram::new(TenantTemplate {
+                    kind: spec.kind,
+                    rank,
+                    size: spec.ranks,
+                    iters: spec.iters,
+                    think: SimDuration::from_us(spec.think_us),
+                    jitter: SimDuration::from_us(spec.jitter_us),
+                    payload: f64s_to_bytes(&vec![1.0; elems]),
+                    block: Bytes::from(f64s_to_bytes(&vec![rank as f64; elems])),
+                    rng: StreamRng::root(spec.seed).derive(&[STREAM_JITTER, rank as u64]),
+                    iter_start: SimTime::ZERO,
+                })
+            })
             .collect()
-    }
-
-    /// The iteration's seeded compute step. The jitter de-synchronizes
-    /// ranks — the straggler skew that makes bypass matter — and is an
-    /// absolute quantity ([`JobSpec::jitter_us`]), so at saturating load
-    /// (short think) blocked peers spend most of each iteration waiting
-    /// on the slowest rank.
-    fn think_step(&mut self) -> Step {
-        let jitter = self.rng.below(self.jitter.as_nanos() + 1);
-        Step::Busy(SimDuration::from_nanos(self.think.as_nanos() + jitter))
     }
 }
 
-impl Program for TenantProgram {
-    fn next(&mut self, ctx: &mut StepCtx) -> Step {
-        loop {
-            match self.stage {
-                Stage::NewIter => {
-                    if self.iter == self.iters {
-                        if self.rank == 0 {
-                            ctx.record("done_us", ctx.now.as_us_f64());
-                        }
-                        self.stage = Stage::Finished;
-                        return Step::Done;
-                    }
-                    self.iter_start = ctx.now;
-                    self.stage = Stage::Communicate;
-                    return self.think_step();
-                }
-                Stage::Communicate => match self.kind {
-                    JobKind::Training => {
-                        self.stage = Stage::Account;
-                        return Step::Allreduce {
-                            op: ReduceOp::Sum,
-                            dtype: Datatype::F64,
-                            data: self.payload.clone(),
-                        };
-                    }
-                    JobKind::ShuffleReduce => {
-                        if self.size == 1 {
-                            self.stage = Stage::Account;
-                            return Step::Reduce {
-                                root: 0,
-                                op: ReduceOp::Sum,
-                                dtype: Datatype::F64,
-                                data: self.payload.clone(),
-                            };
-                        }
-                        self.stage = Stage::ShuffleRecv;
-                        return Step::Send {
+impl StepTemplate for TenantTemplate {
+    fn iters(&self) -> u64 {
+        self.iters as u64
+    }
+
+    fn steps(&mut self, iter: u64, ctx: &StepCtx, out: &mut Vec<Step>) {
+        self.iter_start = ctx.now;
+        // The seeded compute step. The jitter de-synchronizes ranks — the
+        // straggler skew that makes bypass matter — and is an absolute
+        // quantity ([`JobSpec::jitter_us`]), so at saturating load (short
+        // think) blocked peers spend most of each iteration waiting on
+        // the slowest rank.
+        let jitter = self.rng.below(self.jitter.as_nanos() + 1);
+        out.push(Step::Busy(SimDuration::from_nanos(
+            self.think.as_nanos() + jitter,
+        )));
+        let (op, dtype, data) = (ReduceOp::Sum, Datatype::F64, self.payload.clone());
+        match self.kind {
+            JobKind::Training => out.push(Step::Allreduce { op, dtype, data }),
+            JobKind::ShuffleReduce => {
+                if self.size > 1 {
+                    let tag = iter as i32;
+                    out.extend([
+                        Step::Send {
                             dst: (self.rank + 1) % self.size,
-                            tag: self.iter as i32,
+                            tag,
                             data: self.block.clone(),
-                        };
-                    }
-                },
-                Stage::ShuffleRecv => {
-                    self.stage = Stage::ShuffleReduce;
-                    return Step::Recv {
-                        src: (self.rank + self.size - 1) % self.size,
-                        tag: self.iter as i32,
-                        cap: self.block.len(),
-                    };
+                        },
+                        Step::Recv {
+                            src: (self.rank + self.size - 1) % self.size,
+                            tag,
+                            cap: self.block.len(),
+                        },
+                    ]);
                 }
-                Stage::ShuffleReduce => {
-                    self.stage = Stage::Account;
-                    return Step::Reduce {
-                        root: 0,
-                        op: ReduceOp::Sum,
-                        dtype: Datatype::F64,
-                        data: self.payload.clone(),
-                    };
-                }
-                Stage::Account => {
-                    if self.rank == 0 {
-                        let lat = ctx.now.saturating_since(self.iter_start);
-                        ctx.record("iter_us", lat.as_us_f64());
-                    }
-                    self.iter += 1;
-                    self.stage = Stage::NewIter;
-                    // Loop: the next iteration's Busy step comes out of
-                    // NewIter without yielding a zero-duration step.
-                }
-                Stage::Finished => return Step::Done,
+                out.push(Step::Reduce {
+                    root: 0,
+                    op,
+                    dtype,
+                    data,
+                });
             }
+        }
+    }
+
+    fn after(&mut self, iter: u64, idx: usize, ctx: &mut StepCtx) {
+        let shuffles = self.kind == JobKind::ShuffleReduce && self.size > 1;
+        let last = if shuffles { 3 } else { 1 };
+        if self.rank != 0 || idx != last {
+            return;
+        }
+        let lat = ctx.now.saturating_since(self.iter_start);
+        ctx.record("iter_us", lat.as_us_f64());
+        if iter + 1 == self.iters as u64 {
+            ctx.record("done_us", ctx.now.as_us_f64());
         }
     }
 }
