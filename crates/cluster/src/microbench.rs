@@ -300,6 +300,11 @@ impl StepTemplate for CpuUtilTemplate<'_> {
     }
 }
 
+/// RNG stream label of the CPU-utilization benchmark's skew draws.
+const STREAM_CPU: u64 = 0xBE7C;
+/// RNG stream label of the broadcast benchmark's skew draws.
+const STREAM_BCAST: u64 = 0xBCA7;
+
 /// One CPU-utilization program per rank. `stream` labels the skew draws;
 /// concrete (unboxed) programs let the driver monomorphize its per-step
 /// dispatch.
@@ -415,7 +420,7 @@ pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>)
         BenchColl::Reduce => Post::Reduce,
         BenchColl::DualAllreduce => Post::DualAllreduce,
     };
-    let programs = cpu_programs(cfg, 0xBE7C, post, cfg.mode == Mode::SplitPhase);
+    let programs = cpu_programs(cfg, STREAM_CPU, post, cfg.mode == Mode::SplitPhase);
     match cfg.mode {
         Mode::Baseline => {
             let d = DesDriver::new(&cfg.cluster, |rank, ec| Engine::new(rank, n, ec), programs);
@@ -445,7 +450,7 @@ pub fn run_cpu_util_traced(cfg: &CpuUtilConfig, tracer: Option<Arc<dyn Tracer>>)
 /// collects the payload at the end.
 pub fn run_bcast_util(cfg: &CpuUtilConfig) -> CpuUtilResult {
     let n = cfg.cluster.len() as u32;
-    let programs = cpu_programs(cfg, 0xBCA7, Post::Bcast, cfg.mode != Mode::Baseline);
+    let programs = cpu_programs(cfg, STREAM_BCAST, Post::Bcast, cfg.mode != Mode::Baseline);
     let ab = cfg.mode.ab_config();
     let d = DesDriver::new(
         &cfg.cluster,
@@ -820,7 +825,7 @@ pub fn run_scale_bench(n: u32, iters: u64) -> ScaleRunResult {
     let mut d = DesDriver::new(
         &cfg.cluster,
         |rank, ec| Engine::new(rank, n, ec),
-        cpu_programs(&cfg, 0xBE7C, Post::Reduce, false),
+        cpu_programs(&cfg, STREAM_CPU, Post::Reduce, false),
     );
     d.run();
     let wall_secs = start.elapsed().as_secs_f64();
