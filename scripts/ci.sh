@@ -95,6 +95,10 @@ ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=BENCH_bw_smoke.json 
   cargo run -q --release -p abr_bench --bin bandwidth_figure > FIG_bandwidth_smoke.txt
 grep -q '"schema": "abr-bw-v1"' BENCH_bw_smoke.json \
   || { echo "BENCH_bw_smoke.json missing or malformed"; exit 1; }
+# The smoke is the only CI run of the segmented and dual-root pipelines:
+# pin its tables byte-for-byte.
+diff -u crates/bench/golden/bandwidth_256k_iters5.txt FIG_bandwidth_smoke.txt \
+  || { echo "bandwidth smoke diverged from its golden"; exit 1; }
 
 echo "==> segmentation-off golden diff (ABR_SEGMENTS=1 must not perturb figures)"
 ABR_SEGMENTS=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
