@@ -323,8 +323,7 @@ fn cpu_programs(
                 rng: root_rng.derive(&[stream, rank as u64]),
                 post,
                 split,
-                // The broadcast benchmark reports CPU only.
-                record_wall: cfg.record_wall && !matches!(post, Post::Bcast),
+                record_wall: cfg.record_wall,
                 catchup: SimDuration::from_us(cfg.max_skew_us + cfg.catchup_margin_us),
                 skew: SimDuration::ZERO,
                 t_coll: SimTime::ZERO,

@@ -1,7 +1,9 @@
 //! Tests for the NIC-offload extension and mode coverage under the
 //! discrete-event driver.
 
-use abr_cluster::microbench::{run_cpu_util, run_latency, CpuUtilConfig, LatencyConfig, Mode};
+use abr_cluster::microbench::{
+    run_bcast_util, run_cpu_util, run_latency, CpuUtilConfig, LatencyConfig, Mode,
+};
 use abr_cluster::node::ClusterSpec;
 use abr_cluster::program::{Program, Step, StepCtx};
 use abr_cluster::DesDriver;
@@ -179,5 +181,24 @@ fn all_modes_run_on_every_cluster_flavour() {
                 "{mode:?}"
             );
         }
+    }
+}
+
+#[test]
+fn broadcast_benchmark_records_wall_time_when_asked() {
+    for mode in [Mode::Baseline, Mode::SplitPhase] {
+        let cfg = CpuUtilConfig {
+            iters: 5,
+            max_skew_us: 100,
+            record_wall: true,
+            ..CpuUtilConfig::new(ClusterSpec::heterogeneous(8), mode)
+        };
+        let r = run_bcast_util(&cfg);
+        assert!(r.mean_wall_us > 0.0, "{mode:?}: no broadcast wall time");
+        let quiet = run_bcast_util(&CpuUtilConfig {
+            record_wall: false,
+            ..cfg
+        });
+        assert_eq!(quiet.mean_wall_us, 0.0, "{mode:?}: wall recorded unasked");
     }
 }

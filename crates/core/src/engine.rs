@@ -21,7 +21,8 @@
 //!   packets pass through to the default mechanisms,
 //! * the **split-phase extension** (§II/§VII): [`AbEngine::ireduce_split`]
 //!   gives even the root a non-blocking reduce whose completion is driven
-//!   entirely by signals.
+//!   entirely by signals; the split-phase allreduce, segmented reduce and
+//!   dual-root allreduce are [`SegPipeline`]s of such sub-requests.
 
 use crate::bcast::{BcastWait, BcastWaitQueue};
 use crate::delay::DelayPolicy;
@@ -32,10 +33,11 @@ use abr_des::meter::CpuCategory;
 use abr_des::{SimDuration, SmallMap};
 use abr_gm::packet::{Packet, PacketKind};
 use abr_mpr::charge::Charges;
+use abr_mpr::coll::{Lane, PipeCall, SegPipeline, SegRunner, StepRes};
 use abr_mpr::engine::{Action, Engine, EngineConfig, MessageEngine};
 use abr_mpr::op::ReduceOp;
 use abr_mpr::request::Outcome;
-use abr_mpr::topology::{shared_schedule, TopoSchedule, TopologyKind};
+use abr_mpr::topology::TopoSchedule;
 use abr_mpr::types::{coll_code, coll_tag, coll_tag_code, Datatype, Rank, TagSel};
 use abr_mpr::{Communicator, ReqId};
 use abr_trace::{TraceEvent, TraceHandle};
@@ -103,97 +105,15 @@ pub struct AbEngine {
     /// Bounded-block budgets for reduce calls whose synchronous phase left
     /// children outstanding.
     hints: SmallMap<u64, SimDuration>,
-    /// In-flight split-phase allreduces (§II extension): reduce-to-0 then
-    /// broadcast, both bypassed, chained by the progress paths.
-    split_allreduces: Vec<SplitAllreduce>,
-    /// In-flight segmented bypassed reductions: each segment is an
-    /// independent per-segment split reduce; the master admits segments up
-    /// to the pipeline window and concatenates results at the root.
-    seg_splits: Vec<SegSplit>,
-    /// In-flight bypassed dual-root allreduces: two opposite-direction
-    /// chain halves, each a per-segment reduce→bcast pipeline.
-    dual_splits: Vec<DualSplit>,
+    /// In-flight segment pipelines with the shell request each completes:
+    /// split-phase allreduces (§II extension), segmented bypassed
+    /// reductions and bypassed dual-root allreduces, every segment a
+    /// split-phase sub-request.
+    pipelines: Vec<(ReqId, SegPipeline<ReqId>)>,
     /// Highest reliability sequence seen per source (see
     /// [`AbStats::duplicates_suppressed`]); independent of the inner
     /// engine's map, which only ever sees the packets we forward.
     last_rel_seq: SmallMap<u32, u64>,
-}
-
-/// Chaining state of one split-phase allreduce.
-struct SplitAllreduce {
-    shell: ReqId,
-    comm: Communicator,
-    len: usize,
-    bcast_seq: u64,
-    phase1: Option<ReqId>,
-    phase2: Option<ReqId>,
-}
-
-/// One segmented (pipelined) bypassed reduction. Each segment runs as an
-/// independent split-phase reduce on its own pre-allocated sequence
-/// number, so segment `i` at this rank is wire-compatible with segment
-/// `i` of the stock pipeline running on fallback ranks. At most `window`
-/// segments are in flight; new ones are admitted as older ones drain.
-struct SegSplit {
-    shell: ReqId,
-    comm: Communicator,
-    root: Rank,
-    op: ReduceOp,
-    dtype: Datatype,
-    data: Vec<u8>,
-    base_seq: u64,
-    k: usize,
-    seg_bytes: usize,
-    window: usize,
-    started: usize,
-    done: usize,
-    /// In-flight per-segment requests (index = segment).
-    subs: Vec<Option<ReqId>>,
-    /// Per-segment results (root only; interior ranks complete `Done`).
-    results: Vec<Option<Bytes>>,
-}
-
-/// Per-segment position inside one dual-root half's reduce→bcast chain.
-enum DualSegState {
-    /// Not yet admitted to the pipeline window.
-    Pending,
-    /// Reduce toward the half's chain root in flight.
-    Reduce(ReqId),
-    /// Broadcast back down the chain in flight.
-    Bcast(ReqId),
-    /// Segment result landed in `results`.
-    Done,
-}
-
-/// One half of a bypassed dual-root allreduce: a byte range of the
-/// payload pipelined over a chain schedule (L toward rank 0, H toward
-/// rank `size - 1`).
-struct DualHalfSplit {
-    offset: usize,
-    len: usize,
-    root: Rank,
-    sched: Arc<TopoSchedule>,
-    reduce_base_seq: u64,
-    bcast_base_seq: u64,
-    k: usize,
-    seg_bytes: usize,
-    started: usize,
-    done: usize,
-    segs: Vec<DualSegState>,
-    results: Vec<Option<Bytes>>,
-}
-
-/// A bypassed dual-root doubly-pipelined allreduce (Träff): both halves
-/// progress concurrently so both directions of every chain link carry
-/// traffic; each rank is interior in one half and root/leaf in the other.
-struct DualSplit {
-    shell: ReqId,
-    comm: Communicator,
-    op: ReduceOp,
-    dtype: Datatype,
-    data: Vec<u8>,
-    window: usize,
-    halves: [DualHalfSplit; 2],
 }
 
 impl AbEngine {
@@ -215,9 +135,7 @@ impl AbEngine {
             signals_on: false,
             stats: AbStats::default(),
             hints: SmallMap::new(),
-            split_allreduces: Vec::new(),
-            seg_splits: Vec::new(),
-            dual_splits: Vec::new(),
+            pipelines: Vec::new(),
             last_rel_seq: SmallMap::new(),
         }
     }
@@ -311,7 +229,9 @@ impl AbEngine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
+        if let Some(failed) = self.inner.reject(comm, root, Some((op, dtype))) {
+            return failed;
+        }
         // The plan depends only on configuration shared by every rank, so
         // all ranks agree on the segment count (and thus on how many
         // sequence numbers this collective consumes) before any rank-local
@@ -323,30 +243,16 @@ impl AbEngine {
             return self.ireduce_segmented(comm, root, op, dtype, data, k, seg_bytes, true);
         }
         let seq = self.inner.alloc_coll_seq(comm.coll_context);
-        self.ireduce_split_with_seq(comm, root, op, dtype, data, seq)
+        let sched = self.inner.schedule(root, comm.size);
+        self.ireduce_split_with_seq(comm, root, op, dtype, data, seq, sched)
     }
 
     /// As [`AbEngine::ireduce_split`] with an externally allocated instance
-    /// sequence number (the split-phase allreduce pre-allocates both
-    /// phases' numbers so every rank agrees on instance order).
+    /// sequence number and an explicit schedule (pipeline segments reduce
+    /// on pre-allocated numbers, the dual-root halves over chain
+    /// schedules regardless of the configured topology).
+    #[allow(clippy::too_many_arguments)] // mirrors ireduce_split + seq + sched
     fn ireduce_split_with_seq(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: &[u8],
-        seq: u64,
-    ) -> ReqId {
-        let sched = self.inner.schedule(root, comm.size);
-        self.ireduce_split_with_seq_sched(comm, root, op, dtype, data, seq, sched)
-    }
-
-    /// As [`AbEngine::ireduce_split_with_seq`] against an explicit schedule
-    /// (the dual-root halves reduce over chain schedules regardless of the
-    /// configured topology).
-    #[allow(clippy::too_many_arguments)] // mirrors ireduce_split_with_seq + sched
-    fn ireduce_split_with_seq_sched(
         &mut self,
         comm: &Communicator,
         root: Rank,
@@ -362,14 +268,14 @@ impl AbEngine {
             self.stats.fallback_disabled += u64::from(!self.config.enabled);
             return self
                 .inner
-                .ireduce_with_seq_sched(comm, root, op, dtype, data, seq, sched);
+                .ireduce_with_seq(comm, root, op, dtype, data, seq, sched);
         }
         if sched.is_leaf(rank) || comm.size == 1 {
             // A leaf's only action is the send; the stock path already
             // completes it without blocking. Size-1: trivially complete.
             return self
                 .inner
-                .ireduce_with_seq_sched(comm, root, op, dtype, data, seq, sched);
+                .ireduce_with_seq(comm, root, op, dtype, data, seq, sched);
         }
         self.stats.split_phase_started += 1;
         let parent = sched.parent_of(rank);
@@ -391,27 +297,18 @@ impl AbEngine {
         data: Option<Bytes>,
         len: usize,
     ) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
+        if let Some(failed) = self.inner.reject(comm, root, None) {
+            return failed;
+        }
         let seq = self.inner.alloc_coll_seq(comm.coll_context);
-        self.ibcast_split_with_seq(comm, root, data, len, seq)
-    }
-
-    fn ibcast_split_with_seq(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        data: Option<Bytes>,
-        len: usize,
-        seq: u64,
-    ) -> ReqId {
         let sched = self.inner.schedule(root, comm.size);
-        self.ibcast_split_with_seq_sched(comm, root, data, len, seq, sched)
+        self.ibcast_split_with_seq(comm, root, data, len, seq, sched)
     }
 
-    /// As [`AbEngine::ibcast_split_with_seq`] against an explicit schedule
-    /// (the dual-root halves broadcast over chain schedules regardless of
-    /// the configured topology).
-    fn ibcast_split_with_seq_sched(
+    /// As [`AbEngine::ibcast_split`] with an externally allocated sequence
+    /// number and an explicit schedule (pipeline segments broadcast on
+    /// pre-allocated numbers, the dual-root halves over chain schedules).
+    fn ibcast_split_with_seq(
         &mut self,
         comm: &Communicator,
         root: Rank,
@@ -494,7 +391,8 @@ impl AbEngine {
     /// synchronizing operations benefit "if they are implemented in a
     /// split-phase manner"): a bypassed reduce to rank 0 chained into a
     /// bypassed broadcast, driven entirely by the progress paths. Every
-    /// rank's request completes with the reduced data.
+    /// rank's request completes with the reduced data. It runs as one
+    /// segment whatever its size.
     pub fn iallreduce_split(
         &mut self,
         comm: &Communicator,
@@ -502,78 +400,21 @@ impl AbEngine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
+        if let Some(failed) = self.inner.reject(comm, 0, Some((op, dtype))) {
+            return failed;
+        }
         // Pre-allocate both phases' instance numbers so all ranks agree on
         // collective order regardless of when the chain advances locally.
-        let reduce_seq = self.inner.alloc_coll_seq(comm.coll_context);
-        let bcast_seq = self.inner.alloc_coll_seq(comm.coll_context);
+        let lane = self.inner.allreduce_lane(comm, data.len());
         self.stats.allreduce_splits += 1;
-        let shell = self.inner.alloc_shell_req();
-        let phase1 = self.ireduce_split_with_seq(comm, 0, op, dtype, data, reduce_seq);
-        self.split_allreduces.push(SplitAllreduce {
-            shell,
-            comm: *comm,
-            len: data.len(),
-            bcast_seq,
-            phase1: Some(phase1),
-            phase2: None,
-        });
-        self.step_split_allreduces();
-        shell
-    }
-
-    /// Advance any split-phase allreduce chains whose current phase has
-    /// completed. Called from every progress path.
-    fn step_split_allreduces(&mut self) {
-        if self.split_allreduces.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.split_allreduces.len() {
-            // Phase 1 -> phase 2 transition.
-            if let Some(p1) = self.split_allreduces[i].phase1 {
-                if self.inner.test(p1) {
-                    let out = self.inner.take_outcome(p1);
-                    let (comm, len, bcast_seq) = {
-                        let e = &self.split_allreduces[i];
-                        (e.comm, e.len, e.bcast_seq)
-                    };
-                    let data = match out {
-                        Some(Outcome::Data(d)) => Some(d),
-                        Some(Outcome::Done) | None => None,
-                        Some(Outcome::Failed(err)) => {
-                            let shell = self.split_allreduces.remove(i).shell;
-                            self.inner.complete_shell(shell, Outcome::Failed(err));
-                            continue;
-                        }
-                    };
-                    debug_assert_eq!(data.is_some(), self.inner.rank() == 0);
-                    let p2 = self.ibcast_split_with_seq(&comm, 0, data, len, bcast_seq);
-                    let e = &mut self.split_allreduces[i];
-                    e.phase1 = None;
-                    e.phase2 = Some(p2);
-                }
-            }
-            // Phase 2 completion.
-            if let Some(p2) = self.split_allreduces[i].phase2 {
-                if self.inner.test(p2) {
-                    let out = self.inner.take_outcome(p2);
-                    let shell = self.split_allreduces.remove(i).shell;
-                    match out {
-                        Some(o) => self.inner.complete_shell(shell, o),
-                        None => unreachable!("tested complete"),
-                    }
-                    continue;
-                }
-            }
-            i += 1;
-        }
+        self.post_pipeline(comm, op, dtype, data, [lane])
     }
 
     /// Shared body of the segmented reduce paths (blocking and split): one
     /// sequence number per segment, stock segmented pipeline on the §V-B
-    /// fallback ranks, a [`SegSplit`] master of per-segment bypassed
-    /// reduces everywhere else. The two are wire-compatible because both
-    /// tag segment `i` with `base_seq + i`.
+    /// fallback ranks, a pipeline of per-segment bypassed reduces
+    /// everywhere else. The two are wire-compatible because both tag
+    /// segment `i` with `base_seq + i`.
     #[allow(clippy::too_many_arguments)] // mirrors ireduce + the segment plan
     fn ireduce_segmented(
         &mut self,
@@ -590,22 +431,20 @@ impl AbEngine {
         // the same count to keep later instances' tags aligned.
         let base_seq = self.inner.alloc_seq_range(comm.coll_context, k);
         let rank = self.inner.rank();
-        if !self.config.enabled {
-            self.stats.fallback_disabled += 1;
-            return self
-                .inner
-                .ireduce_segmented_with_seqs(comm, root, op, dtype, data, base_seq, k, seg_bytes);
-        }
-        let sched = self.inner.schedule(root, comm.size);
-        if (!split && rank == root) || sched.is_leaf(rank) {
-            // Same §V-B fallbacks as the single-segment path; the stock
-            // pipeline reuses the pre-allocated sequence block so its
-            // per-segment tags match the bypassed ranks' exactly.
-            if !split && rank == root {
-                self.stats.fallback_root += 1;
-            } else {
-                self.stats.fallback_leaf += 1;
-            }
+        // Same §V-B fallbacks as the single-segment path; the stock pipeline
+        // reuses the pre-allocated sequence block so its per-segment tags
+        // match the bypassed ranks' exactly.
+        let fallback = if !self.config.enabled {
+            Some(&mut self.stats.fallback_disabled)
+        } else if !split && rank == root {
+            Some(&mut self.stats.fallback_root)
+        } else if self.inner.schedule(root, comm.size).is_leaf(rank) {
+            Some(&mut self.stats.fallback_leaf)
+        } else {
+            None
+        };
+        if let Some(count) = fallback {
+            *count += 1;
             return self
                 .inner
                 .ireduce_segmented_with_seqs(comm, root, op, dtype, data, base_seq, k, seg_bytes);
@@ -614,125 +453,10 @@ impl AbEngine {
         if !split {
             self.stats.ab_reductions += 1;
         }
-        let shell = self.inner.alloc_shell_req();
-        self.seg_splits.push(SegSplit {
-            shell,
-            comm: *comm,
-            root,
-            op,
-            dtype,
-            data: data.to_vec(),
-            base_seq,
-            k,
-            seg_bytes,
-            window: self.inner.segment_window(),
-            started: 0,
-            done: 0,
-            subs: vec![None; k],
-            results: vec![None; k],
-        });
-        self.step_seg_splits();
-        shell
-    }
-
-    /// Advance the segmented-reduction masters: admit segments while the
-    /// pipeline window has room, reap completed per-segment requests, and
-    /// complete the shell when the last segment drains. Called from every
-    /// progress path.
-    fn step_seg_splits(&mut self) {
-        if self.seg_splits.is_empty() {
-            return;
-        }
-        // Detach the list so per-segment posts (which re-enter the engine)
-        // can never alias it.
-        let mut list = std::mem::take(&mut self.seg_splits);
-        let mut i = 0;
-        while i < list.len() {
-            let mut failed = None;
-            loop {
-                let mut advanced = false;
-                // Admit segments while the window has room.
-                while failed.is_none() {
-                    let e = &list[i];
-                    if e.started - e.done >= e.window || e.started >= e.k {
-                        break;
-                    }
-                    let s = e.started;
-                    let lo = s * e.seg_bytes;
-                    let hi = (lo + e.seg_bytes).min(e.data.len());
-                    let (comm, root, op, dtype) = (e.comm, e.root, e.op, e.dtype);
-                    let seq = e.base_seq + s as u64;
-                    self.inner.tracer().emit(TraceEvent::SegPhaseEnter {
-                        phase: "seg-split",
-                        seg: s as u32,
-                    });
-                    let sub = self.ireduce_split_with_seq(
-                        &comm,
-                        root,
-                        op,
-                        dtype,
-                        &list[i].data[lo..hi],
-                        seq,
-                    );
-                    let e = &mut list[i];
-                    e.started += 1;
-                    e.subs[s] = Some(sub);
-                    advanced = true;
-                }
-                // Reap completed segments.
-                for s in 0..list[i].started {
-                    let Some(sub) = list[i].subs[s] else { continue };
-                    if !self.inner.test(sub) {
-                        continue;
-                    }
-                    let out = self.inner.take_outcome(sub);
-                    let e = &mut list[i];
-                    e.subs[s] = None;
-                    e.done += 1;
-                    match out {
-                        Some(Outcome::Data(d)) => e.results[s] = Some(d),
-                        Some(Outcome::Done) | None => {}
-                        Some(Outcome::Failed(err)) => failed = Some(err),
-                    }
-                    self.inner.tracer().emit(TraceEvent::SegPhaseExit {
-                        phase: "seg-split",
-                        seg: s as u32,
-                    });
-                    advanced = true;
-                }
-                if !advanced || failed.is_some() {
-                    break;
-                }
-            }
-            if let Some(err) = failed {
-                let shell = list.remove(i).shell;
-                self.inner.complete_shell(shell, Outcome::Failed(err));
-                continue;
-            }
-            if list[i].done == list[i].k {
-                let e = list.remove(i);
-                if self.inner.rank() == e.root {
-                    // Split-phase root: concatenate the segment results.
-                    let total = e
-                        .results
-                        .iter()
-                        .map(|r| r.as_ref().map_or(0, |b| b.len()))
-                        .sum();
-                    let mut out = Vec::with_capacity(total);
-                    for r in e.results {
-                        out.extend_from_slice(&r.expect("root holds every segment result"));
-                    }
-                    self.inner
-                        .complete_shell(e.shell, Outcome::Data(Bytes::from(out)));
-                } else {
-                    self.inner.complete_shell(e.shell, Outcome::Done);
-                }
-                continue;
-            }
-            i += 1;
-        }
-        let mut reentrant = std::mem::replace(&mut self.seg_splits, list);
-        self.seg_splits.append(&mut reentrant);
+        let lane =
+            self.inner
+                .reduce_lane(comm, root, data.len(), base_seq, k, seg_bytes, "seg-split");
+        self.post_pipeline(comm, op, dtype, data, [lane])
     }
 
     /// Split-phase dual-root doubly-pipelined allreduce (Träff): the
@@ -748,205 +472,58 @@ impl AbEngine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
-        let elem = dtype.size();
-        let lo_len = data.len() / elem / 2 * elem;
-        let hi_len = data.len() - lo_len;
-        if !self.config.enabled || comm.size < 2 || lo_len == 0 || hi_len == 0 {
+        if let Some(failed) = self.inner.reject(comm, 0, Some((op, dtype))) {
+            return failed;
+        }
+        let marks = ["dual-split-lo", "dual-split-hi"];
+        let lanes = match self.config.enabled {
+            true => self.inner.dual_lanes(comm, data.len(), dtype.size(), marks),
+            false => None,
+        };
+        let Some(lanes) = lanes else {
             // Too small to split (or bypass is off): the stock dual-root
             // path degrades identically on every rank.
             return MessageEngine::iallreduce_dual(self, comm, op, dtype, data);
-        }
-        self.stats.dual_allreduce_splits += 1;
-        let sched_l = shared_schedule(TopologyKind::Chain, 0, comm.size);
-        let sched_h = shared_schedule(TopologyKind::ChainRev, comm.size - 1, comm.size);
-        let (k_l, seg_l) = self.inner.plan_segments(lo_len, elem, sched_l.max_depth());
-        let (k_h, seg_h) = self.inner.plan_segments(hi_len, elem, sched_h.max_depth());
-        // Same fixed allocation order as the stock dual-root path:
-        // [L reduce][L bcast][H reduce][H bcast].
-        let ctx = comm.coll_context;
-        let l_red = self.inner.alloc_seq_range(ctx, k_l);
-        let l_bc = self.inner.alloc_seq_range(ctx, k_l);
-        let h_red = self.inner.alloc_seq_range(ctx, k_h);
-        let h_bc = self.inner.alloc_seq_range(ctx, k_h);
-        let shell = self.inner.alloc_shell_req();
-        let half = |offset: usize,
-                    len: usize,
-                    root: Rank,
-                    sched: Arc<TopoSchedule>,
-                    red: u64,
-                    bc: u64,
-                    k: usize,
-                    seg_bytes: usize| DualHalfSplit {
-            offset,
-            len,
-            root,
-            sched,
-            reduce_base_seq: red,
-            bcast_base_seq: bc,
-            k,
-            seg_bytes,
-            started: 0,
-            done: 0,
-            segs: (0..k).map(|_| DualSegState::Pending).collect(),
-            results: vec![None; k],
         };
-        self.dual_splits.push(DualSplit {
-            shell,
-            comm: *comm,
-            op,
-            dtype,
-            data: data.to_vec(),
-            window: self.inner.segment_window(),
-            halves: [
-                half(0, lo_len, 0, sched_l, l_red, l_bc, k_l, seg_l),
-                half(
-                    lo_len,
-                    hi_len,
-                    comm.size - 1,
-                    sched_h,
-                    h_red,
-                    h_bc,
-                    k_h,
-                    seg_h,
-                ),
-            ],
-        });
-        self.step_dual_splits();
+        self.stats.dual_allreduce_splits += 1;
+        self.post_pipeline(comm, op, dtype, data, lanes)
+    }
+
+    /// Post a pipeline of split-phase segments behind a shell request and
+    /// advance it at once.
+    fn post_pipeline<const N: usize>(
+        &mut self,
+        comm: &Communicator,
+        op: ReduceOp,
+        dtype: Datatype,
+        data: &[u8],
+        lanes: [Lane; N],
+    ) -> ReqId {
+        let shell = self.inner.alloc_shell_req();
+        let call = self.inner.pipe_call(comm, op, dtype);
+        let pipe = SegPipeline::new(call, data, lanes);
+        self.pipelines.push((shell, pipe));
+        self.advance_pipelines();
         shell
     }
 
-    /// Advance the bypassed dual-root allreduces: per half, admit reduce
-    /// segments while the window has room, chain completed reduces into
-    /// broadcasts, and complete the shell once both halves hold every
-    /// segment's broadcast payload. Called from every progress path.
-    fn step_dual_splits(&mut self) {
-        if self.dual_splits.is_empty() {
+    /// Advance every in-flight pipeline and complete the shells of those
+    /// that finished. Called from every progress path.
+    fn advance_pipelines(&mut self) {
+        if self.pipelines.is_empty() {
             return;
         }
-        let mut list = std::mem::take(&mut self.dual_splits);
-        let mut i = 0;
-        while i < list.len() {
-            let mut failed = None;
-            'steps: loop {
-                let mut advanced = false;
-                for h in 0..2 {
-                    let label = if h == 0 {
-                        "dual-split-lo"
-                    } else {
-                        "dual-split-hi"
-                    };
-                    // Admit reduce segments while the window has room.
-                    loop {
-                        let e = &list[i];
-                        let half = &e.halves[h];
-                        if half.started - half.done >= e.window || half.started >= half.k {
-                            break;
-                        }
-                        let s = half.started;
-                        let lo = half.offset + s * half.seg_bytes;
-                        let hi = (lo + half.seg_bytes).min(half.offset + half.len);
-                        let seq = half.reduce_base_seq + s as u64;
-                        let (comm, op, dtype, root) = (e.comm, e.op, e.dtype, half.root);
-                        let sched = Arc::clone(&half.sched);
-                        self.inner.tracer().emit(TraceEvent::SegPhaseEnter {
-                            phase: label,
-                            seg: s as u32,
-                        });
-                        let sub = self.ireduce_split_with_seq_sched(
-                            &comm,
-                            root,
-                            op,
-                            dtype,
-                            &list[i].data[lo..hi],
-                            seq,
-                            sched,
-                        );
-                        let half = &mut list[i].halves[h];
-                        half.started += 1;
-                        half.segs[s] = DualSegState::Reduce(sub);
-                        advanced = true;
-                    }
-                    // Reap: reduces chain into broadcasts; broadcasts finish
-                    // the segment on every rank.
-                    for s in 0..list[i].halves[h].started {
-                        let sub = match &list[i].halves[h].segs[s] {
-                            DualSegState::Reduce(r) => *r,
-                            DualSegState::Bcast(b) => *b,
-                            _ => continue,
-                        };
-                        if !self.inner.test(sub) {
-                            continue;
-                        }
-                        let reducing = matches!(list[i].halves[h].segs[s], DualSegState::Reduce(_));
-                        let out = self.inner.take_outcome(sub);
-                        if let Some(Outcome::Failed(err)) = out {
-                            failed = Some(err);
-                            break 'steps;
-                        }
-                        if reducing {
-                            // The half's root holds the segment result;
-                            // everyone chains into the broadcast.
-                            let payload = match out {
-                                Some(Outcome::Data(d)) => Some(d),
-                                _ => None,
-                            };
-                            let e = &list[i];
-                            let half = &e.halves[h];
-                            debug_assert_eq!(payload.is_some(), self.inner.rank() == half.root);
-                            let seg_len = payload.as_ref().map_or_else(
-                                || half.seg_bytes.min(half.len - s * half.seg_bytes),
-                                |d| d.len(),
-                            );
-                            let seq = half.bcast_base_seq + s as u64;
-                            let (comm, root) = (e.comm, half.root);
-                            let sched = Arc::clone(&half.sched);
-                            let sub2 = self.ibcast_split_with_seq_sched(
-                                &comm, root, payload, seg_len, seq, sched,
-                            );
-                            list[i].halves[h].segs[s] = DualSegState::Bcast(sub2);
-                        } else {
-                            let d = match out {
-                                Some(Outcome::Data(d)) => d,
-                                _ => unreachable!("broadcast completes with the payload"),
-                            };
-                            self.inner.tracer().emit(TraceEvent::SegPhaseExit {
-                                phase: label,
-                                seg: s as u32,
-                            });
-                            let half = &mut list[i].halves[h];
-                            half.results[s] = Some(d);
-                            half.segs[s] = DualSegState::Done;
-                            half.done += 1;
-                        }
-                        advanced = true;
-                    }
-                }
-                if !advanced {
-                    break;
-                }
+        // Detach the list: segment posts re-enter the engine.
+        let mut list = std::mem::take(&mut self.pipelines);
+        list.retain_mut(|(shell, pipe)| match pipe.advance(self).outcome {
+            Some(outcome) => {
+                self.inner.complete_shell(*shell, outcome);
+                false
             }
-            if let Some(err) = failed {
-                let shell = list.remove(i).shell;
-                self.inner.complete_shell(shell, Outcome::Failed(err));
-                continue;
-            }
-            if list[i].halves.iter().all(|half| half.done == half.k) {
-                let e = list.remove(i);
-                let mut out = Vec::with_capacity(e.data.len());
-                for half in &e.halves {
-                    for r in &half.results {
-                        out.extend_from_slice(r.as_ref().expect("every segment broadcast"));
-                    }
-                }
-                debug_assert_eq!(out.len(), e.data.len());
-                self.inner
-                    .complete_shell(e.shell, Outcome::Data(Bytes::from(out)));
-                continue;
-            }
-            i += 1;
-        }
-        let mut reentrant = std::mem::replace(&mut self.dual_splits, list);
-        self.dual_splits.append(&mut reentrant);
+            None => true,
+        });
+        debug_assert!(self.pipelines.is_empty(), "a segment post added a pipeline");
+        self.pipelines = list;
     }
 
     /// Shared body of the bypassed reduce paths. `parent == None` is the
@@ -1385,6 +962,42 @@ impl AbEngine {
     }
 }
 
+/// The bypass engine runs each pipeline segment as a split-phase
+/// sub-request, completed by the progress paths or by signals.
+impl SegRunner for AbEngine {
+    type Sub = ReqId;
+
+    fn start_reduce(&mut self, call: &PipeCall, lane: &Lane, seg: usize, acc: Vec<u8>) -> ReqId {
+        let (comm, seq) = (call.comm, lane.reduce_seq + seg as u64);
+        let sched = Arc::clone(&lane.sched);
+        self.ireduce_split_with_seq(&comm, lane.root, call.op, call.dtype, &acc, seq, sched)
+    }
+
+    fn start_bcast(
+        &mut self,
+        call: &PipeCall,
+        lane: &Lane,
+        seg: usize,
+        data: Option<Bytes>,
+        len: usize,
+    ) -> ReqId {
+        let seq = lane.bcast_seq.expect("a broadcasting lane") + seg as u64;
+        let sched = Arc::clone(&lane.sched);
+        self.ibcast_split_with_seq(&call.comm, lane.root, data, len, seq, sched)
+    }
+
+    fn step(&mut self, sub: &mut ReqId) -> StepRes {
+        match self.inner.test(*sub) {
+            true => StepRes::done(self.inner.take_outcome(*sub).unwrap_or(Outcome::Done)),
+            false => StepRes::pending(false),
+        }
+    }
+
+    fn tracer(&self) -> &TraceHandle {
+        self.inner.tracer()
+    }
+}
+
 impl MessageEngine for AbEngine {
     fn rank(&self) -> Rank {
         self.inner.rank()
@@ -1418,9 +1031,7 @@ impl MessageEngine for AbEngine {
     fn progress(&mut self) -> bool {
         let a = self.drain_rx(false);
         let b = self.inner.progress();
-        self.step_split_allreduces();
-        self.step_seg_splits();
-        self.step_dual_splits();
+        self.advance_pipelines();
         a || b
     }
 
@@ -1436,9 +1047,7 @@ impl MessageEngine for AbEngine {
         self.inner.charge(CpuCategory::SignalHandler, sig_cost);
         let a = self.drain_rx(true);
         let b = self.inner.crank();
-        self.step_split_allreduces();
-        self.step_seg_splits();
-        self.step_dual_splits();
+        self.advance_pipelines();
         // Everything charged during the handler counts as signal time.
         let work = self.inner.take_charges();
         let mut recat = Charges::ZERO;
@@ -1485,7 +1094,9 @@ impl MessageEngine for AbEngine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
+        if let Some(failed) = self.inner.reject(comm, root, Some((op, dtype))) {
+            return failed;
+        }
         // Plan first (see `ireduce_split`): all ranks must agree on the
         // segment count before any rank-local mode decision.
         let (k, seg_bytes) = self
@@ -1496,33 +1107,26 @@ impl MessageEngine for AbEngine {
         }
         let seq = self.inner.alloc_coll_seq(comm.coll_context);
         let rank = self.inner.rank();
+        let sched = self.inner.schedule(root, comm.size);
         // §V-B mode decision.
-        if !self.config.enabled {
-            self.stats.fallback_disabled += 1;
+        let fallback = if !self.config.enabled {
+            Some(&mut self.stats.fallback_disabled)
+        } else if rank == root {
+            Some(&mut self.stats.fallback_root)
+        } else if sched.is_leaf(rank) {
+            Some(&mut self.stats.fallback_leaf)
+        } else if data.len() > self.inner.eager_limit() {
+            Some(&mut self.stats.fallback_large)
+        } else {
+            None
+        };
+        if let Some(count) = fallback {
+            *count += 1;
             return self
                 .inner
-                .ireduce_with_seq(comm, root, op, dtype, data, seq);
-        }
-        if rank == root {
-            self.stats.fallback_root += 1;
-            return self
-                .inner
-                .ireduce_with_seq(comm, root, op, dtype, data, seq);
-        }
-        if self.inner.schedule(root, comm.size).is_leaf(rank) {
-            self.stats.fallback_leaf += 1;
-            return self
-                .inner
-                .ireduce_with_seq(comm, root, op, dtype, data, seq);
-        }
-        if data.len() > self.inner.eager_limit() {
-            self.stats.fallback_large += 1;
-            return self
-                .inner
-                .ireduce_with_seq(comm, root, op, dtype, data, seq);
+                .ireduce_with_seq(comm, root, op, dtype, data, seq, sched);
         }
         self.stats.ab_reductions += 1;
-        let sched = self.inner.schedule(root, comm.size);
         let parent = sched.parent_of(rank);
         debug_assert!(parent.is_some(), "internal node always has a parent");
         self.ab_reduce_start(comm, root, op, dtype, data, seq, parent, false, sched)

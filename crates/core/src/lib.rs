@@ -20,7 +20,10 @@
 //!   signal enable/disable policy,
 //! * a split-phase extension ([`engine::AbEngine::ireduce_split`])
 //!   implementing the paper's §II/§VII suggestion that a split-phase
-//!   interface would let even the *root* benefit from bypass.
+//!   interface would let even the *root* benefit from bypass. The
+//!   split-phase allreduce, the bypassed segmented reduce and the bypassed
+//!   dual-root allreduce run on the baseline's
+//!   [`abr_mpr::coll::SegPipeline`], each segment a split-phase sub-request.
 //!
 //! The decision table (§V-B): root and leaf ranks, and messages beyond the
 //! eager limit, fall back to the stock blocking reduction; internal tree

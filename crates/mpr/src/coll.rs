@@ -17,12 +17,23 @@
 //! arithmetic: the engine steps against the schedule's ordered child list
 //! and parent pointer, so the same state machine runs over any
 //! [`crate::topology::TopologyKind`].
+//!
+//! [`SegPipeline`] is the one large-message pipeline both engines share: a
+//! plan of one or two [`Lane`]s, each a byte range reduced toward a root in
+//! windowed segments and optionally chained into a broadcast. The plain
+//! allreduce, the segmented reduce and the dual-root allreduce are its
+//! three shapes. [`SegPipeline::advance`] drives it through a [`SegRunner`]:
+//! the baseline engine steps inline [`SegMachine`]s, the application-bypass
+//! engine posts split-phase sub-requests.
 
+use crate::comm::Communicator;
 use crate::op::ReduceOp;
-use crate::request::ReqId;
+use crate::request::{Outcome, ReqId};
 use crate::topology::TopoSchedule;
 use crate::types::{Datatype, Rank};
 use abr_gm::packet::PacketKind;
+use abr_trace::{TraceEvent, TraceHandle};
+use bytes::Bytes;
 use std::sync::Arc;
 
 /// State of a blocking tree reduction (MPICH `intra_Reduce` when the
@@ -60,6 +71,35 @@ pub struct ReduceState {
     pub packet_kind: PacketKind,
 }
 
+impl ReduceState {
+    /// A reduction of `acc` toward `root` on `coll_seq`, no child folded
+    /// in yet.
+    pub fn new(
+        call: &PipeCall,
+        rank: Rank,
+        root: Rank,
+        coll_seq: u64,
+        acc: Vec<u8>,
+        sched: Arc<TopoSchedule>,
+    ) -> Self {
+        ReduceState {
+            context: call.comm.coll_context,
+            root,
+            size: call.comm.size,
+            rank,
+            op: call.op,
+            dtype: call.dtype,
+            coll_seq,
+            acc,
+            sched,
+            next_child: 0,
+            child_recv: None,
+            send_req: None,
+            packet_kind: call.packet_kind,
+        }
+    }
+}
+
 /// State of a tree broadcast.
 #[derive(Debug)]
 pub struct BcastState {
@@ -76,7 +116,7 @@ pub struct BcastState {
     /// Payload length in bytes.
     pub len: usize,
     /// The data once this rank has it (root starts with it).
-    pub data: Option<bytes::Bytes>,
+    pub data: Option<Bytes>,
     /// Outstanding receive from the parent.
     pub recv_req: Option<ReqId>,
     /// The precomputed schedule this instance steps against.
@@ -85,6 +125,34 @@ pub struct BcastState {
     pub next_send: usize,
     /// In-flight send requests (rendezvous sends complete asynchronously).
     pub send_reqs: Vec<ReqId>,
+}
+
+impl BcastState {
+    /// A broadcast of `len` bytes from `root` on `coll_seq`; the root
+    /// passes the `data`.
+    pub fn new(
+        comm: &Communicator,
+        rank: Rank,
+        root: Rank,
+        coll_seq: u64,
+        data: Option<Bytes>,
+        len: usize,
+        sched: Arc<TopoSchedule>,
+    ) -> Self {
+        BcastState {
+            context: comm.coll_context,
+            root,
+            size: comm.size,
+            rank,
+            coll_seq,
+            len,
+            data,
+            recv_req: None,
+            sched,
+            next_send: 0,
+            send_reqs: Vec::new(),
+        }
+    }
 }
 
 /// State of a dissemination barrier.
@@ -102,29 +170,6 @@ pub struct BarrierState {
     pub round: u32,
     /// Outstanding receive for the current round.
     pub recv_req: Option<ReqId>,
-}
-
-/// Which phase a composite allreduce is in.
-#[derive(Debug)]
-pub enum AllreducePhase {
-    /// Reducing to rank 0.
-    Reduce(ReduceState),
-    /// Broadcasting the result from rank 0.
-    Bcast(BcastState),
-}
-
-/// State of an allreduce (reduce-to-0 then broadcast, as MPICH does for
-/// user-defined/commutative operations).
-#[derive(Debug)]
-pub struct AllreduceState {
-    /// Current phase.
-    pub phase: AllreducePhase,
-    /// Operator/dtype kept to rebuild the bcast phase.
-    pub op: ReduceOp,
-    /// Element type.
-    pub dtype: Datatype,
-    /// Payload length in bytes.
-    pub len: usize,
 }
 
 /// State of a gather (linear at the root, as MPICH does for small
@@ -145,7 +190,7 @@ pub struct GatherState {
     /// Per-rank block length in bytes.
     pub block: usize,
     /// Root: assembled blocks (index = rank).
-    pub chunks: Vec<Option<bytes::Bytes>>,
+    pub chunks: Vec<Option<Bytes>>,
     /// Root: outstanding receives (req, src).
     pub recvs: Vec<(ReqId, Rank)>,
     /// Non-root: the send request.
@@ -166,7 +211,7 @@ pub struct ScatterState {
     /// Non-root: the pending receive for this rank's block.
     pub recv_req: Option<ReqId>,
     /// Root: this rank's own block, returned when sends complete.
-    pub own: Option<bytes::Bytes>,
+    pub own: Option<Bytes>,
     /// Root: outstanding sends.
     pub send_reqs: Vec<ReqId>,
 }
@@ -217,102 +262,300 @@ pub struct RsAllreduceState {
     pub recv_req: Option<ReqId>,
 }
 
-/// State of a segmented (pipelined) tree reduction: `k` independent
-/// [`ReduceState`] instances over contiguous slices of the payload, all
-/// stepping the *same* shared schedule, with at most `window` segments
-/// active on the wire at once (the `ABR_SEGMENTS` knob). Each segment has
-/// its own collective sequence number (`base_seq + index`), so packets from
-/// different segments match independently and interleave freely.
+/// The result of stepping one collective state machine.
 #[derive(Debug)]
-pub struct SegReduceState {
-    /// Root rank (for assembling the final buffer there).
-    pub root: Rank,
-    /// This rank.
-    pub rank: Rank,
-    /// Per-segment reduce machines: `Some` until the segment completes.
-    /// Index `i` covers bytes `[i * seg_bytes, min((i+1) * seg_bytes, len))`
-    /// and uses sequence number `base_seq + i`.
-    pub segs: Vec<Option<ReduceState>>,
-    /// Segments admitted to the pipeline so far (`segs[..started]` are
-    /// active or done; the rest have not posted any traffic yet).
-    pub started: usize,
-    /// Segments fully completed.
-    pub done: usize,
-    /// Maximum segments in flight at once (`started - done <= window`).
-    pub window: usize,
-    /// Root only: per-segment results, concatenated in order on completion.
-    pub results: Vec<Option<bytes::Bytes>>,
+pub struct StepRes {
+    /// Whether any state advanced.
+    pub progressed: bool,
+    /// The collective's outcome once it has completed.
+    pub outcome: Option<Outcome>,
 }
 
-/// One segment of a dual-root allreduce half: a reduce toward the half's
-/// root, then a broadcast of that segment's result back down the same tree.
-#[derive(Debug)]
-pub enum DualSeg {
-    /// Reduction phase in progress.
-    Reduce(ReduceState),
-    /// Broadcast phase in progress.
-    Bcast(BcastState),
-    /// Segment complete (result recorded in the half's `results`).
-    Done,
+impl StepRes {
+    /// Still running.
+    pub fn pending(progressed: bool) -> Self {
+        StepRes {
+            progressed,
+            outcome: None,
+        }
+    }
+
+    /// Completed with `outcome`.
+    pub fn done(outcome: Outcome) -> Self {
+        StepRes {
+            progressed: true,
+            outcome: Some(outcome),
+        }
+    }
 }
 
-/// One half of a dual-root allreduce: an independent segmented
-/// reduce-then-broadcast pipeline over its own chain schedule and its own
-/// slice `[offset, offset + len)` of the payload.
-#[derive(Debug)]
-pub struct DualHalf {
-    /// Byte offset of this half within the full payload.
+/// One lane of a [`SegPipeline`]: the byte range `[offset, offset + len)`
+/// of the payload, reduced toward `root` over `sched` in `segments`
+/// segments of `seg_bytes` (the last may be shorter), at most `window` of
+/// them in flight. With a broadcast sequence base, each segment's result
+/// is broadcast back down the same schedule. Segment `i` reduces on
+/// `reduce_seq + i` and broadcasts on `bcast_seq + i`, so segments match
+/// independently and interleave freely.
+#[derive(Debug, Clone)]
+pub struct Lane {
+    /// Byte offset of this lane within the payload.
     pub offset: usize,
-    /// Byte length of this half.
+    /// Byte length of this lane.
     pub len: usize,
-    /// This half's root rank.
+    /// This lane's root rank.
     pub root: Rank,
-    /// Chain (or chain-reverse) schedule both phases step.
+    /// The schedule both phases step.
     pub sched: Arc<TopoSchedule>,
-    /// First reduce sequence number; segment `i` reduces on `+ i`.
-    pub reduce_base_seq: u64,
-    /// First broadcast sequence number; segment `i` broadcasts on `+ i`.
-    pub bcast_base_seq: u64,
-    /// Segment size in bytes (last segment may be shorter).
+    /// First reduce sequence number.
+    pub reduce_seq: u64,
+    /// First broadcast sequence number, if segments chain into a broadcast.
+    pub bcast_seq: Option<u64>,
+    /// Segment size in bytes.
     pub seg_bytes: usize,
-    /// Per-segment pipelines.
-    pub segs: Vec<DualSeg>,
-    /// Segments admitted to this half's pipeline so far.
-    pub started: usize,
-    /// Segments fully completed (broadcast received everywhere).
-    pub done: usize,
-    /// Maximum segments of this half in flight at once.
+    /// Number of segments.
+    pub segments: usize,
+    /// Maximum segments in flight at once.
     pub window: usize,
-    /// Per-segment broadcast results, assembled in order on completion.
-    pub results: Vec<Option<bytes::Bytes>>,
+    /// Label of the per-segment trace markers (`None`: no markers).
+    pub marks: Option<&'static str>,
 }
 
-/// State of Träff's dual-root doubly-pipelined allreduce (PAPERS.md): the
-/// payload is split into two element-aligned halves that run *concurrent*
-/// segmented reduce+broadcast pipelines over opposite-direction chains —
-/// half L toward rank 0 over [`crate::topology::TopologyKind::Chain`], half
-/// H toward rank `size - 1` over
-/// [`crate::topology::TopologyKind::ChainRev`] — so every physical link
-/// carries both halves in opposite directions and no link is idle while
-/// the pipeline drains.
-#[derive(Debug)]
-pub struct DualAllreduceState {
-    /// Collective context id.
-    pub context: u32,
-    /// Communicator size.
-    pub size: u32,
-    /// This rank.
-    pub rank: Rank,
+impl Lane {
+    /// Payload bytes of segment `i`.
+    pub fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let lo = self.offset + i * self.seg_bytes;
+        lo..(lo + self.seg_bytes).min(self.offset + self.len)
+    }
+}
+
+/// What every segment of one pipeline shares.
+#[derive(Debug, Clone, Copy)]
+pub struct PipeCall {
+    /// The communicator.
+    pub comm: Communicator,
     /// Operator.
     pub op: ReduceOp,
     /// Element type.
     pub dtype: Datatype,
-    /// Full payload length in bytes.
-    pub len: usize,
-    /// The two concurrent half-pipelines (L toward 0, H toward size-1).
-    pub halves: [DualHalf; 2],
-    /// Packet kind for reduction traffic (mirrors [`ReduceState`]).
+    /// Packet kind of inline reduce traffic (mirrors [`ReduceState`]).
     pub packet_kind: PacketKind,
+}
+
+/// How a [`SegPipeline`] runs its segments. The baseline engine steps
+/// inline [`SegMachine`]s; the application-bypass engine posts split-phase
+/// sub-requests and polls them.
+pub trait SegRunner {
+    /// One segment's reduce or broadcast in flight.
+    type Sub;
+    /// Start reducing segment `seg` of `lane` with this rank's `acc`.
+    fn start_reduce(&mut self, call: &PipeCall, lane: &Lane, seg: usize, acc: Vec<u8>)
+        -> Self::Sub;
+    /// Start broadcasting segment `seg` of `len` bytes; the lane root
+    /// passes the reduced `data`.
+    fn start_bcast(
+        &mut self,
+        call: &PipeCall,
+        lane: &Lane,
+        seg: usize,
+        data: Option<Bytes>,
+        len: usize,
+    ) -> Self::Sub;
+    /// Advance one segment phase.
+    fn step(&mut self, sub: &mut Self::Sub) -> StepRes;
+    /// Where the per-segment markers go.
+    fn tracer(&self) -> &TraceHandle;
+}
+
+/// The baseline's inline segment phase.
+#[derive(Debug)]
+pub enum SegMachine {
+    /// Reducing toward the lane root.
+    Reduce(ReduceState),
+    /// Broadcasting the segment's result.
+    Bcast(BcastState),
+}
+
+/// Where one segment of a lane is.
+#[derive(Debug)]
+enum Seg<S> {
+    /// Not yet admitted to the window: this rank's contribution.
+    Waiting(Vec<u8>),
+    /// Reduce in flight.
+    Reduce(S),
+    /// Broadcast in flight.
+    Bcast(S),
+    /// Finished, with the result where this rank has one.
+    Done(Option<Bytes>),
+}
+
+/// One item inline, or several on the heap. The plain allreduce, posted
+/// every iteration of a training job, is one lane of one segment, so its
+/// pipeline allocates nothing beyond what an inline reduce and broadcast
+/// would.
+#[derive(Debug)]
+enum OneOrMany<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> OneOrMany<T> {
+    /// The items of `iter`, which yields at least one.
+    fn new(mut iter: impl ExactSizeIterator<Item = T>) -> Self {
+        match iter.len() {
+            1 => OneOrMany::One(iter.next().expect("one item")),
+            _ => OneOrMany::Many(iter.collect()),
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            OneOrMany::One(t) => std::slice::from_mut(t),
+            OneOrMany::Many(v) => v,
+        }
+    }
+}
+
+/// A lane and its segments' progress.
+#[derive(Debug)]
+struct LaneRun<S> {
+    lane: Lane,
+    segs: OneOrMany<Seg<S>>,
+    /// Segments admitted to the window so far.
+    started: usize,
+    /// Segments finished.
+    done: usize,
+}
+
+impl Lane {
+    fn mark(&self, tracer: &TraceHandle, seg: usize, enter: bool) {
+        if let Some(phase) = self.marks {
+            let seg = seg as u32;
+            tracer.emit(match enter {
+                true => TraceEvent::SegPhaseEnter { phase, seg },
+                false => TraceEvent::SegPhaseExit { phase, seg },
+            });
+        }
+    }
+}
+
+/// A segmented reduce, optionally chained into a broadcast, over one or two
+/// lanes: the plain reduce→broadcast allreduce is one lane of one segment,
+/// the segmented (pipelined) reduce is one lane without a broadcast, and
+/// Träff's dual-root doubly-pipelined allreduce (PAPERS.md) is two lanes
+/// over opposite-direction chains. [`SegPipeline::advance`] admits segments
+/// into each lane's window, steps them through a [`SegRunner`], chains
+/// reduces into broadcasts and concatenates the results.
+#[derive(Debug)]
+pub struct SegPipeline<S> {
+    call: PipeCall,
+    lanes: OneOrMany<LaneRun<S>>,
+}
+
+impl<S> SegPipeline<S> {
+    /// A pipeline over `lanes` of this rank's `data`, with no segment
+    /// started yet.
+    pub fn new<const N: usize>(call: PipeCall, data: &[u8], lanes: [Lane; N]) -> Self {
+        let lanes = lanes.into_iter().map(|lane| {
+            let segs = (0..lane.segments).map(|i| Seg::Waiting(data[lane.range(i)].to_vec()));
+            LaneRun {
+                segs: OneOrMany::new(segs),
+                lane,
+                started: 0,
+                done: 0,
+            }
+        });
+        SegPipeline {
+            call,
+            lanes: OneOrMany::new(lanes),
+        }
+    }
+
+    /// Advance every lane until nothing more moves: admit segments while
+    /// the window has room, step those in flight in index order, chain a
+    /// finished reduce into its broadcast (stepped on the next pass), and
+    /// complete once every segment has finished.
+    pub fn advance<R: SegRunner<Sub = S>>(&mut self, run: &mut R) -> StepRes {
+        let mut progressed = false;
+        loop {
+            let mut advanced = false;
+            for l in self.lanes.as_mut_slice() {
+                while l.started - l.done < l.lane.window && l.started < l.lane.segments {
+                    let i = l.started;
+                    l.lane.mark(run.tracer(), i, true);
+                    let seg = &mut l.segs.as_mut_slice()[i];
+                    let Seg::Waiting(acc) = seg else {
+                        unreachable!("segments start in order, once")
+                    };
+                    let acc = std::mem::take(acc);
+                    *seg = Seg::Reduce(run.start_reduce(&self.call, &l.lane, i, acc));
+                    l.started += 1;
+                    progressed = true;
+                }
+                let started = &mut l.segs.as_mut_slice()[..l.started];
+                for (i, seg) in started.iter_mut().enumerate() {
+                    let (reducing, res) = match seg {
+                        Seg::Reduce(s) => (true, run.step(s)),
+                        Seg::Bcast(s) => (false, run.step(s)),
+                        Seg::Waiting(_) | Seg::Done(_) => continue,
+                    };
+                    progressed |= res.progressed;
+                    let data = match res.outcome {
+                        None => continue,
+                        Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
+                        Some(Outcome::Data(d)) => Some(d),
+                        Some(Outcome::Done) => None,
+                    };
+                    advanced = true;
+                    if reducing && l.lane.bcast_seq.is_some() {
+                        // The lane root seeds the broadcast with the result;
+                        // everyone else awaits it from their parent.
+                        let len = data.as_ref().map_or(l.lane.range(i).len(), Bytes::len);
+                        *seg = Seg::Bcast(run.start_bcast(&self.call, &l.lane, i, data, len));
+                    } else {
+                        *seg = Seg::Done(data);
+                        l.done += 1;
+                        l.lane.mark(run.tracer(), i, false);
+                    }
+                }
+            }
+            // Only a pass that finished a phase can have finished the last.
+            if !advanced {
+                return StepRes::pending(progressed);
+            }
+            let lanes = self.lanes.as_mut_slice();
+            if lanes.iter().all(|l| l.done == l.lane.segments) {
+                return StepRes::done(self.finish());
+            }
+        }
+    }
+
+    /// The outcome of a finished pipeline: a single segment's result as it
+    /// is, every segment's result concatenated in payload order, or `Done`
+    /// where this rank holds no result (a non-root rank of a reduce).
+    fn finish(&mut self) -> Outcome {
+        let lanes = self.lanes.as_mut_slice();
+        let single = matches!(lanes, [l] if l.lane.segments == 1);
+        let len = lanes.iter().map(|l| l.lane.len).sum();
+        let mut parts = lanes
+            .iter_mut()
+            .flat_map(|l| l.segs.as_mut_slice())
+            .map(|s| match s {
+                Seg::Done(d) => d.take(),
+                _ => None,
+            });
+        let Some(first) = parts.next().flatten() else {
+            return Outcome::Done;
+        };
+        if single {
+            return Outcome::Data(first);
+        }
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&first);
+        for part in parts {
+            out.extend_from_slice(&part.expect("every segment holds its result"));
+        }
+        Outcome::Data(Bytes::from(out))
+    }
 }
 
 /// Which phase a composite allgather is in.
@@ -342,8 +585,6 @@ pub enum CollState {
     Bcast(BcastState),
     /// Dissemination barrier.
     Barrier(BarrierState),
-    /// Reduce + broadcast.
-    Allreduce(AllreduceState),
     /// Linear gather.
     Gather(GatherState),
     /// Linear scatter.
@@ -352,10 +593,14 @@ pub enum CollState {
     Allgather(AllgatherState),
     /// Rabenseifner allreduce (large messages, power-of-two sizes).
     RsAllreduce(RsAllreduceState),
-    /// Segmented (pipelined) tree reduce.
-    SegReduce(SegReduceState),
-    /// Dual-root doubly-pipelined allreduce.
-    DualAllreduce(DualAllreduceState),
+    /// Segment pipeline: the reduce→broadcast `allreduce`, the segmented
+    /// `seg-reduce` or the `dual-allreduce`.
+    Pipeline {
+        /// Collective name for phase events.
+        name: &'static str,
+        /// The pipeline.
+        pipe: SegPipeline<SegMachine>,
+    },
 }
 
 impl CollState {
@@ -365,13 +610,11 @@ impl CollState {
             CollState::Reduce(_) => "reduce",
             CollState::Bcast(_) => "bcast",
             CollState::Barrier(_) => "barrier",
-            CollState::Allreduce(_) => "allreduce",
             CollState::Gather(_) => "gather",
             CollState::Scatter(_) => "scatter",
             CollState::Allgather(_) => "allgather",
             CollState::RsAllreduce(_) => "rs-allreduce",
-            CollState::SegReduce(_) => "seg-reduce",
-            CollState::DualAllreduce(_) => "dual-allreduce",
+            CollState::Pipeline { name, .. } => name,
         }
     }
 }

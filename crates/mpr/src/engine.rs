@@ -16,9 +16,9 @@
 
 use crate::charge::Charges;
 use crate::coll::{
-    barrier_rounds, AllgatherPhase, AllgatherState, AllreducePhase, AllreduceState, BarrierState,
-    BcastState, CollState, DualAllreduceState, DualHalf, DualSeg, GatherState, ReduceState,
-    RsAllreduceState, RsPhase, ScatterState, SegReduceState,
+    barrier_rounds, AllgatherPhase, AllgatherState, BarrierState, BcastState, CollState,
+    GatherState, Lane, PipeCall, ReduceState, RsAllreduceState, RsPhase, ScatterState, SegMachine,
+    SegPipeline, SegRunner, StepRes,
 };
 use crate::comm::Communicator;
 pub use crate::matchq::UnexpectedMsg;
@@ -157,27 +157,6 @@ pub struct Engine {
     world: Communicator,
 }
 
-/// Result of stepping one collective.
-struct StepRes {
-    progressed: bool,
-    outcome: Option<Outcome>,
-}
-
-impl StepRes {
-    fn pending(progressed: bool) -> Self {
-        StepRes {
-            progressed,
-            outcome: None,
-        }
-    }
-    fn done(outcome: Outcome) -> Self {
-        StepRes {
-            progressed: true,
-            outcome: Some(outcome),
-        }
-    }
-}
-
 impl Engine {
     /// A fresh engine for `rank` of `size`.
     pub fn new(rank: Rank, size: u32, config: EngineConfig) -> Self {
@@ -282,11 +261,6 @@ impl Engine {
     /// The eager/rendezvous threshold in payload bytes.
     pub fn eager_limit(&self) -> usize {
         self.config.eager_limit
-    }
-
-    /// Configured segmentation pipeline window, clamped to at least 1.
-    pub fn segment_window(&self) -> usize {
-        self.config.segments.max(1)
     }
 
     /// Engine counters.
@@ -675,6 +649,151 @@ impl Engine {
         }
     }
 
+    /// Reject a collective posted with a root outside `comm` or with an
+    /// operator undefined for its element type, before it allocates a
+    /// sequence number: every rank fails alike, so no rank waits on a peer
+    /// that never sends and later collectives keep their sequence numbers.
+    /// `Some` is a request already completed with the error.
+    pub fn reject(
+        &mut self,
+        comm: &Communicator,
+        root: Rank,
+        op: Option<(ReduceOp, Datatype)>,
+    ) -> Option<ReqId> {
+        let err = match (comm.check_rank(root), op) {
+            (Err(e), _) => e,
+            (Ok(()), Some((op, dtype))) if !op.defined_for(dtype) => MprError::InvalidOpForType {
+                op: op.name(),
+                dtype,
+            },
+            (Ok(()), _) => return None,
+        };
+        let id = self.alloc_shell_req();
+        self.complete_shell(id, Outcome::Failed(err));
+        Some(id)
+    }
+
+    /// What every segment of a pipeline over `comm` shares.
+    pub fn pipe_call(&self, comm: &Communicator, op: ReduceOp, dtype: Datatype) -> PipeCall {
+        PipeCall {
+            comm: *comm,
+            op,
+            dtype,
+            packet_kind: self.reduce_packet_kind,
+        }
+    }
+
+    /// The one-segment lane of a reduce-to-0-then-broadcast allreduce of
+    /// `len` bytes, on two freshly allocated sequence numbers.
+    pub fn allreduce_lane(&mut self, comm: &Communicator, len: usize) -> Lane {
+        let seq = self.alloc_seq_range(comm.coll_context, 2);
+        Lane {
+            offset: 0,
+            len,
+            root: 0,
+            sched: self.schedule(0, comm.size),
+            reduce_seq: seq,
+            bcast_seq: Some(seq + 1),
+            seg_bytes: len,
+            segments: 1,
+            window: 1,
+            marks: None,
+        }
+    }
+
+    /// The lane of a segmented reduction of `len` bytes toward `root`: `k`
+    /// segments of `seg_bytes` on sequence numbers `base_seq..base_seq + k`,
+    /// at most [`EngineConfig::segments`] in flight.
+    #[allow(clippy::too_many_arguments)] // the segment plan plus its marker label
+    pub fn reduce_lane(
+        &mut self,
+        comm: &Communicator,
+        root: Rank,
+        len: usize,
+        base_seq: u64,
+        k: usize,
+        seg_bytes: usize,
+        marks: &'static str,
+    ) -> Lane {
+        Lane {
+            offset: 0,
+            len,
+            root,
+            sched: self.schedule(root, comm.size),
+            reduce_seq: base_seq,
+            bcast_seq: None,
+            seg_bytes,
+            segments: k,
+            window: self.config.segments.max(1),
+            marks: Some(marks),
+        }
+    }
+
+    /// The two lanes of Träff's dual-root doubly-pipelined allreduce
+    /// (PAPERS.md): the payload splits into element-aligned halves reduced
+    /// and broadcast over opposite-direction chains (half L toward rank 0,
+    /// half H toward rank `size - 1`), each segmented per
+    /// [`Engine::plan_segments`], so segments of both halves interleave on
+    /// every link. `None`, allocating nothing, when the communicator or the
+    /// payload is too small to split.
+    pub fn dual_lanes(
+        &mut self,
+        comm: &Communicator,
+        len: usize,
+        elem: usize,
+        marks: [&'static str; 2],
+    ) -> Option<[Lane; 2]> {
+        let lo_len = len / elem / 2 * elem;
+        if comm.size < 2 || lo_len == 0 {
+            return None;
+        }
+        // Each half allocates its reduce block, then its broadcast block, L
+        // before H: the same order on every rank, so per-segment tags agree
+        // cluster-wide.
+        let n = comm.size;
+        let mut half = |offset, len, root, kind, marks| {
+            let sched = shared_schedule(kind, root, n);
+            let (k, seg_bytes) = self.plan_segments(len, elem, sched.max_depth());
+            let reduce_seq = self.alloc_seq_range(comm.coll_context, k);
+            let bcast_seq = Some(self.alloc_seq_range(comm.coll_context, k));
+            let window = self.config.segments.max(1);
+            Lane {
+                offset,
+                len,
+                root,
+                sched,
+                reduce_seq,
+                bcast_seq,
+                seg_bytes,
+                segments: k,
+                window,
+                marks: Some(marks),
+            }
+        };
+        Some([
+            half(0, lo_len, 0, TopologyKind::Chain, marks[0]),
+            half(
+                lo_len,
+                len - lo_len,
+                n - 1,
+                TopologyKind::ChainRev,
+                marks[1],
+            ),
+        ])
+    }
+
+    /// Post a [`SegPipeline`] over `lanes` as one collective.
+    fn post_pipeline<const N: usize>(
+        &mut self,
+        name: &'static str,
+        call: PipeCall,
+        data: &[u8],
+        lanes: [Lane; N],
+    ) -> ReqId {
+        let pipe = SegPipeline::new(call, data, lanes);
+        self.post_coll(CollState::Pipeline { name, pipe })
+    }
+
     /// Post the default blocking binomial reduction (the `nab` baseline).
     /// `data` is this rank's contribution; the root's result is the
     /// request's [`Outcome::Data`].
@@ -691,36 +810,25 @@ impl Engine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
+        if let Some(failed) = self.reject(comm, root, Some((op, dtype))) {
+            return failed;
+        }
         let (k, seg_bytes) = self.segment_plan(root, comm.size, data.len(), dtype.size());
         if k <= 1 {
             let coll_seq = self.alloc_coll_seq(comm.coll_context);
-            return self.ireduce_with_seq(comm, root, op, dtype, data, coll_seq);
+            let sched = self.schedule(root, comm.size);
+            return self.ireduce_with_seq(comm, root, op, dtype, data, coll_seq, sched);
         }
         let base_seq = self.alloc_seq_range(comm.coll_context, k);
         self.ireduce_segmented_with_seqs(comm, root, op, dtype, data, base_seq, k, seg_bytes)
     }
 
     /// As [`Engine::ireduce`] with an externally allocated sequence number
-    /// (the application-bypass layer allocates before choosing a path).
+    /// and an explicit schedule (the application-bypass layer allocates
+    /// before choosing a path, and its dual-root halves fall back to this
+    /// over chain schedules regardless of the configured topology).
+    #[allow(clippy::too_many_arguments)] // mirrors ireduce + seq + sched
     pub fn ireduce_with_seq(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: &[u8],
-        coll_seq: u64,
-    ) -> ReqId {
-        let sched = self.schedule(root, comm.size);
-        self.ireduce_with_seq_sched(comm, root, op, dtype, data, coll_seq, sched)
-    }
-
-    /// As [`Engine::ireduce_with_seq`] against an explicit schedule (the
-    /// dual-root allreduce steps chain schedules regardless of the
-    /// configured topology).
-    #[allow(clippy::too_many_arguments)] // mirrors ireduce_with_seq + sched
-    pub fn ireduce_with_seq_sched(
         &mut self,
         comm: &Communicator,
         root: Rank,
@@ -730,21 +838,8 @@ impl Engine {
         coll_seq: u64,
         sched: Arc<TopoSchedule>,
     ) -> ReqId {
-        let state = ReduceState {
-            context: comm.coll_context,
-            root,
-            size: comm.size,
-            rank: self.rank,
-            op,
-            dtype,
-            coll_seq,
-            acc: data.to_vec(),
-            sched,
-            next_child: 0,
-            child_recv: None,
-            send_req: None,
-            packet_kind: self.reduce_packet_kind,
-        };
+        let call = self.pipe_call(comm, op, dtype);
+        let state = ReduceState::new(&call, self.rank, root, coll_seq, data.to_vec(), sched);
         self.post_coll(CollState::Reduce(state))
     }
 
@@ -766,45 +861,13 @@ impl Engine {
         seg_bytes: usize,
     ) -> ReqId {
         debug_assert!(k >= 2 && seg_bytes >= 1);
-        let sched = self.schedule(root, comm.size);
-        let mut segs = Vec::with_capacity(k);
-        for i in 0..k {
-            let lo = i * seg_bytes;
-            let hi = (lo + seg_bytes).min(data.len());
-            segs.push(Some(ReduceState {
-                context: comm.coll_context,
-                root,
-                size: comm.size,
-                rank: self.rank,
-                op,
-                dtype,
-                coll_seq: base_seq + i as u64,
-                acc: data[lo..hi].to_vec(),
-                sched: Arc::clone(&sched),
-                next_child: 0,
-                child_recv: None,
-                send_req: None,
-                packet_kind: self.reduce_packet_kind,
-            }));
-        }
-        let state = SegReduceState {
-            root,
-            rank: self.rank,
-            segs,
-            started: 0,
-            done: 0,
-            window: self.config.segments.max(1),
-            results: vec![None; k],
-        };
-        self.post_coll(CollState::SegReduce(state))
+        let call = self.pipe_call(comm, op, dtype);
+        let lane = self.reduce_lane(comm, root, data.len(), base_seq, k, seg_bytes, "seg-reduce");
+        self.post_pipeline("seg-reduce", call, data, [lane])
     }
 
-    /// Post Träff's dual-root doubly-pipelined allreduce (PAPERS.md): the
-    /// payload splits into two element-aligned halves reduced and
-    /// broadcast over opposite-direction chains (half L toward rank 0,
-    /// half H toward rank `size - 1`), each half segmented per
-    /// [`Engine::segment_plan`] so segments of both halves interleave on
-    /// every link. Falls back to the ordinary allreduce when the
+    /// Post Träff's dual-root doubly-pipelined allreduce over
+    /// [`Engine::dual_lanes`]. Falls back to the ordinary allreduce when the
     /// communicator or payload is too small to split.
     pub fn iallreduce_dual(
         &mut self,
@@ -813,106 +876,15 @@ impl Engine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
-        let elem = dtype.size();
-        let lo_len = data.len() / elem / 2 * elem;
-        let hi_len = data.len() - lo_len;
-        if comm.size < 2 || lo_len == 0 || hi_len == 0 {
+        if let Some(failed) = self.reject(comm, 0, Some((op, dtype))) {
+            return failed;
+        }
+        let marks = ["dual-allreduce"; 2];
+        let Some(lanes) = self.dual_lanes(comm, data.len(), dtype.size(), marks) else {
             return self.iallreduce(comm, op, dtype, data);
-        }
-        let sched_l = shared_schedule(TopologyKind::Chain, 0, comm.size);
-        let sched_h = shared_schedule(TopologyKind::ChainRev, comm.size - 1, comm.size);
-        let (k_l, seg_l) = self.plan_segments(lo_len, elem, sched_l.max_depth());
-        let (k_h, seg_h) = self.plan_segments(hi_len, elem, sched_h.max_depth());
-        // Fixed allocation order [L reduce][L bcast][H reduce][H bcast]:
-        // identical on every rank, so per-segment tags agree cluster-wide.
-        let l_red = self.alloc_seq_range(comm.coll_context, k_l);
-        let l_bc = self.alloc_seq_range(comm.coll_context, k_l);
-        let h_red = self.alloc_seq_range(comm.coll_context, k_h);
-        let h_bc = self.alloc_seq_range(comm.coll_context, k_h);
-        let halves = [
-            self.make_dual_half(
-                comm, op, dtype, data, 0, lo_len, 0, sched_l, l_red, l_bc, seg_l,
-            ),
-            self.make_dual_half(
-                comm,
-                op,
-                dtype,
-                data,
-                lo_len,
-                hi_len,
-                comm.size - 1,
-                sched_h,
-                h_red,
-                h_bc,
-                seg_h,
-            ),
-        ];
-        let state = DualAllreduceState {
-            context: comm.coll_context,
-            size: comm.size,
-            rank: self.rank,
-            op,
-            dtype,
-            len: data.len(),
-            halves,
-            packet_kind: self.reduce_packet_kind,
         };
-        self.post_coll(CollState::DualAllreduce(state))
-    }
-
-    /// Build one half of a dual-root allreduce: per-segment reduce states
-    /// over `data[offset..offset + len]` stepping `sched`, none admitted to
-    /// the pipeline yet.
-    #[allow(clippy::too_many_arguments)] // one call site; plain plumbing
-    fn make_dual_half(
-        &mut self,
-        comm: &Communicator,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: &[u8],
-        offset: usize,
-        len: usize,
-        root: Rank,
-        sched: Arc<TopoSchedule>,
-        reduce_base_seq: u64,
-        bcast_base_seq: u64,
-        seg_bytes: usize,
-    ) -> DualHalf {
-        let k = len.div_ceil(seg_bytes);
-        let mut segs = Vec::with_capacity(k);
-        for i in 0..k {
-            let lo = offset + i * seg_bytes;
-            let hi = (lo + seg_bytes).min(offset + len);
-            segs.push(DualSeg::Reduce(ReduceState {
-                context: comm.coll_context,
-                root,
-                size: comm.size,
-                rank: self.rank,
-                op,
-                dtype,
-                coll_seq: reduce_base_seq + i as u64,
-                acc: data[lo..hi].to_vec(),
-                sched: Arc::clone(&sched),
-                next_child: 0,
-                child_recv: None,
-                send_req: None,
-                packet_kind: self.reduce_packet_kind,
-            }));
-        }
-        DualHalf {
-            offset,
-            len,
-            root,
-            sched,
-            reduce_base_seq,
-            bcast_base_seq,
-            seg_bytes,
-            segs,
-            started: 0,
-            done: 0,
-            window: self.config.segments.max(1),
-            results: vec![None; k],
-        }
+        let call = self.pipe_call(comm, op, dtype);
+        self.post_pipeline("dual-allreduce", call, data, lanes)
     }
 
     /// Post a binomial broadcast. The root passes `Some(data)`; other ranks
@@ -924,34 +896,18 @@ impl Engine {
         data: Option<Bytes>,
         len: usize,
     ) -> ReqId {
+        if let Some(failed) = self.reject(comm, root, None) {
+            return failed;
+        }
         let coll_seq = self.alloc_coll_seq(comm.coll_context);
-        self.ibcast_with_seq(comm, root, data, len, coll_seq)
+        let sched = self.schedule(root, comm.size);
+        self.ibcast_with_seq_sched(comm, root, data, len, coll_seq, sched)
     }
 
     /// As [`Engine::ibcast`] with an externally allocated sequence number
-    /// (the application-bypass broadcast allocates before choosing a path).
-    pub fn ibcast_with_seq(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        data: Option<Bytes>,
-        len: usize,
-        coll_seq: u64,
-    ) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
-        debug_assert_eq!(
-            self.rank == root,
-            data.is_some(),
-            "exactly the root supplies bcast data"
-        );
-        let state = self.make_bcast_state(comm, root, data, len, coll_seq);
-        self.post_coll(CollState::Bcast(state))
-    }
-
-    /// As [`Engine::ibcast_with_seq`] against an explicit schedule (the
-    /// application-bypass dual-root path broadcasts over chain schedules
-    /// regardless of the configured topology).
-    #[allow(clippy::too_many_arguments)] // mirrors ibcast_with_seq + sched
+    /// and an explicit schedule (the application-bypass broadcast allocates
+    /// before choosing a path, and its dual-root halves broadcast over chain
+    /// schedules regardless of the configured topology).
     pub fn ibcast_with_seq_sched(
         &mut self,
         comm: &Communicator,
@@ -961,49 +917,13 @@ impl Engine {
         coll_seq: u64,
         sched: Arc<TopoSchedule>,
     ) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
         debug_assert_eq!(
             self.rank == root,
             data.is_some(),
             "exactly the root supplies bcast data"
         );
-        let state = BcastState {
-            context: comm.coll_context,
-            root,
-            size: comm.size,
-            rank: self.rank,
-            coll_seq,
-            len,
-            data,
-            recv_req: None,
-            sched,
-            next_send: 0,
-            send_reqs: Vec::new(),
-        };
+        let state = BcastState::new(comm, self.rank, root, coll_seq, data, len, sched);
         self.post_coll(CollState::Bcast(state))
-    }
-
-    fn make_bcast_state(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        data: Option<Bytes>,
-        len: usize,
-        coll_seq: u64,
-    ) -> BcastState {
-        BcastState {
-            context: comm.coll_context,
-            root,
-            size: comm.size,
-            rank: self.rank,
-            coll_seq,
-            len,
-            data,
-            recv_req: None,
-            sched: self.schedule(root, comm.size),
-            next_send: 0,
-            send_reqs: Vec::new(),
-        }
     }
 
     /// Post a dissemination barrier.
@@ -1029,6 +949,9 @@ impl Engine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
+        if let Some(failed) = self.reject(comm, 0, Some((op, dtype))) {
+            return failed;
+        }
         // Large messages on power-of-two communicators take the
         // Rabenseifner path; the segment split must land on element
         // boundaries.
@@ -1040,36 +963,17 @@ impl Engine {
         {
             return self.iallreduce_rs(comm, op, dtype, data);
         }
-        let reduce_seq = self.alloc_coll_seq(comm.coll_context);
-        let _bcast_seq = self.alloc_coll_seq(comm.coll_context);
-        let reduce = ReduceState {
-            context: comm.coll_context,
-            root: 0,
-            size: comm.size,
-            rank: self.rank,
-            op,
-            dtype,
-            coll_seq: reduce_seq,
-            acc: data.to_vec(),
-            sched: self.schedule(0, comm.size),
-            next_child: 0,
-            child_recv: None,
-            send_req: None,
-            packet_kind: self.reduce_packet_kind,
-        };
-        let state = AllreduceState {
-            phase: AllreducePhase::Reduce(reduce),
-            op,
-            dtype,
-            len: data.len(),
-        };
-        self.post_coll(CollState::Allreduce(state))
+        let call = self.pipe_call(comm, op, dtype);
+        let lane = self.allreduce_lane(comm, data.len());
+        self.post_pipeline("allreduce", call, data, [lane])
     }
 
     /// Post a gather: every rank contributes `data` (equal length); the
     /// root's request completes with the rank-ordered concatenation.
     pub fn igather(&mut self, comm: &Communicator, root: Rank, data: &[u8]) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
+        if let Some(failed) = self.reject(comm, root, None) {
+            return failed;
+        }
         let coll_seq = self.alloc_coll_seq(comm.coll_context);
         let mut state = GatherState {
             context: comm.coll_context,
@@ -1124,7 +1028,9 @@ impl Engine {
         data: Option<&[u8]>,
         block: usize,
     ) -> ReqId {
-        comm.check_rank(root).expect("invalid root");
+        if let Some(failed) = self.reject(comm, root, None) {
+            return failed;
+        }
         debug_assert_eq!(self.rank == root, data.is_some());
         let coll_seq = self.alloc_coll_seq(comm.coll_context);
         let mut state = ScatterState {
@@ -1734,13 +1640,11 @@ impl Engine {
                     CollState::Reduce(s) => self.step_reduce(s),
                     CollState::Bcast(s) => self.step_bcast(s),
                     CollState::Barrier(s) => self.step_barrier(s),
-                    CollState::Allreduce(s) => self.step_allreduce(s),
                     CollState::Gather(s) => self.step_gather(s),
                     CollState::Scatter(s) => self.step_scatter(s),
                     CollState::Allgather(s) => self.step_allgather(s),
                     CollState::RsAllreduce(s) => self.step_rs_allreduce(s),
-                    CollState::SegReduce(s) => self.step_seg_reduce(s),
-                    CollState::DualAllreduce(s) => self.step_dual_allreduce(s),
+                    CollState::Pipeline { pipe, .. } => pipe.advance(self),
                 };
                 progressed = res.progressed;
                 if let Some(outcome) = res.outcome {
@@ -1820,7 +1724,7 @@ impl Engine {
                     parent,
                     coll_tag(coll_code::REDUCE, s.coll_seq, 0),
                     s.context,
-                    Bytes::from(s.acc.clone()),
+                    Bytes::from(std::mem::take(&mut s.acc)),
                     s.packet_kind,
                     s.coll_seq,
                     s.root,
@@ -2010,232 +1914,74 @@ impl Engine {
     }
 
     fn step_allgather(&mut self, s: &mut AllgatherState) -> StepRes {
-        loop {
-            match &mut s.phase {
-                AllgatherPhase::Gather(g) => {
-                    let res = self.step_gather(g);
-                    match res.outcome {
-                        Some(Outcome::Data(d)) => {
-                            let comm_like = Communicator {
-                                pt2pt_context: 0,
-                                coll_context: g.context,
-                                size: g.size,
-                            };
-                            let bcast_seq = g.coll_seq + 1; // pre-allocated
-                            let state = self.make_bcast_state(
-                                &comm_like,
-                                0,
-                                Some(d),
-                                s.total_len,
-                                bcast_seq,
-                            );
-                            s.phase = AllgatherPhase::Bcast(state);
-                            continue;
-                        }
-                        Some(Outcome::Done) => {
-                            let comm_like = Communicator {
-                                pt2pt_context: 0,
-                                coll_context: g.context,
-                                size: g.size,
-                            };
-                            let bcast_seq = g.coll_seq + 1;
-                            let state =
-                                self.make_bcast_state(&comm_like, 0, None, s.total_len, bcast_seq);
-                            s.phase = AllgatherPhase::Bcast(state);
-                            continue;
-                        }
-                        Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                        None => return StepRes::pending(res.progressed),
-                    }
-                }
-                AllgatherPhase::Bcast(b) => return self.step_bcast(b),
-            }
+        if let AllgatherPhase::Gather(g) = &mut s.phase {
+            let res = self.step_gather(g);
+            let data = match res.outcome {
+                Some(Outcome::Data(d)) => Some(d),
+                Some(Outcome::Done) => None,
+                Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
+                None => return StepRes::pending(res.progressed),
+            };
+            // Rank 0 broadcasts the assembled buffer on the sequence number
+            // allocated right after the gather's.
+            let comm = Communicator {
+                pt2pt_context: 0,
+                coll_context: g.context,
+                size: g.size,
+            };
+            let (seq, sched) = (g.coll_seq + 1, self.schedule(0, g.size));
+            let bcast = BcastState::new(&comm, self.rank, 0, seq, data, s.total_len, sched);
+            s.phase = AllgatherPhase::Bcast(bcast);
+        }
+        match &mut s.phase {
+            AllgatherPhase::Bcast(b) => self.step_bcast(b),
+            AllgatherPhase::Gather(_) => unreachable!("the gather finished above"),
+        }
+    }
+}
+
+/// The baseline runs each pipeline segment as an inline reduce or
+/// broadcast state machine, stepped by the progress engine.
+impl SegRunner for Engine {
+    type Sub = SegMachine;
+
+    fn start_reduce(
+        &mut self,
+        call: &PipeCall,
+        lane: &Lane,
+        seg: usize,
+        acc: Vec<u8>,
+    ) -> SegMachine {
+        let seq = lane.reduce_seq + seg as u64;
+        let sched = Arc::clone(&lane.sched);
+        SegMachine::Reduce(ReduceState::new(
+            call, self.rank, lane.root, seq, acc, sched,
+        ))
+    }
+
+    fn start_bcast(
+        &mut self,
+        call: &PipeCall,
+        lane: &Lane,
+        seg: usize,
+        data: Option<Bytes>,
+        len: usize,
+    ) -> SegMachine {
+        let seq = lane.bcast_seq.expect("a broadcasting lane") + seg as u64;
+        let sched = Arc::clone(&lane.sched);
+        let state = BcastState::new(&call.comm, self.rank, lane.root, seq, data, len, sched);
+        SegMachine::Bcast(state)
+    }
+
+    fn step(&mut self, sub: &mut SegMachine) -> StepRes {
+        match sub {
+            SegMachine::Reduce(r) => self.step_reduce(r),
+            SegMachine::Bcast(b) => self.step_bcast(b),
         }
     }
 
-    fn step_seg_reduce(&mut self, s: &mut SegReduceState) -> StepRes {
-        let k = s.segs.len();
-        let mut progressed = false;
-        loop {
-            // Admit segments while the window has room: active (started and
-            // not yet done) segments may not exceed the window.
-            while s.started - s.done < s.window && s.started < k {
-                self.trace.emit(TraceEvent::SegPhaseEnter {
-                    phase: "seg-reduce",
-                    seg: s.started as u32,
-                });
-                s.started += 1;
-                progressed = true;
-            }
-            let mut advanced = false;
-            for i in 0..s.started {
-                let Some(seg) = &mut s.segs[i] else { continue };
-                let res = self.step_reduce(seg);
-                progressed |= res.progressed;
-                match res.outcome {
-                    Some(Outcome::Data(d)) => {
-                        s.results[i] = Some(d);
-                    }
-                    Some(Outcome::Done) => {}
-                    Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                    None => continue,
-                }
-                s.segs[i] = None;
-                s.done += 1;
-                self.trace.emit(TraceEvent::SegPhaseExit {
-                    phase: "seg-reduce",
-                    seg: i as u32,
-                });
-                advanced = true;
-            }
-            if s.done == k {
-                if s.rank == s.root {
-                    let total = s.results.iter().map(|r| r.as_ref().unwrap().len()).sum();
-                    let mut out = Vec::with_capacity(total);
-                    for r in s.results.iter_mut() {
-                        out.extend_from_slice(&r.take().expect("root segment has data"));
-                    }
-                    return StepRes::done(Outcome::Data(Bytes::from(out)));
-                }
-                return StepRes::done(Outcome::Done);
-            }
-            // A completion may have opened window room; loop until quiescent.
-            if !advanced {
-                return StepRes::pending(progressed);
-            }
-        }
-    }
-
-    fn step_dual_allreduce(&mut self, s: &mut DualAllreduceState) -> StepRes {
-        let mut progressed = false;
-        loop {
-            let mut advanced = false;
-            for half in s.halves.iter_mut() {
-                let k = half.segs.len();
-                while half.started - half.done < half.window && half.started < k {
-                    self.trace.emit(TraceEvent::SegPhaseEnter {
-                        phase: "dual-allreduce",
-                        seg: half.started as u32,
-                    });
-                    half.started += 1;
-                    progressed = true;
-                }
-                for i in 0..half.started {
-                    // Step whichever phase segment i is in; the borrow of
-                    // the segment ends before the slot is overwritten.
-                    let step = match &mut half.segs[i] {
-                        DualSeg::Reduce(r) => Some((true, self.step_reduce(r))),
-                        DualSeg::Bcast(b) => Some((false, self.step_bcast(b))),
-                        DualSeg::Done => None,
-                    };
-                    let Some((reducing, res)) = step else {
-                        continue;
-                    };
-                    progressed |= res.progressed;
-                    match (reducing, res.outcome) {
-                        (_, Some(Outcome::Failed(e))) => return StepRes::done(Outcome::Failed(e)),
-                        (_, None) => {}
-                        // Reduce finished: chain into the segment's
-                        // broadcast down the same schedule. The half root
-                        // completes with the data and seeds the broadcast;
-                        // everyone else awaits it from their parent.
-                        (true, Some(outcome)) => {
-                            let data = match outcome {
-                                Outcome::Data(d) => Some(d),
-                                _ => None,
-                            };
-                            let seg_len = match &data {
-                                Some(d) => d.len(),
-                                None => half.seg_bytes.min(half.len - i * half.seg_bytes),
-                            };
-                            half.segs[i] = DualSeg::Bcast(BcastState {
-                                context: s.context,
-                                root: half.root,
-                                size: s.size,
-                                rank: s.rank,
-                                coll_seq: half.bcast_base_seq + i as u64,
-                                len: seg_len,
-                                data,
-                                recv_req: None,
-                                sched: Arc::clone(&half.sched),
-                                next_send: 0,
-                                send_reqs: Vec::new(),
-                            });
-                            advanced = true;
-                        }
-                        (false, Some(Outcome::Data(d))) => {
-                            half.results[i] = Some(d);
-                            half.segs[i] = DualSeg::Done;
-                            half.done += 1;
-                            self.trace.emit(TraceEvent::SegPhaseExit {
-                                phase: "dual-allreduce",
-                                seg: i as u32,
-                            });
-                            advanced = true;
-                        }
-                        (false, Some(Outcome::Done)) => {
-                            unreachable!("bcast completes with data")
-                        }
-                    }
-                }
-            }
-            if s.halves.iter().all(|h| h.done == h.segs.len()) {
-                // Assemble both halves in payload order; every rank gets
-                // the full reduced buffer (allreduce semantics).
-                let mut out = Vec::with_capacity(s.len);
-                for half in s.halves.iter_mut() {
-                    for r in half.results.iter_mut() {
-                        out.extend_from_slice(&r.take().expect("segment broadcast everywhere"));
-                    }
-                }
-                debug_assert_eq!(out.len(), s.len);
-                return StepRes::done(Outcome::Data(Bytes::from(out)));
-            }
-            if !advanced {
-                return StepRes::pending(progressed);
-            }
-        }
-    }
-
-    fn step_allreduce(&mut self, s: &mut AllreduceState) -> StepRes {
-        loop {
-            match &mut s.phase {
-                AllreducePhase::Reduce(r) => {
-                    let res = self.step_reduce(r);
-                    match res.outcome {
-                        Some(Outcome::Data(d)) => {
-                            // Rank 0 finished the reduce and owns the result.
-                            let comm_like = Communicator {
-                                pt2pt_context: 0,
-                                coll_context: r.context,
-                                size: r.size,
-                            };
-                            let bcast_seq = r.coll_seq + 1; // pre-allocated in iallreduce
-                            let state =
-                                self.make_bcast_state(&comm_like, 0, Some(d), s.len, bcast_seq);
-                            s.phase = AllreducePhase::Bcast(state);
-                            continue;
-                        }
-                        Some(Outcome::Done) => {
-                            // Non-root finished its part of the reduce.
-                            let comm_like = Communicator {
-                                pt2pt_context: 0,
-                                coll_context: r.context,
-                                size: r.size,
-                            };
-                            let bcast_seq = r.coll_seq + 1;
-                            let state =
-                                self.make_bcast_state(&comm_like, 0, None, s.len, bcast_seq);
-                            s.phase = AllreducePhase::Bcast(state);
-                            continue;
-                        }
-                        Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                        None => return StepRes::pending(res.progressed),
-                    }
-                }
-                AllreducePhase::Bcast(b) => return self.step_bcast(b),
-            }
-        }
+    fn tracer(&self) -> &TraceHandle {
+        &self.trace
     }
 }
 

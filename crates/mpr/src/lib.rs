@@ -17,7 +17,8 @@
 //! * [`request`] — non-blocking request handles,
 //! * [`coll`] — collective state machines: the **default blocking binomial
 //!   reduction (the paper's `nab` baseline)**, broadcast, dissemination
-//!   barrier and allreduce,
+//!   barrier, and the one segment pipeline behind the allreduce, the
+//!   segmented reduce and the dual-root allreduce of both engines,
 //! * [`engine`] — the per-rank sans-I/O protocol engine: eager and
 //!   rendezvous point-to-point, the progress engine of Fig. 4 (minus the
 //!   gray application-bypass boxes, which `abr_core` adds by wrapping it).

@@ -40,14 +40,14 @@ ABR_ITERS=20 ABR_TRACE="chrome=TRACE_events.json,report=TRACE_cpu.txt" \
 
 echo "==> topology smoke matrix (every tree family end-to-end on the DES)"
 for topo in binomial knomial4 chain flat; do
-  ABR_TOPO="$topo" ABR_ITERS=5 ABR_JOBS=2 \
-    cargo run -q --release -p abr_bench --bin fig6 > "FIG6_$topo.txt"
+  ABR_TOPO="$topo" ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
+    cargo run -q --release -p abr_bench --bin all_figures > "FIG_all_$topo.txt"
   echo "    ABR_TOPO=$topo ok"
 done
 # The binomial schedule must replay the paper's mask-loop tree exactly:
-# its fig6 series are pinned byte-for-byte against a committed golden.
-diff -u crates/bench/golden/fig6_iters5.txt FIG6_binomial.txt \
-  || { echo "ABR_TOPO=binomial diverged from the pre-refactor golden"; exit 1; }
+# every figure is pinned byte-for-byte against the committed golden.
+diff -u crates/bench/golden/all_figures_iters5.txt FIG_all_binomial.txt \
+  || { echo "ABR_TOPO=binomial diverged from the all-figures golden"; exit 1; }
 
 echo "==> all-figures golden diff (Figs. 6-10 and every ablation pinned at 5 iterations)"
 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
@@ -84,10 +84,10 @@ diff -u crates/bench/golden/loss_fattree_blocked_iters5.txt FIG_loss_fattree.txt
   || { echo "fattree:blocked loss figure diverged from its golden"; exit 1; }
 
 echo "==> flat-fabric golden diff (ABR_FABRIC=flat must reproduce the crossbar figures)"
-ABR_FABRIC=flat ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
-  cargo run -q --release -p abr_bench --bin fig6 > FIG6_fabric_flat.txt
-diff -u crates/bench/golden/fig6_iters5.txt FIG6_fabric_flat.txt \
-  || { echo "ABR_FABRIC=flat diverged from the pre-fabric golden"; exit 1; }
+ABR_FABRIC=flat ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
+  cargo run -q --release -p abr_bench --bin all_figures > FIG_all_fabric_flat.txt
+diff -u crates/bench/golden/all_figures_iters5.txt FIG_all_fabric_flat.txt \
+  || { echo "ABR_FABRIC=flat diverged from the all-figures golden"; exit 1; }
 
 echo "==> bandwidth smoke (segmented pipeline + dual-root allreduce, capped at 256 KiB)"
 # Smoke runs write beside the committed BENCH_bw.json, never over it.
@@ -101,10 +101,10 @@ diff -u crates/bench/golden/bandwidth_256k_iters5.txt FIG_bandwidth_smoke.txt \
   || { echo "bandwidth smoke diverged from its golden"; exit 1; }
 
 echo "==> segmentation-off golden diff (ABR_SEGMENTS=1 must not perturb figures)"
-ABR_SEGMENTS=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 \
-  cargo run -q --release -p abr_bench --bin fig6 > FIG6_segments_off.txt
-diff -u crates/bench/golden/fig6_iters5.txt FIG6_segments_off.txt \
-  || { echo "ABR_SEGMENTS=1 diverged from the pre-segmentation golden"; exit 1; }
+ABR_SEGMENTS=1 ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
+  cargo run -q --release -p abr_bench --bin all_figures > FIG_all_segments_off.txt
+diff -u crates/bench/golden/all_figures_iters5.txt FIG_all_segments_off.txt \
+  || { echo "ABR_SEGMENTS=1 diverged from the all-figures golden"; exit 1; }
 
 echo "==> tenant saturation smoke"
 # Smoke runs write beside the committed BENCH_tenant.json, never over it.
