@@ -74,7 +74,7 @@ pub struct ReduceState {
 impl ReduceState {
     /// A reduction of `acc` toward `root` on `coll_seq`, no child folded
     /// in yet.
-    pub fn new(
+    pub(crate) fn new(
         call: &PipeCall,
         rank: Rank,
         root: Rank,
@@ -130,7 +130,7 @@ pub struct BcastState {
 impl BcastState {
     /// A broadcast of `len` bytes from `root` on `coll_seq`; the root
     /// passes the `data`.
-    pub fn new(
+    pub(crate) fn new(
         comm: &Communicator,
         rank: Rank,
         root: Rank,
@@ -322,7 +322,7 @@ pub struct Lane {
 
 impl Lane {
     /// Payload bytes of segment `i`.
-    pub fn range(&self, i: usize) -> std::ops::Range<usize> {
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
         let lo = self.offset + i * self.seg_bytes;
         lo..(lo + self.seg_bytes).min(self.offset + self.len)
     }
