@@ -258,23 +258,34 @@ impl StepTemplate for CpuUtilTemplate<'_> {
         self.cfg.iters
     }
 
-    fn steps(&mut self, iter: u64, _ctx: &StepCtx, out: &mut Vec<Step>) {
-        let mut r = self.rng.derive(&[iter, self.rank as u64]);
-        let injected = r.below(self.cfg.max_skew_us + 1);
-        let natural = r.below(self.cfg.natural_jitter_us + 1);
-        self.skew = SimDuration::from_us(injected + natural);
-        out.extend([
-            Step::WindowStart,
-            Step::Busy(self.skew),
-            self.post_step(iter),
-            Step::Busy(self.catchup),
-        ]);
-        if self.split {
-            out.push(Step::WaitSplit);
-        }
-        out.extend([Step::WindowStop, Step::Barrier]);
+    /// `[WindowStart, Busy(skew), post, Busy(catchup), WaitSplit,
+    /// WindowStop, Barrier]`; a blocking post has no `WaitSplit`.
+    #[inline]
+    fn step(&mut self, iter: u64, idx: usize, _ctx: &StepCtx) -> Option<Step> {
+        let phase = if !self.split && idx >= 4 {
+            idx + 1
+        } else {
+            idx
+        };
+        Some(match phase {
+            0 => {
+                let mut r = self.rng.derive(&[iter, self.rank as u64]);
+                let injected = r.below(self.cfg.max_skew_us + 1);
+                let natural = r.below(self.cfg.natural_jitter_us + 1);
+                self.skew = SimDuration::from_us(injected + natural);
+                Step::WindowStart
+            }
+            1 => Step::Busy(self.skew),
+            2 => self.post_step(iter),
+            3 => Step::Busy(self.catchup),
+            4 => Step::WaitSplit,
+            5 => Step::WindowStop,
+            6 => Step::Barrier,
+            _ => return None,
+        })
     }
 
+    #[inline]
     fn after(&mut self, _iter: u64, idx: usize, ctx: &mut StepCtx) {
         match (idx, self.split) {
             (1, _) => self.t_coll = ctx.now,
@@ -531,19 +542,25 @@ impl StepTemplate for AppTemplate<'_> {
         self.cfg.sweeps
     }
 
-    fn steps(&mut self, sweep: u64, _ctx: &StepCtx, out: &mut Vec<Step>) {
+    /// `[Busy(work), WaitSplit, post, WaitSplit]`: split mode waits for
+    /// the previous sweep's reduction before posting (from the second
+    /// sweep) and drains its own after the last post.
+    #[inline]
+    fn step(&mut self, sweep: u64, idx: usize, _ctx: &StepCtx) -> Option<Step> {
         let cfg = self.cfg;
-        let mut r = self.rng.derive(&[sweep, self.rank as u64]);
-        let extra = (cfg.compute_us as f64 * cfg.imbalance) as u64;
-        let work = cfg.compute_us + r.below(extra + 1);
-        out.push(Step::Busy(SimDuration::from_us(work)));
         let split = cfg.mode == Mode::SplitPhase;
-        if split && sweep > 0 {
-            out.push(Step::WaitSplit);
-        }
-        out.push(sum_to(0, f64s_to_bytes(&vec![1.0; cfg.elems]), split));
-        if split && sweep + 1 == cfg.sweeps {
-            out.push(Step::WaitSplit);
+        let post = 1 + (split && sweep > 0) as usize;
+        match idx {
+            0 => {
+                let mut r = self.rng.derive(&[sweep, self.rank as u64]);
+                let extra = (cfg.compute_us as f64 * cfg.imbalance) as u64;
+                let work = cfg.compute_us + r.below(extra + 1);
+                Some(Step::Busy(SimDuration::from_us(work)))
+            }
+            i if i < post => Some(Step::WaitSplit),
+            i if i == post => Some(sum_to(0, f64s_to_bytes(&vec![1.0; cfg.elems]), split)),
+            i if i == post + 1 && split && sweep + 1 == cfg.sweeps => Some(Step::WaitSplit),
+            _ => None,
         }
     }
 }
@@ -664,38 +681,54 @@ struct LatencyTemplate<'a> {
     one_way_us: f64,
 }
 
+impl LatencyTemplate<'_> {
+    /// This rank's side of a control message between the last node and
+    /// the root: a send when it is the sender (`from_last` says which),
+    /// else a receive.
+    fn control(&self, from_last: bool, tag: i32) -> Step {
+        match self.role {
+            LatRole::Last { root } if from_last => send(root, tag),
+            LatRole::Last { root } => recv(root, tag),
+            LatRole::Root { last } if from_last => recv(last, tag),
+            LatRole::Root { last } => send(last, tag),
+            LatRole::Other => unreachable!("only the root and the last node exchange messages"),
+        }
+    }
+}
+
 impl StepTemplate for LatencyTemplate<'_> {
     fn iters(&self) -> u64 {
         self.cfg.iters + 1
     }
 
-    fn steps(&mut self, iter: u64, ctx: &StepCtx, out: &mut Vec<Step>) {
-        if iter == 0 {
-            out.push(Step::Barrier);
-            for _ in 0..self.cfg.pings {
-                match self.role {
-                    LatRole::Last { root } => {
-                        out.extend([send(root, PING_TAG), recv(root, PONG_TAG)])
-                    }
-                    LatRole::Root { last } => {
-                        out.extend([recv(last, PING_TAG), send(last, PONG_TAG)])
-                    }
-                    LatRole::Other => {}
-                }
+    /// Iteration 0 is `[Barrier, ping, pong, ..., Barrier]`, the later
+    /// ones `[reduce, notice, Barrier]`; ranks other than the root and the
+    /// last node skip the pings and the notice.
+    #[inline]
+    fn step(&mut self, iter: u64, idx: usize, ctx: &StepCtx) -> Option<Step> {
+        let talks = !matches!(self.role, LatRole::Other);
+        let body = match iter {
+            0 if talks => 1 + 2 * self.cfg.pings as usize,
+            0 => 1,
+            _ => 1 + talks as usize,
+        };
+        Some(match (iter, idx) {
+            (_, i) if i > body => return None,
+            (_, i) if i == body => Step::Barrier,
+            (0, 0) => Step::Barrier,
+            // Odd steps are the last node's pings, even ones the root's pongs.
+            (0, i) if i % 2 == 1 => self.control(true, PING_TAG),
+            (0, _) => self.control(false, PONG_TAG),
+            (_, 0) => {
+                self.t_mark = ctx.now;
+                let data = f64s_to_bytes(&vec![1.0; self.cfg.elems]);
+                sum_to(self.cfg.root, data, false)
             }
-        } else {
-            self.t_mark = ctx.now;
-            let data = f64s_to_bytes(&vec![1.0; self.cfg.elems]);
-            out.push(sum_to(self.cfg.root, data, false));
-            match self.role {
-                LatRole::Root { last } => out.push(send(last, NOTIFY_TAG)),
-                LatRole::Last { root } => out.push(recv(root, NOTIFY_TAG)),
-                LatRole::Other => {}
-            }
-        }
-        out.push(Step::Barrier);
+            (_, _) => self.control(false, NOTIFY_TAG),
+        })
     }
 
+    #[inline]
     fn after(&mut self, iter: u64, idx: usize, ctx: &mut StepCtx) {
         if !matches!(self.role, LatRole::Last { .. }) {
             return;

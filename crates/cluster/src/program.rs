@@ -7,8 +7,9 @@
 //! straight-line benchmark code.
 //!
 //! Every workload the harness ships is an [`IterProgram`]: a
-//! [`StepTemplate`] lists one iteration's steps, and one hook observes
-//! each completed step. [`ScriptProgram`] and [`FnProgram`] are for tests.
+//! [`StepTemplate`] yields each iteration's steps by index, and one hook
+//! observes each completed step. [`ScriptProgram`] and [`FnProgram`] are
+//! for tests.
 
 use abr_des::{CpuWindow, SimDuration, SimTime};
 use abr_mpr::op::ReduceOp;
@@ -212,27 +213,26 @@ pub trait StepTemplate: Send {
     /// Iterations the program runs.
     fn iters(&self) -> u64;
 
-    /// Push iteration `iter`'s steps onto `out`, which arrives empty.
-    /// Called once per iteration, in order, when the iteration's first
-    /// step is due: `ctx.now` is the iteration's start.
-    fn steps(&mut self, iter: u64, ctx: &StepCtx, out: &mut Vec<Step>);
+    /// Step `idx` of iteration `iter`, or `None` past the iteration's last
+    /// step. Called once per index, in order, each when that step is due:
+    /// for `idx == 0`, `ctx.now` is the iteration's start, so per-iteration
+    /// draws belong there.
+    fn step(&mut self, iter: u64, idx: usize, ctx: &StepCtx) -> Option<Step>;
 
     /// Step `idx` of iteration `iter` completed at `ctx.now`. The hook
     /// records observations and reads the window a `WindowStop` closed.
     fn after(&mut self, _iter: u64, _idx: usize, _ctx: &mut StepCtx) {}
 }
 
-/// Runs a [`StepTemplate`] one iteration at a time: it fills a reused
-/// buffer with the iteration's steps, yields them in order, reports each
-/// completed one to [`StepTemplate::after`], and returns [`Step::Done`]
-/// after the last iteration.
+/// Runs a [`StepTemplate`]: it asks for each iteration's steps by index,
+/// reports each completed one to [`StepTemplate::after`], and returns
+/// [`Step::Done`] after the last iteration.
 pub struct IterProgram<T> {
     template: T,
-    buf: Vec<Step>,
-    /// Index in `buf` of the next step to yield.
-    pos: usize,
-    /// The iteration the next [`StepTemplate::steps`] call builds.
-    next_iter: u64,
+    /// The iteration the next step belongs to.
+    iter: u64,
+    /// Index within `iter` of the next step to ask for.
+    idx: usize,
 }
 
 impl<T: StepTemplate> IterProgram<T> {
@@ -240,31 +240,28 @@ impl<T: StepTemplate> IterProgram<T> {
     pub fn new(template: T) -> Self {
         IterProgram {
             template,
-            buf: Vec::new(),
-            pos: 0,
-            next_iter: 0,
+            iter: 0,
+            idx: 0,
         }
     }
 }
 
 impl<T: StepTemplate> Program for IterProgram<T> {
+    // Runs once per step; meant to inline into the driver's step loop.
+    #[inline]
     fn next(&mut self, ctx: &mut StepCtx) -> Step {
-        if self.pos > 0 {
-            self.template.after(self.next_iter - 1, self.pos - 1, ctx);
+        if self.idx > 0 {
+            self.template.after(self.iter, self.idx - 1, ctx);
         }
-        while self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            if self.next_iter == self.template.iters() {
-                return Step::Done;
+        while self.iter < self.template.iters() {
+            if let Some(step) = self.template.step(self.iter, self.idx, ctx) {
+                self.idx += 1;
+                return step;
             }
-            self.template.steps(self.next_iter, ctx, &mut self.buf);
-            self.next_iter += 1;
+            self.iter += 1;
+            self.idx = 0;
         }
-        self.pos += 1;
-        // Move the step out without copying its payload; the placeholder
-        // is dropped when the buffer is cleared for the next iteration.
-        std::mem::replace(&mut self.buf[self.pos - 1], Step::Done)
+        Step::Done
     }
 }
 
@@ -276,10 +273,8 @@ mod tests {
     /// every template call.
     #[derive(Default)]
     struct Logged {
-        built: Vec<u64>,
+        asked: Vec<(u64, usize, SimTime)>,
         seen: Vec<(u64, usize, SimTime)>,
-        /// Address of the buffer the first iteration was built into.
-        buf_addr: Option<usize>,
     }
 
     impl StepTemplate for Logged {
@@ -287,15 +282,18 @@ mod tests {
             3
         }
 
-        fn steps(&mut self, iter: u64, _ctx: &StepCtx, out: &mut Vec<Step>) {
-            assert!(out.is_empty(), "the buffer arrives empty");
-            assert!(!self.built.contains(&iter), "iteration {iter} rebuilt");
-            self.built.push(iter);
-            out.push(Step::Busy(SimDuration::from_us(iter)));
-            out.push(Step::Barrier);
-            out.push(Step::WindowStart);
-            let addr = out.as_ptr() as usize;
-            assert_eq!(*self.buf_addr.get_or_insert(addr), addr, "buffer reused");
+        fn step(&mut self, iter: u64, idx: usize, ctx: &StepCtx) -> Option<Step> {
+            assert!(
+                !self.asked.iter().any(|&(i, k, _)| (i, k) == (iter, idx)),
+                "step {idx} of iteration {iter} asked twice"
+            );
+            self.asked.push((iter, idx, ctx.now));
+            match idx {
+                0 => Some(Step::Busy(SimDuration::from_us(iter))),
+                1 => Some(Step::Barrier),
+                2 => Some(Step::WindowStart),
+                _ => None,
+            }
         }
 
         fn after(&mut self, iter: u64, idx: usize, ctx: &mut StepCtx) {
@@ -322,7 +320,15 @@ mod tests {
             assert!(matches!(p.next(&mut ctx), Step::Done));
         }
         let t = &p.template;
-        assert_eq!(t.built, vec![0, 1, 2]);
+        // Each step is asked for once, when it is due; the index past an
+        // iteration's end is asked for when the next iteration starts (or
+        // the program ends), at that call's time.
+        let want: Vec<_> = (0..3u64)
+            .flat_map(|iter| {
+                (0..4).map(move |idx| (iter, idx, SimTime::from_us(3 * iter + idx as u64)))
+            })
+            .collect();
+        assert_eq!(t.asked, want);
         // Each step is reported once, by the call after it, at that
         // call's time; the calls after the first Done report nothing.
         let want: Vec<_> = (0..9u64)
@@ -332,14 +338,33 @@ mod tests {
     }
 
     #[test]
+    fn iter_program_skips_empty_iterations() {
+        /// Iterations 0 and 2 have no steps; 1 and 3 have one barrier.
+        struct Sparse;
+        impl StepTemplate for Sparse {
+            fn iters(&self) -> u64 {
+                4
+            }
+            fn step(&mut self, iter: u64, idx: usize, _: &StepCtx) -> Option<Step> {
+                (iter % 2 == 1 && idx == 0).then_some(Step::Barrier)
+            }
+        }
+        let mut p = IterProgram::new(Sparse);
+        let mut ctx = StepCtx::new();
+        assert!(matches!(p.next(&mut ctx), Step::Barrier));
+        assert!(matches!(p.next(&mut ctx), Step::Barrier));
+        assert!(matches!(p.next(&mut ctx), Step::Done));
+    }
+
+    #[test]
     fn iter_program_with_no_iterations_is_done_at_once() {
         struct Empty;
         impl StepTemplate for Empty {
             fn iters(&self) -> u64 {
                 0
             }
-            fn steps(&mut self, _: u64, _: &StepCtx, _: &mut Vec<Step>) {
-                unreachable!("no iteration to build")
+            fn step(&mut self, _: u64, _: usize, _: &StepCtx) -> Option<Step> {
+                unreachable!("no iteration to ask for")
             }
         }
         let mut p = IterProgram::new(Empty);

@@ -73,6 +73,10 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a sample index, computed once per aggregate"
+    )]
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
 }

@@ -178,56 +178,71 @@ impl StepTemplate for TenantTemplate {
         self.iters as u64
     }
 
-    fn steps(&mut self, iter: u64, ctx: &StepCtx, out: &mut Vec<Step>) {
-        self.iter_start = ctx.now;
-        // The seeded compute step. The jitter de-synchronizes ranks — the
-        // straggler skew that makes bypass matter — and is an absolute
-        // quantity ([`JobSpec::jitter_us`]), so at saturating load (short
-        // think) blocked peers spend most of each iteration waiting on
-        // the slowest rank.
-        let jitter = self.rng.below(self.jitter.as_nanos() + 1);
-        out.push(Step::Busy(SimDuration::from_nanos(
-            self.think.as_nanos() + jitter,
-        )));
-        let (op, dtype, data) = (ReduceOp::Sum, Datatype::F64, self.payload.clone());
-        match self.kind {
-            JobKind::Training => out.push(Step::Allreduce { op, dtype, data }),
-            JobKind::ShuffleReduce => {
-                if self.size > 1 {
-                    let tag = iter as i32;
-                    out.extend([
-                        Step::Send {
-                            dst: (self.rank + 1) % self.size,
-                            tag,
-                            data: self.block.clone(),
-                        },
-                        Step::Recv {
-                            src: (self.rank + self.size - 1) % self.size,
-                            tag,
-                            cap: self.block.len(),
-                        },
-                    ]);
-                }
-                out.push(Step::Reduce {
-                    root: 0,
-                    op,
-                    dtype,
-                    data,
-                });
+    /// `[Busy(think + jitter), Allreduce]` for training,
+    /// `[Busy(think + jitter), Send, Recv, Reduce]` for a shuffle (no
+    /// `Send`/`Recv` in a one-rank job).
+    #[inline]
+    fn step(&mut self, iter: u64, idx: usize, ctx: &StepCtx) -> Option<Step> {
+        let last = self.last_step();
+        Some(match idx {
+            0 => {
+                self.iter_start = ctx.now;
+                // The seeded compute step. The jitter de-synchronizes
+                // ranks — the straggler skew that makes bypass matter —
+                // and is an absolute quantity ([`JobSpec::jitter_us`]), so
+                // at saturating load (short think) blocked peers spend
+                // most of each iteration waiting on the slowest rank.
+                let jitter = self.rng.below(self.jitter.as_nanos() + 1);
+                Step::Busy(SimDuration::from_nanos(self.think.as_nanos() + jitter))
             }
-        }
+            i if i == last => {
+                let (op, dtype, data) = (ReduceOp::Sum, Datatype::F64, self.payload.clone());
+                match self.kind {
+                    JobKind::Training => Step::Allreduce { op, dtype, data },
+                    JobKind::ShuffleReduce => Step::Reduce {
+                        root: 0,
+                        op,
+                        dtype,
+                        data,
+                    },
+                }
+            }
+            1 if last == 3 => Step::Send {
+                dst: (self.rank + 1) % self.size,
+                tag: iter as i32,
+                data: self.block.clone(),
+            },
+            2 if last == 3 => Step::Recv {
+                src: (self.rank + self.size - 1) % self.size,
+                tag: iter as i32,
+                cap: self.block.len(),
+            },
+            _ => return None,
+        })
     }
 
+    #[inline]
     fn after(&mut self, iter: u64, idx: usize, ctx: &mut StepCtx) {
-        let shuffles = self.kind == JobKind::ShuffleReduce && self.size > 1;
-        let last = if shuffles { 3 } else { 1 };
-        if self.rank != 0 || idx != last {
+        if self.rank != 0 || idx != self.last_step() {
             return;
         }
         let lat = ctx.now.saturating_since(self.iter_start);
         ctx.record("iter_us", lat.as_us_f64());
         if iter + 1 == self.iters as u64 {
             ctx.record("done_us", ctx.now.as_us_f64());
+        }
+    }
+}
+
+impl TenantTemplate {
+    /// Index of an iteration's collective, its last step: 3 when the job
+    /// shuffles around a ring of two or more ranks first, else 1.
+    #[inline]
+    fn last_step(&self) -> usize {
+        if self.kind == JobKind::ShuffleReduce && self.size > 1 {
+            3
+        } else {
+            1
         }
     }
 }
@@ -360,6 +375,7 @@ fn summarize(mix: &JobMix, by_job: Vec<Vec<NodeResult>>, events: u64) -> TenantR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{Obs, Program};
 
     fn config(seed: u64, n_jobs: usize, load: f64, ab: bool) -> TenantConfig {
         let mix = JobMix::generate(seed, n_jobs, load);
@@ -434,6 +450,86 @@ mod tests {
             per_node.iter().all(|&c| c <= 1),
             "relaxed point co-located ranks: {per_node:?}"
         );
+    }
+
+    /// Run one rank's program to `Done` with one step per µs: each
+    /// iteration's step shapes (with the point-to-point tag and peer), and
+    /// the rank's observations.
+    fn drive(mut p: TenantProgram, steps_per_iter: usize) -> (Vec<Vec<String>>, Vec<Obs>) {
+        let mut ctx = StepCtx::new();
+        let mut iters: Vec<Vec<String>> = Vec::new();
+        for k in 0u64.. {
+            ctx.now = SimTime::from_us(k);
+            let shape = match p.next(&mut ctx) {
+                Step::Done => break,
+                Step::Busy(d) => {
+                    assert!(
+                        (50_000..=60_000).contains(&d.as_nanos()),
+                        "think + jitter: {d}"
+                    );
+                    "busy".to_string()
+                }
+                Step::Send { dst, tag, .. } => format!("send {dst} tag {tag}"),
+                Step::Recv { src, tag, .. } => format!("recv {src} tag {tag}"),
+                Step::Reduce { root, .. } => format!("reduce {root}"),
+                Step::Allreduce { .. } => "allreduce".to_string(),
+                step => panic!("unexpected step {step:?}"),
+            };
+            match iters.last_mut() {
+                Some(it) if it.len() < steps_per_iter => it.push(shape),
+                _ => iters.push(vec![shape]),
+            }
+        }
+        (iters, ctx.obs)
+    }
+
+    #[test]
+    fn tenant_template_steps_and_hooks_for_each_job_shape() {
+        let spec = |kind, ranks| JobSpec {
+            id: abr_jobs::JobId(0),
+            kind,
+            ranks,
+            iters: 3,
+            elems: 2,
+            think_us: 50,
+            jitter_us: 10,
+            seed: 9,
+        };
+        for (kind, ranks) in [
+            (JobKind::Training, 4),
+            (JobKind::ShuffleReduce, 4),
+            (JobKind::ShuffleReduce, 1),
+        ] {
+            let shape = |iter: u64| -> Vec<String> {
+                match (kind, ranks) {
+                    (JobKind::Training, _) => vec!["busy".into(), "allreduce".into()],
+                    (_, 1) => vec!["busy".into(), "reduce 0".into()],
+                    _ => vec![
+                        "busy".into(),
+                        format!("send 1 tag {iter}"),
+                        format!("recv 3 tag {iter}"),
+                        "reduce 0".into(),
+                    ],
+                }
+            };
+            let want: Vec<_> = (0..3).map(shape).collect();
+            let per_iter = want[0].len();
+            let mut programs = TenantProgram::job(&spec(kind, ranks)).into_iter();
+            let (got, obs) = drive(programs.next().expect("rank 0"), per_iter);
+            assert_eq!(got, want, "{kind:?} x {ranks}");
+            // Rank 0 stamps each iteration at its last step (one µs per
+            // step) and the job's end once, after the last iteration.
+            let n = per_iter as f64;
+            let mut stamps: Vec<_> = vec![("iter_us", n); 3];
+            stamps.push(("done_us", 3.0 * n));
+            let got: Vec<_> = obs.iter().map(|o| (o.key, o.value)).collect();
+            assert_eq!(got, stamps, "{kind:?} x {ranks}");
+            // Other ranks run the same shape and record nothing.
+            for p in programs {
+                let (_, obs) = drive(p, per_iter);
+                assert!(obs.is_empty(), "{kind:?} x {ranks}: {obs:?}");
+            }
+        }
     }
 
     #[test]

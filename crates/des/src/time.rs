@@ -4,6 +4,12 @@
 //! microseconds; nanosecond resolution leaves headroom for sub-microsecond
 //! cost-model constants (e.g. per-byte copy costs) without accumulating
 //! rounding error over the 10,000-iteration benchmark loops.
+//!
+//! Fractional durations round half away from zero through one integer
+//! helper, never through `f64::round`: on the baseline x86-64 target
+//! (`sse2`, no SSE4.1 `roundsd`) that is a software routine, and cost-model
+//! conversions run on every simulated call. The helper returns exactly
+//! what `x.round() as u64` does, for every `f64`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -86,7 +92,7 @@ impl SimDuration {
     #[inline]
     pub fn from_us_f64(us: f64) -> Self {
         debug_assert!(us >= 0.0, "durations are non-negative, got {us}");
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
+        SimDuration(round_to_u64(us * 1_000.0))
     }
 
     /// Raw nanoseconds.
@@ -124,7 +130,22 @@ impl SimDuration {
     #[inline]
     pub fn scaled_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0);
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
+    }
+}
+
+/// `x` rounded half away from zero, saturated to `u64` (NaN and negatives
+/// give 0): the same value as `x.round() as u64`, by hardware conversion.
+/// For `0 <= x < 2^64` the truncation `t` is exact in `f64`, so the
+/// fractional part `x - t` is too; elsewhere `t` saturates and the
+/// comparison settles the rest.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -223,6 +244,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_roundtrips() {
@@ -287,6 +309,103 @@ mod tests {
         assert_eq!(d.scaled(3), SimDuration::from_us(30));
         assert_eq!(d.scaled_f64(1.5), SimDuration::from_us(15));
         assert_eq!(d.scaled_f64(0.0), SimDuration::ZERO);
+    }
+
+    /// The `f64::round` expressions [`round_to_u64`] must equal on every
+    /// `f64`: plain, and clamped at zero.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the f64::round reference the integer helper must match"
+    )]
+    fn reference(x: f64) -> (u64, u64) {
+        (x.round() as u64, x.round().max(0.0) as u64)
+    }
+
+    fn assert_exact(x: f64) {
+        let got = round_to_u64(x);
+        assert_eq!(
+            (got, got),
+            reference(x),
+            "x = {x:e} ({:#018x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn integer_rounding_matches_f64_round_on_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            two52 - 0.5,
+            two52 + 0.5,
+            two53 + 1.0,
+            two53 + 2.0,
+            u64::MAX as f64,
+            f64::from_bits((u64::MAX as f64).to_bits() - 1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.7,
+            -0.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+        ];
+        for x in edges {
+            assert_exact(x);
+        }
+        // The public conversions, on their non-negative domain.
+        for x in edges.into_iter().filter(|x| *x >= 0.0) {
+            let (old, _) = reference(x * 1_000.0);
+            assert_eq!(SimDuration::from_us_f64(x).as_nanos(), old, "{x:e}");
+            for ns in [0, 1, 3, 1_000_000_007, u64::MAX] {
+                let (old, _) = reference(ns as f64 * x);
+                let got = SimDuration::from_nanos(ns).scaled_f64(x).as_nanos();
+                assert_eq!(got, old, "{ns} ns x {x:e}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern: NaNs, infinities, negatives, subnormals and
+        /// values past `u64::MAX` included.
+        #[test]
+        fn integer_rounding_matches_f64_round_on_any_bits(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            let got = round_to_u64(x);
+            prop_assert_eq!((got, got), reference(x), "x = {:e}", x);
+        }
+
+        /// Values in the rounding range `[2^-9, 2^66)`, where the fractional
+        /// part decides the result, with either sign.
+        #[test]
+        fn integer_rounding_matches_f64_round_in_range(
+            mantissa in any::<u64>(),
+            exp in 1014u64..1090,
+            negative in any::<bool>(),
+        ) {
+            let bits = (mantissa & ((1 << 52) - 1)) | (exp << 52) | ((negative as u64) << 63);
+            let x = f64::from_bits(bits);
+            let got = round_to_u64(x);
+            prop_assert_eq!((got, got), reference(x), "x = {:e}", x);
+        }
+
+        /// `scaled_f64` over arbitrary nanosecond counts and factors.
+        #[test]
+        fn scaled_f64_matches_f64_round(ns in any::<u64>(), shift in 0u32..64, factor in 0.0f64..4.0) {
+            let ns = ns >> shift;
+            let (old, _) = reference(ns as f64 * factor);
+            prop_assert_eq!(SimDuration::from_nanos(ns).scaled_f64(factor).as_nanos(), old);
+        }
     }
 
     #[test]

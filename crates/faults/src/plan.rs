@@ -9,7 +9,7 @@
 //! attempt counters advance the same way in both because the protocol sends
 //! the same packet sequence over each link.
 
-use abr_des::{FxHashMap, StreamRng};
+use abr_des::{FxHashMap, SimDuration, StreamRng};
 use abr_gm::{Packet, PacketKind};
 use abr_trace::{TraceEvent, TraceHandle};
 
@@ -208,8 +208,9 @@ impl FaultPlan {
     ///
     /// Clauses are `;`- or newline-separated. The first word of a clause is
     /// the fault (`drop`, `dup`, `delay`, `stall`) or the special clause
-    /// `seed=N`. Remaining words are `key=value` pairs: `p`, `extra_us`,
-    /// `stall_us`, `from`, `to`, `between=SRC-DST`, `kind`
+    /// `seed=N`. Remaining words are `key=value` pairs: `p` (in `[0, 1]`),
+    /// `extra_us` and `stall_us` (finite, non-negative, rounded to the
+    /// nanosecond), `from`, `to`, `between=SRC-DST`, `kind`
     /// (`any|coll|eager|rndv|ack`), `window_us=LO..HI`, `attempt=N`.
     /// Blank clauses and `#` comments are ignored.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
@@ -228,8 +229,8 @@ impl FaultPlan {
                 continue;
             }
             let mut p = None;
-            let mut extra_us = None;
-            let mut stall_us = None;
+            let mut extra_ns = None;
+            let mut stall_ns = None;
             let mut link = LinkSel::Any;
             let mut kinds = KindSel::Any;
             let mut window = None;
@@ -239,10 +240,28 @@ impl FaultPlan {
                     .split_once('=')
                     .ok_or_else(|| format!("fault plan: expected key=value, got {word:?}"))?;
                 let bad = || format!("fault plan: bad value for {key}: {value:?}");
+                let duration_ns = || {
+                    let us = value.parse::<f64>().map_err(|_| bad())?;
+                    if !(us.is_finite() && us >= 0.0) {
+                        return Err(format!(
+                            "fault plan: {key} must be a finite non-negative duration, \
+                             got {value:?}"
+                        ));
+                    }
+                    Ok(SimDuration::from_us_f64(us).as_nanos())
+                };
                 match key {
-                    "p" => p = Some(value.parse::<f64>().map_err(|_| bad())?),
-                    "extra_us" => extra_us = Some(value.parse::<f64>().map_err(|_| bad())?),
-                    "stall_us" => stall_us = Some(value.parse::<f64>().map_err(|_| bad())?),
+                    "p" => {
+                        let prob = value.parse::<f64>().map_err(|_| bad())?;
+                        if !(0.0..=1.0).contains(&prob) {
+                            return Err(format!(
+                                "fault plan: {key} must be a probability in [0, 1], got {value:?}"
+                            ));
+                        }
+                        p = Some(prob);
+                    }
+                    "extra_us" => extra_ns = Some(duration_ns()?),
+                    "stall_us" => stall_ns = Some(duration_ns()?),
                     "from" => link = LinkSel::From(value.parse().map_err(|_| bad())?),
                     "to" => link = LinkSel::To(value.parse().map_err(|_| bad())?),
                     "between" => {
@@ -276,7 +295,6 @@ impl FaultPlan {
                     other => return Err(format!("fault plan: unknown key {other:?}")),
                 }
             }
-            let us_to_ns = |us: f64| (us * 1_000.0).round().max(0.0) as u64;
             let fault = match head {
                 "drop" => FaultKind::Drop {
                     p: p.unwrap_or(1.0),
@@ -286,11 +304,11 @@ impl FaultPlan {
                 },
                 "delay" => FaultKind::Delay {
                     p: p.unwrap_or(1.0),
-                    extra_ns: us_to_ns(extra_us.ok_or("fault plan: delay needs extra_us=..")?),
+                    extra_ns: extra_ns.ok_or("fault plan: delay needs extra_us=..")?,
                 },
                 "stall" => FaultKind::NicStall {
                     p: p.unwrap_or(1.0),
-                    stall_ns: us_to_ns(stall_us.ok_or("fault plan: stall needs stall_us=..")?),
+                    stall_ns: stall_ns.ok_or("fault plan: stall needs stall_us=..")?,
                 },
                 other => return Err(format!("fault plan: unknown fault {other:?}")),
             };
@@ -686,6 +704,57 @@ mod tests {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(err.starts_with("fault plan:"), "{bad}: {err}");
         }
+    }
+
+    /// Every spec must fail with a message that names `key`.
+    fn assert_rejected(key: &str, specs: &[&str]) {
+        for spec in specs {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(
+                err.starts_with("fault plan:") && err.contains(key),
+                "{spec}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_rejects_probabilities_outside_the_unit_interval() {
+        assert_rejected(
+            "p",
+            &[
+                "drop p=1.5",
+                "dup p=-0.1",
+                "drop p=NaN",
+                "delay p=inf extra_us=1",
+            ],
+        );
+        for edge in ["drop p=0", "drop p=1"] {
+            assert!(FaultPlan::parse(edge).is_ok(), "{edge}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_negative_or_non_finite_extra_us() {
+        assert_rejected(
+            "extra_us",
+            &[
+                "delay extra_us=-5",
+                "delay extra_us=inf",
+                "delay extra_us=NaN",
+            ],
+        );
+    }
+
+    #[test]
+    fn parse_rejects_negative_or_non_finite_stall_us() {
+        assert_rejected(
+            "stall_us",
+            &[
+                "stall stall_us=-0.5",
+                "stall stall_us=-inf",
+                "stall stall_us=nan",
+            ],
+        );
     }
 
     #[test]

@@ -141,6 +141,10 @@ impl JobMix {
                 let ranks = 1 << rng.range_inclusive(2, 4); // 4 / 8 / 16
                 let iters = rng.range_inclusive(8, 16) as u32;
                 let base_think = rng.range_inclusive(300, 800) as f64;
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "a whole-µs job parameter, drawn once per job"
+                )]
                 let think_us = (base_think / load).max(1.0).round() as u64;
                 let jitter_us = rng.range_inclusive(40, 120);
                 JobSpec {
