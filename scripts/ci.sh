@@ -29,10 +29,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo test --doc"
 cargo test -q --workspace --doc
 
+echo "==> perfbench tests (the benchmark package calls into the workspace crates)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> fault smoke sweep (loss figure under seeded 1% drop+dup)"
 ABR_ITERS=20 ABR_JOBS=2 ABR_RECORD_JSON=BENCH_sweep.json \
   ABR_FAULTS="seed=7; drop p=0.01; dup p=0.01" \
-  cargo run -q --release -p abr_bench --bin loss_figure
+  cargo run -q --release -p abr_bench --bin loss_figure > FIG_loss_flat_faults.txt
+# The only CI run of the reliability layer on the crossbar: pin its table.
+diff -u crates/bench/golden/loss_flat_faults_iters20.txt FIG_loss_flat_faults.txt \
+  || { echo "flat-fabric fault smoke diverged from its golden"; exit 1; }
 
 echo "==> traced figure run (Chrome JSON + CPU attribution, reconciled)"
 ABR_ITERS=20 ABR_TRACE="chrome=TRACE_events.json,report=TRACE_cpu.txt" \
