@@ -102,6 +102,9 @@ struct FaultState {
     rel: Vec<NodeReliability>,
     /// Per-node pending [`Ev::RelTick`]: `(scheduled_at, event)`.
     tick: Vec<Option<(SimTime, EventId)>>,
+    /// The reliability layer's output buffer, reused across deliveries
+    /// and ticks.
+    events: Vec<RelEvent>,
 }
 
 /// Multi-tenant extension state, present only when ranks need translating:
@@ -579,17 +582,20 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     }
 
     /// A reliability timer fired: let node `i` retransmit what's overdue.
+    /// Out of line for the same reason as [`Self::deliver_reliable`].
+    #[inline(never)]
     fn on_rel_tick(&mut self, i: usize, t: SimTime) {
         let l = i - self.base;
-        let mut out = Vec::new();
-        {
+        let mut out = {
             let Some(f) = &mut self.faults else {
                 return;
             };
             f.tick[l] = None;
+            let mut out = std::mem::take(&mut f.events);
             f.rel[l].on_tick(t.as_nanos(), &mut out);
-        }
-        for e in out {
+            out
+        };
+        for e in out.drain(..) {
             match e {
                 RelEvent::Transmit(p) => self.transmit_raw(i, p, t),
                 RelEvent::LinkDead { peer } => {
@@ -598,6 +604,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 RelEvent::Deliver(_) => unreachable!("ticks never deliver"),
             }
         }
+        self.faults.as_mut().expect("checked above").events = out;
         self.schedule_rel_tick(i, t);
     }
 
@@ -663,27 +670,35 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
 
     fn on_deliver(&mut self, i: usize, pkt: Packet, t: SimTime) {
         if self.faults.is_some() {
-            // Reliability pre-stage: acks are consumed here, duplicates are
-            // suppressed, out-of-order data is resequenced; whatever is
-            // ready flows on to the engine in `rel_seq` order.
-            let mut out = Vec::new();
-            {
-                let f = self.faults.as_mut().expect("checked above");
-                f.rel[i - self.base].on_receive(pkt, t.as_nanos(), &mut out);
-            }
-            for e in out {
-                match e {
-                    RelEvent::Deliver(p) => self.deliver_to_node(i, p, t),
-                    RelEvent::Transmit(p) => self.transmit_raw(i, p, t),
-                    RelEvent::LinkDead { peer } => {
-                        panic!("rank {i}: link to rank {peer} declared dead")
-                    }
+            self.deliver_reliable(i, pkt, t);
+        } else {
+            self.deliver_to_node(i, pkt, t);
+        }
+    }
+
+    /// Reliability pre-stage: acks are consumed here, duplicates are
+    /// suppressed, out-of-order data is resequenced; whatever is ready
+    /// flows on to the engine in `rel_seq` order. Kept out of line so the
+    /// fault-free event loop stays as small as it is without faults.
+    #[inline(never)]
+    fn deliver_reliable(&mut self, i: usize, pkt: Packet, t: SimTime) {
+        let mut out = {
+            let f = self.faults.as_mut().expect("checked by on_deliver");
+            let mut out = std::mem::take(&mut f.events);
+            f.rel[i - self.base].on_receive(pkt, t.as_nanos(), &mut out);
+            out
+        };
+        for e in out.drain(..) {
+            match e {
+                RelEvent::Deliver(p) => self.deliver_to_node(i, p, t),
+                RelEvent::Transmit(p) => self.transmit_raw(i, p, t),
+                RelEvent::LinkDead { peer } => {
+                    panic!("rank {i}: link to rank {peer} declared dead")
                 }
             }
-            self.schedule_rel_tick(i, t);
-            return;
         }
-        self.deliver_to_node(i, pkt, t);
+        self.faults.as_mut().expect("checked by on_deliver").events = out;
+        self.schedule_rel_tick(i, t);
     }
 
     /// Hand one in-sequence packet to node `i`'s engine (the fault-free
@@ -1320,6 +1335,7 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
                 .map(|i| NodeReliability::new(i as u32, rel_cfg))
                 .collect(),
             tick: vec![None; n],
+            events: Vec::new(),
         };
         if let Some(tracer) = &self.tracer {
             state

@@ -1,8 +1,9 @@
 //! A fast, deterministic hasher for simulation-internal maps.
 //!
 //! The std `HashMap` default (SipHash) is DoS-resistant but costs tens of
-//! cycles per lookup — measurable on the DES hot path, where every packet
-//! touches the per-pair FIFO floor and wire-sequence maps. Simulation keys
+//! cycles per lookup — measurable on the DES hot path, where a lossy run
+//! touches the fault injector's per-pair attempt counters and the
+//! reliability layer's per-peer windows on every packet. Simulation keys
 //! are small integers controlled by the simulator itself, so collision
 //! attacks are not a concern; this module provides the classic
 //! multiply-xor ("Fx") hash used by rustc, which is a handful of cycles and

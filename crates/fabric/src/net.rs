@@ -21,7 +21,11 @@
 //!      destination NIC and PCI hand the packet to the host.
 //! 3. **FIFO floor.** GM delivers packets of one priority in order per
 //!    (src, dst) pair, so the arrival is raised to the pair's previous one
-//!    (`FifoFloors`) even when a small packet follows a large one.
+//!    (`FifoFloors`) even when a small packet follows a large one. Floors
+//!    live in one row per sender; a floor at or below the sender's
+//!    injection end is dead (every later packet from that sender leaves
+//!    its NIC after it) and is dropped before the lookup, so a row holds
+//!    only the pairs still in flight.
 //! 4. **Counters**: packets and wire bytes carried.
 //! 5. **Trace**: five [`TraceEvent::WireSegment`] records (source PCI,
 //!    source NIC, wire, destination NIC, destination PCI). On a routed
@@ -39,92 +43,77 @@
 //! per-shard clocks drift (see `DesDriver::run_sharded` in `abr_cluster`).
 
 use crate::spec::{FabricKind, FabricSpec, Placement};
-use abr_des::{FxHashMap, SimDuration, SimTime};
+use abr_des::{SimDuration, SimTime};
 use abr_gm::packet::HEADER_WIRE_BYTES;
 use abr_gm::{CostModel, NodeHw, PathCost};
 use abr_trace::{TraceEvent, TraceHandle};
 
-/// Once the FIFO-floor map crosses this many entries, floors that can no
-/// longer influence an arrival (entries at or below the send-time
-/// watermark) are pruned. Keeps the map bounded by the number of pairs
-/// *in flight around the same sim time* instead of O(all pairs ever used),
-/// which at 64k ranks is the difference between ~10^5 and ~10^9 potential
-/// entries.
-const FLOOR_PRUNE_LIMIT: usize = 65_536;
-
-/// Per-(src, dst) FIFO delivery floors: the latest arrival handed out on
-/// each ordered pair, so a later packet on the pair can never arrive
-/// earlier (GM's in-order guarantee).
+/// Per-sender FIFO delivery floors: for each source endpoint, the latest
+/// arrival handed out to each destination that is still in flight, so a
+/// later packet on the pair can never arrive earlier (GM's in-order
+/// guarantee).
 ///
-/// Floors at or below the highest send time seen (the watermark) can no
-/// longer raise an arrival, so they are pruned once the map outgrows a
-/// threshold. After a pass the threshold becomes `max(FLOOR_PRUNE_LIMIT,
-/// 2 × survivors)`: when most floors are still in flight, the next pass
-/// waits until the map has doubled, so pruning stays amortized O(1) per
-/// packet however many pairs are in flight at once. Pruning never changes
-/// an arrival.
+/// Rows are indexed like the NIC clocks. Before each lookup the sender's
+/// row drops every floor at or below the packet's injection end
+/// (`tx_done`): the sender's NIC clock only moves forward, so every later
+/// packet from it leaves its NIC after `tx_done` and arrives later still,
+/// and such a floor can never raise an arrival again. This holds for any
+/// order of send stamps across ranks, so dropping never changes an
+/// arrival, and a row holds only the floors still in flight (usually 0–2).
 #[derive(Debug, Clone)]
 struct FifoFloors {
-    floors: FxHashMap<(u32, u32), SimTime>,
-    /// Highest `sent_at` observed: everything at or below this time can no
-    /// longer raise an arrival (DES event times are non-decreasing per
-    /// executor), so floors under it are dead weight and prunable.
-    watermark: SimTime,
-    /// Map size that triggers the next prune pass.
-    prune_at: usize,
-    pruned: u64,
-    prune_passes: u64,
+    /// `rows[src]`: `(dst, arrival)` for each of `src`'s in-flight pairs.
+    rows: Vec<Vec<(u32, SimTime)>>,
+    /// Floors dropped as dead so far.
+    dropped: u64,
 }
 
 impl FifoFloors {
-    fn new() -> Self {
+    fn new(n_senders: usize) -> Self {
         FifoFloors {
-            floors: FxHashMap::default(),
-            watermark: SimTime::ZERO,
-            prune_at: FLOOR_PRUNE_LIMIT,
-            pruned: 0,
-            prune_passes: 0,
+            rows: vec![Vec::new(); n_senders],
+            dropped: 0,
         }
     }
 
-    /// The arrival of a packet sent at `sent_at` on the ordered pair
-    /// `pair` whose unserialized arrival would be `nominal`: `nominal`
-    /// raised to the pair's floor. The result becomes the pair's new floor.
+    /// The arrival of a packet from `src` to `dst` whose injection ended at
+    /// `tx_done` and whose unserialized arrival would be `nominal`
+    /// (`nominal >= tx_done`): `nominal` raised to the pair's floor. The
+    /// result becomes the pair's new floor.
     #[inline]
-    fn arrival(&mut self, pair: (u32, u32), sent_at: SimTime, nominal: SimTime) -> SimTime {
-        let floor = self.floors.entry(pair).or_insert(SimTime::ZERO);
-        let arrival = nominal.max(*floor);
-        *floor = arrival;
-        self.watermark = self.watermark.max(sent_at);
-        if self.floors.len() > self.prune_at {
-            self.prune();
-        }
-        arrival
+    fn arrival(&mut self, src: u32, dst: u32, tx_done: SimTime, nominal: SimTime) -> SimTime {
+        let row = &mut self.rows[src as usize];
+        let before = row.len();
+        row.retain(|&(_, floor)| floor > tx_done);
+        self.dropped += (before - row.len()) as u64;
+        raise(row, dst, nominal)
     }
 
-    fn prune(&mut self) {
-        // A floor at or below the watermark can never exceed a future
-        // `nominal` (which is strictly later than any future `sent_at`,
-        // itself >= watermark), so `max(nominal, floor)` is the identity
-        // and the entry is droppable without changing any arrival.
-        let wm = self.watermark;
-        let before = self.floors.len();
-        self.floors.retain(|_, v| *v > wm);
-        self.pruned += (before - self.floors.len()) as u64;
-        self.prune_passes += 1;
-        self.prune_at = FLOOR_PRUNE_LIMIT.max(2 * self.floors.len());
-    }
-
-    /// Fold another floor set into this one: per-pair maxima, the later
-    /// watermark, summed counters.
+    /// Fold another floor set into this one: per-pair maxima, summed
+    /// counters.
     fn absorb(&mut self, other: &FifoFloors) {
-        for (&k, &v) in &other.floors {
-            let e = self.floors.entry(k).or_insert(v);
-            *e = (*e).max(v);
+        for (row, theirs) in self.rows.iter_mut().zip(&other.rows) {
+            for &(dst, v) in theirs {
+                raise(row, dst, v);
+            }
         }
-        self.watermark = self.watermark.max(other.watermark);
-        self.pruned += other.pruned;
-        self.prune_passes += other.prune_passes;
+        self.dropped += other.dropped;
+    }
+}
+
+/// Raise `dst`'s floor in `row` to at least `t` (adding it if absent) and
+/// return the floor.
+#[inline]
+fn raise(row: &mut Vec<(u32, SimTime)>, dst: u32, t: SimTime) -> SimTime {
+    match row.iter_mut().find(|(d, _)| *d == dst) {
+        Some((_, floor)) => {
+            *floor = t.max(*floor);
+            *floor
+        }
+        None => {
+            row.push((dst, t));
+            t
+        }
     }
 }
 
@@ -314,7 +303,7 @@ impl FabricNetwork {
             spec,
             n_ranks,
             tx_free: vec![SimTime::ZERO; n_ranks.max(1) as usize],
-            floors: FifoFloors::new(),
+            floors: FifoFloors::new(n_ranks.max(1) as usize),
             packets_carried: 0,
             bytes_carried: 0,
             link_waits: 0,
@@ -403,7 +392,7 @@ impl FabricNetwork {
             None => tx_done + (path.total() - tx),
         };
 
-        let arrival = self.floors.arrival((src, dst), sent_at, nominal);
+        let arrival = self.floors.arrival(src, dst, tx_done, nominal);
         self.packets_carried += 1;
         self.bytes_carried += u64::from(wire_bytes);
         if self.trace.is_enabled() {
@@ -464,14 +453,16 @@ impl FabricNetwork {
         self.bytes_carried
     }
 
-    /// Live FIFO-floor entries (per-(src, dst) map size).
+    /// FIFO floors still in flight: pairs whose last arrival is later
+    /// than their sender's NIC clock.
     pub fn floor_entries(&self) -> usize {
-        self.floors.floors.len()
+        self.floors.rows.iter().map(Vec::len).sum()
     }
 
-    /// Dead FIFO floors reclaimed by watermark pruning so far.
+    /// FIFO floors dropped as dead so far (at or below their sender's
+    /// injection end when the sender next transmitted).
     pub fn floors_pruned(&self) -> u64 {
-        self.floors.pruned
+        self.floors.dropped
     }
 
     /// Times a packet queued behind a busy fabric link.
@@ -583,6 +574,35 @@ mod tests {
         net.delivery_time(t, src, dst, &hw, &hw, wire(len))
     }
 
+    /// The live floor of the pair `src -> dst`, if `src`'s row holds one.
+    fn floor_of(net: &FabricNetwork, src: u32, dst: u32) -> Option<SimTime> {
+        net.floors.rows[src as usize]
+            .iter()
+            .find(|&&(d, _)| d == dst)
+            .map(|&(_, f)| f)
+    }
+
+    /// The legacy crossbar in closed form: a per-source NIC clock, the
+    /// uncontended path after injection, one max floor per pair that is
+    /// never dropped.
+    #[derive(Default)]
+    struct Legacy {
+        nic: HashMap<u32, SimTime>,
+        floor: HashMap<(u32, u32), SimTime>,
+    }
+
+    impl Legacy {
+        fn send(&mut self, t: SimTime, s: u32, d: u32, len: u32) -> SimTime {
+            let hw = NodeHw::p3_700();
+            let path = PathCost::new(&CostModel::default(), &hw, &hw, wire(len));
+            let nic = self.nic.entry(s).or_insert(SimTime::ZERO);
+            *nic = t.max(*nic) + path.tx();
+            let f = self.floor.entry((s, d)).or_insert(SimTime::ZERO);
+            *f = (*nic + (path.total() - path.tx())).max(*f);
+            *f
+        }
+    }
+
     #[test]
     fn fifo_order_is_enforced_per_pair() {
         let mut net = flat(2);
@@ -591,6 +611,25 @@ mod tests {
         let t0 = SimTime::from_us(100);
         let big = send(&mut net, t0, 0, 1, 64 * 1024);
         let small = send(&mut net, t0 + SimDuration::from_us(1), 0, 1, 8);
+        assert!(
+            small >= big,
+            "FIFO violated: small {small:?} before big {big:?}"
+        );
+    }
+
+    #[test]
+    fn fifo_order_survives_floor_pruning() {
+        // Send stamps are not monotone across ranks (each is `t +
+        // cpu_work`), so other ranks' traffic stamped after a pair's last
+        // arrival says nothing about that pair's own later packets.
+        let others = 65_540u32;
+        let mut net = flat(others + 3);
+        let big = send(&mut net, SimTime::from_us(100), 0, 1, 64 * 1024);
+        let later = big + SimDuration::from_us(1);
+        for i in 2..others + 2 {
+            send(&mut net, later, i, i + 1, 8);
+        }
+        let small = send(&mut net, SimTime::from_us(101), 0, 1, 8);
         assert!(
             small >= big,
             "FIFO violated: small {small:?} before big {big:?}"
@@ -660,9 +699,11 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.packets_carried(), 2);
         assert_eq!(a.bytes_carried(), u64::from(wire(100) + wire(50)));
-        // Floors from both halves survive the merge.
-        assert_eq!(a.floors.floors.get(&(0, 1)), Some(&t1));
-        assert_eq!(a.floors.floors.get(&(2, 1)), Some(&t2));
+        // Floors from both halves survive the merge, each in its sender's
+        // row.
+        assert_eq!(a.floors.rows[0], [(1, t1)]);
+        assert_eq!(a.floors.rows[2], [(1, t2)]);
+        assert!(a.floors.rows[1].is_empty());
         // So do both halves' NIC-free times; rank 1 never sent.
         let tx = |len| PathCost::new(a.cost(), &hw, &hw, wire(len)).tx();
         assert_eq!(a.tx_free[0], SimTime::ZERO + tx(100));
@@ -681,24 +722,24 @@ mod tests {
 
     #[test]
     fn floor_map_stays_bounded_under_many_pairs() {
-        // Distinct (src, dst) pairs at advancing sim times: the map would
-        // grow O(pairs) without pruning. Spacing the sends far apart keeps
-        // each floor behind the watermark by the time the limit trips.
-        let pairs = (FLOOR_PRUNE_LIMIT + 4_096) as u32;
-        let mut net = flat(pairs + 1);
+        // A few senders reach more than 65,536 distinct destinations at
+        // advancing sim times: a floor per pair ever used would grow
+        // O(pairs). Spacing the sends far apart puts each sender's previous
+        // arrival behind its next injection, so that floor is dead.
+        let (senders, pairs) = (4u32, 65_536 + 4_096);
+        let mut net = flat(senders + pairs);
         for i in 0..pairs {
+            let (src, dst) = (i % senders, senders + i);
             let t = SimTime::from_us(u64::from(i) * 1_000);
-            send(&mut net, t, i, i + 1, 8);
+            send(&mut net, t, src, dst, 8);
+            let row = net.floors.rows[src as usize].len();
+            assert!(row <= 1, "sender {src} holds {row} live floors");
         }
-        assert!(
-            net.floor_entries() <= FLOOR_PRUNE_LIMIT + 1,
-            "floor map grew unbounded: {} entries",
-            net.floor_entries()
-        );
-        assert!(net.floors_pruned() > 0);
+        assert_eq!(net.floor_entries(), senders as usize);
+        assert_eq!(net.floors_pruned(), u64::from(pairs - senders));
         assert_eq!(net.packets_carried(), u64::from(pairs));
-        // Pruning only drops *dead* floors: a pair with in-flight backlog
-        // keeps its FIFO guarantee.
+        // Dropping only removes *dead* floors: a pair with in-flight
+        // backlog keeps its FIFO guarantee.
         let t0 = SimTime::from_us(u64::from(pairs) * 1_000);
         let big = send(&mut net, t0, 0, 1, 64 * 1024);
         let small = send(&mut net, t0 + SimDuration::from_us(1), 0, 1, 8);
@@ -707,58 +748,39 @@ mod tests {
 
     #[test]
     fn many_in_flight_pairs_prune_a_bounded_number_of_times() {
-        // More distinct pairs than the prune limit, all sent at one
-        // instant: every floor stays above the watermark, so each pass
-        // frees nothing. The threshold must back off instead of running a
-        // full pass on every later packet, and the arrivals must match a
-        // network that never prunes.
+        // More distinct in-flight pairs than any fixed bound, all sent at
+        // one instant: no floor is dead, and every arrival must match the
+        // closed-form crossbar that keeps one floor per pair forever.
         let mut net = flat(140_001);
-        let mut reference = net.fresh_like();
-        reference.floors.prune_at = usize::MAX;
+        let mut reference = Legacy::default();
         let t0 = SimTime::from_us(10);
         for i in 0..140_000u32 {
             assert_eq!(
                 send(&mut net, t0, i, i + 1, 0),
-                send(&mut reference, t0, i, i + 1, 0),
-                "pruning changed the arrival of pair {i}"
+                reference.send(t0, i, i + 1, 0),
+                "floor rows changed the arrival of pair {i}"
             );
         }
         assert_eq!(net.floor_entries(), 140_000, "no floor was dead yet");
-        let passes = net.floors.prune_passes;
-        assert!(
-            (1..=2).contains(&passes),
-            "{passes} prune passes for 140,000 in-flight pairs"
-        );
-        // A second packet per pair still meets its floor, pruned or not.
+        // A second packet per pair still meets its floor.
         let t1 = t0 + SimDuration::from_us(1);
         for i in (0..140_000u32).step_by(7) {
             assert_eq!(
                 send(&mut net, t1, i, i + 1, 4096),
-                send(&mut reference, t1, i, i + 1, 4096)
+                reference.send(t1, i, i + 1, 4096)
             );
         }
-        assert_eq!(reference.floors.prune_passes, 0);
     }
 
     #[test]
     fn flat_fabric_is_bit_identical_to_legacy_network() {
-        // The legacy crossbar in closed form: a per-source NIC clock, the
-        // uncontended path after injection, a per-pair max floor.
-        let hw = NodeHw::p3_700();
-        let cost = CostModel::default();
         let mut fab = flat(64);
-        let mut nic: HashMap<u32, SimTime> = HashMap::new();
-        let mut floor: HashMap<(u32, u32), SimTime> = HashMap::new();
+        let mut legacy = Legacy::default();
         for i in 0..200u32 {
             let (s, d, len) = (i % 3, (i * 3 + 1) % 5, (i * 97) % 4096);
             let t = SimTime::from_us(u64::from(i));
-            let path = PathCost::new(&cost, &hw, &hw, wire(len));
-            let tx_done = t.max(nic.get(&s).copied().unwrap_or(SimTime::ZERO)) + path.tx();
-            nic.insert(s, tx_done);
-            let f = floor.entry((s, d)).or_insert(SimTime::ZERO);
-            *f = (tx_done + (path.total() - path.tx())).max(*f);
             assert_eq!(
-                *f,
+                legacy.send(t, s, d, len),
                 send(&mut fab, t, s, d, len),
                 "flat fabric diverged from the crossbar formula at step {i}"
             );
@@ -836,11 +858,15 @@ mod tests {
         send(&mut a, SimTime::ZERO, 0, 40, 100);
         send(&mut b, SimTime::from_us(5), 2, 40, 50);
         let (a0, b2) = (a.tx_free[0], b.tx_free[2]);
+        let (fa, fb) = (floor_of(&a, 0, 40).unwrap(), floor_of(&b, 2, 40).unwrap());
         a.absorb(&b);
         assert_eq!(a.tx_free[0], a0);
         assert_eq!(a.tx_free[1], SimTime::ZERO);
         assert_eq!(a.tx_free[2], b2);
-        // One floor per (src, dst) pair; NIC clocks are not floors.
+        // One floor per (src, dst) pair, in its sender's row; NIC clocks
+        // are not floors.
+        assert_eq!(floor_of(&a, 0, 40), Some(fa));
+        assert_eq!(floor_of(&a, 2, 40), Some(fb));
         assert_eq!(a.floor_entries(), 2);
         assert_eq!(a.packets_carried(), 2);
     }

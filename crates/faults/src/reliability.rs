@@ -161,6 +161,18 @@ impl RxPeer {
     }
 }
 
+impl TxPeer {
+    /// The deadline this peer contributes to the node's earliest one:
+    /// `u64::MAX` for a dead or idle peer.
+    fn armed_deadline(&self) -> u64 {
+        if self.dead || self.unacked.is_empty() {
+            u64::MAX
+        } else {
+            self.deadline_ns
+        }
+    }
+}
+
 /// Per-node reliable-delivery state: one TX window per destination peer and
 /// one resequencing window per source peer.
 #[derive(Debug)]
@@ -169,6 +181,10 @@ pub struct NodeReliability {
     cfg: RelConfig,
     tx: FxHashMap<u32, TxPeer>,
     rx: FxHashMap<u32, RxPeer>,
+    /// The earliest armed deadline over `tx` (`u64::MAX` when none), kept
+    /// current wherever a timer moves so [`Self::next_deadline`] walks no
+    /// peer.
+    earliest_ns: u64,
     stats: RelStats,
     trace: TraceHandle,
 }
@@ -181,6 +197,7 @@ impl NodeReliability {
             cfg,
             tx: FxHashMap::default(),
             rx: FxHashMap::default(),
+            earliest_ns: u64::MAX,
             stats: RelStats::default(),
             trace: TraceHandle::default(),
         }
@@ -212,6 +229,9 @@ impl NodeReliability {
             peer.deadline_ns = now_ns + self.cfg.rto_ns;
             peer.retries = 0;
             peer.head_retransmitted = false;
+            if !peer.dead {
+                self.earliest_ns = self.earliest_ns.min(peer.deadline_ns);
+            }
         }
         peer.unacked.push_back((seq, pkt.clone()));
         self.stats.data_sent += 1;
@@ -235,16 +255,14 @@ impl NodeReliability {
         if s <= rx.cum {
             self.stats.duplicates_suppressed += 1;
         } else if s == rx.cum + 1 {
-            rx.cum = s;
-            let mut ready = vec![pkt];
-            while let Some(p) = rx.buffer.remove(&(rx.cum + 1)) {
-                rx.cum += 1;
-                ready.push(p);
-            }
-            for mut p in ready {
+            // Deliver it, then whatever it unblocks from the buffer.
+            let mut next = Some(pkt);
+            while let Some(mut p) = next {
+                rx.cum = p.header.rel_seq;
                 p.header.wire_seq = rx.deliver_seq;
                 rx.deliver_seq += 1;
                 out.push(RelEvent::Deliver(p));
+                next = rx.buffer.remove(&(rx.cum + 1));
             }
         } else {
             // A gap: park the packet and (re-)ack the contiguous prefix so
@@ -255,7 +273,7 @@ impl NodeReliability {
                 self.stats.out_of_order_buffered += 1;
             }
         }
-        let cum = self.rx[&src].cum;
+        let cum = rx.cum;
         out.push(RelEvent::Transmit(self.ack_packet(src, cum)));
         self.stats.acks_sent += 1;
     }
@@ -265,6 +283,7 @@ impl NodeReliability {
         let Some(peer) = self.tx.get_mut(&peer_id) else {
             return;
         };
+        let was = peer.armed_deadline();
         let mut advanced = false;
         while peer.unacked.front().is_some_and(|&(seq, _)| seq <= cum) {
             peer.unacked.pop_front();
@@ -279,7 +298,23 @@ impl NodeReliability {
             } else {
                 now_ns + self.cfg.rto_ns
             };
+            let now_armed = peer.armed_deadline();
+            if was == self.earliest_ns && now_armed > was {
+                // This peer held the earliest deadline and it moved later.
+                self.recompute_earliest();
+            } else {
+                self.earliest_ns = self.earliest_ns.min(now_armed);
+            }
         }
+    }
+
+    fn recompute_earliest(&mut self) {
+        self.earliest_ns = self
+            .tx
+            .values()
+            .map(TxPeer::armed_deadline)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Fire retransmission timers: every peer whose oldest unacked packet
@@ -289,13 +324,15 @@ impl NodeReliability {
         // Sorted iteration: hash order depends on the hasher and the
         // table's history, and retransmissions must hit the wire in an
         // order that depends only on the peers.
-        let mut peers: Vec<u32> = self.tx.keys().copied().collect();
-        peers.sort_unstable();
-        for peer_id in peers {
+        let mut due: Vec<u32> = self
+            .tx
+            .iter()
+            .filter(|(_, p)| now_ns >= p.armed_deadline())
+            .map(|(&id, _)| id)
+            .collect();
+        due.sort_unstable();
+        for peer_id in due {
             let peer = self.tx.get_mut(&peer_id).expect("key came from the map");
-            if peer.dead || peer.unacked.is_empty() || now_ns < peer.deadline_ns {
-                continue;
-            }
             if peer.retries >= self.cfg.max_retries {
                 peer.dead = true;
                 peer.deadline_ns = u64::MAX;
@@ -318,16 +355,14 @@ impl NodeReliability {
             peer.cur_rto_ns = peer.cur_rto_ns.saturating_mul(u64::from(self.cfg.backoff));
             peer.deadline_ns = now_ns + peer.cur_rto_ns;
         }
+        self.recompute_earliest();
     }
 
     /// The earliest retransmission deadline across peers, if any timer is
-    /// armed. Drivers schedule their next tick here.
+    /// armed. Drivers schedule their next tick here; it is kept current as
+    /// timers move, so the call walks no peer.
     pub fn next_deadline(&self) -> Option<u64> {
-        self.tx
-            .values()
-            .filter(|p| !p.dead && !p.unacked.is_empty())
-            .map(|p| p.deadline_ns)
-            .min()
+        (self.earliest_ns != u64::MAX).then_some(self.earliest_ns)
     }
 
     /// One-line human-readable dump of every peer's TX/RX window, for
@@ -561,6 +596,75 @@ mod tests {
         let mut out2 = Vec::new();
         tx.on_tick(5_000, &mut out2);
         assert_eq!(tx.stats().distinct_retransmitted, 2);
+    }
+
+    /// The earliest deadline by brute force: the minimum over peers that
+    /// are not dead and still have unacked packets.
+    fn brute_force_deadline(node: &NodeReliability) -> Option<u64> {
+        node.tx
+            .values()
+            .filter(|p| !p.dead && !p.unacked.is_empty())
+            .map(|p| p.deadline_ns)
+            .min()
+    }
+
+    proptest::proptest! {
+        /// Three nodes exchange data over a lossy pool of in-flight packets
+        /// (drops, duplicates, reordering, acks) while timers fire, and
+        /// small retry budgets let links die and then see acks and sends.
+        /// After every call, each node's kept deadline equals the
+        /// brute-force minimum over its peers.
+        #[test]
+        fn next_deadline_matches_a_scan_of_every_peer(
+            max_retries in 0u32..4,
+            ops in proptest::prop::collection::vec((0u32..6, 0u32..64, 0u64..1_500), 1..200),
+        ) {
+            const NODES: u32 = 3;
+            let cfg = RelConfig { max_retries, ..cfg() };
+            let mut nodes: Vec<NodeReliability> =
+                (0..NODES).map(|r| NodeReliability::new(r, cfg)).collect();
+            let mut pool: Vec<Packet> = Vec::new();
+            let mut now = 0u64;
+            for (op, a, b) in ops {
+                let mut out = Vec::new();
+                match op {
+                    // Send from `a % NODES` to another node.
+                    0 | 1 => {
+                        let src = a % NODES;
+                        let dst = (src + 1 + a / NODES % (NODES - 1)) % NODES;
+                        pool.push(nodes[src as usize].on_send(data(src, dst, 0), now));
+                    }
+                    // Deliver one in-flight packet (any order).
+                    2 if !pool.is_empty() => {
+                        let p = pool.swap_remove(a as usize % pool.len());
+                        let dst = p.header.dst.0 as usize;
+                        nodes[dst].on_receive(p, now, &mut out);
+                    }
+                    // Duplicate one in-flight packet.
+                    3 if !pool.is_empty() => {
+                        let p = pool[a as usize % pool.len()].clone();
+                        pool.push(p);
+                    }
+                    // Drop one in-flight packet.
+                    4 if !pool.is_empty() => {
+                        pool.swap_remove(a as usize % pool.len());
+                    }
+                    // Let time pass and fire a node's timers.
+                    _ => {
+                        now += b;
+                        nodes[(a % NODES) as usize].on_tick(now, &mut out);
+                    }
+                }
+                for e in out {
+                    if let RelEvent::Transmit(p) = e {
+                        pool.push(p);
+                    }
+                }
+                for node in &nodes {
+                    proptest::prop_assert_eq!(node.next_deadline(), brute_force_deadline(node));
+                }
+            }
+        }
     }
 
     #[test]
