@@ -191,17 +191,17 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut q: EventQueue<u64> = EventQueue::new();
             let mut ids = Vec::with_capacity(256);
             for i in 0..256u64 {
-                ids.push(q.schedule(SimTime::from_nanos(1_000 + i), i));
+                ids.push(q.schedule(SimTime::from_nanos(1_000 + i), i, i));
             }
             let mut t = 2_000u64;
             for round in 0..4_096u64 {
                 let victim = (round % 256) as usize;
                 q.cancel(ids[victim]);
-                ids[victim] = q.schedule(SimTime::from_nanos(t), round);
+                ids[victim] = q.schedule(SimTime::from_nanos(t), 256 + round, round);
                 t += 3;
             }
             let mut acc = 0u64;
-            while let Some(e) = q.pop() {
+            while let Some(e) = q.pop_before(SimTime::MAX) {
                 acc = acc.wrapping_add(e.payload);
             }
             acc
@@ -211,10 +211,10 @@ fn bench_event_queue(c: &mut Criterion) {
         b.iter(|| {
             let mut q: EventQueue<u64> = EventQueue::new();
             for i in 0..10_000u64 {
-                q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i);
+                q.schedule(SimTime::from_nanos((i * 7919) % 100_000), i, i);
             }
             let mut acc = 0u64;
-            while let Some(e) = q.pop() {
+            while let Some(e) = q.pop_before(SimTime::MAX) {
                 acc = acc.wrapping_add(e.payload);
             }
             acc

@@ -50,10 +50,11 @@
 //! with a `(origin rank, per-origin counter)` tie-break key, and each
 //! origin's handlers run in the same order under any partitioning, so the
 //! per-rank event sequences, the horizons, the stopping window — and
-//! therefore all results — are identical for 1, 2, or 8 shards. (Fault
-//! injection pins a run to one shard, so its events keep the queue's
-//! scheduling sequence instead.) [`DesDriver::run`] takes the shard count from the `ABR_DES_SHARDS`
-//! environment knob; [`DesDriver::run_sharded`] takes it as an argument.
+//! therefore all results — are identical for 1, 2, or 8 shards. The key is
+//! the only tie-break: a fault-injected run, which always runs one shard,
+//! orders its events the same way. [`DesDriver::run`] takes the shard count
+//! from the `ABR_DES_SHARDS` environment knob; [`DesDriver::run_sharded`]
+//! takes it as an argument.
 
 use crate::node::ClusterSpec;
 use crate::program::{Obs, Program, Step, StepCtx};
@@ -335,16 +336,12 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     }
 
     /// Schedule an event originated by `origin` (the rank whose handler is
-    /// running), stamped with the partition-independent key. A run with
-    /// faults installed always runs one shard, so no partition can reorder
-    /// it: its events keep the queue's scheduling sequence, the order every
-    /// fault-injected result was measured in.
+    /// running), stamped with the partition-independent key. Every event
+    /// takes this path, fault-injected packet copies and retransmit ticks
+    /// included, so one `(at, key)` order governs every run.
     fn sched(&mut self, origin: usize, at: SimTime, ev: Ev) -> EventId {
-        if self.faults.is_some() {
-            return self.queue.schedule(at, ev);
-        }
         let key = self.next_key(origin);
-        self.queue.schedule_keyed(at, key, ev)
+        self.queue.schedule(at, key, ev)
     }
 
     // ------------------------------------------------------------------
@@ -1054,9 +1051,9 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     }
 
     /// Split this core's rank arenas into `starts.len()` contiguous shard
-    /// cores (`starts[s]` = first global rank of shard `s`), leaving this
-    /// core empty. Shards get fresh queues and networks; `hw` (read-only)
-    /// is replicated.
+    /// cores (`starts[s]` = first global rank of shard `s`, `starts[0]` =
+    /// 0), leaving this core empty with no arena buffers. Shards get fresh
+    /// queues and networks; `hw` (read-only) is replicated.
     fn split(&mut self, starts: &[usize]) -> Vec<Core<E, P>> {
         let mut cores: Vec<Core<E, P>> = Vec::with_capacity(starts.len());
         for &start in starts.iter().rev() {
@@ -1064,13 +1061,13 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 base: start,
                 queue: EventQueue::new(),
                 network: self.network.fresh_like(),
-                engines: self.engines.split_off(start),
-                programs: self.programs.split_off(start),
-                signals: self.signals.split_off(start),
-                meters: self.meters.split_off(start),
-                ctxs: self.ctxs.split_off(start),
-                rank: self.rank.split_off(start),
-                traces: self.traces.split_off(start),
+                engines: split_tail(&mut self.engines, start),
+                programs: split_tail(&mut self.programs, start),
+                signals: split_tail(&mut self.signals, start),
+                meters: split_tail(&mut self.meters, start),
+                ctxs: split_tail(&mut self.ctxs, start),
+                rank: split_tail(&mut self.rank, start),
+                traces: split_tail(&mut self.traces, start),
                 hw: self.hw.clone(),
                 done_count: 0,
                 done_at: SimTime::ZERO,
@@ -1092,13 +1089,13 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     fn absorb_shards(&mut self, cores: Vec<Core<E, P>>) {
         for c in cores {
             debug_assert_eq!(c.base, self.base + self.len(), "shards out of order");
-            self.engines.extend(c.engines);
-            self.programs.extend(c.programs);
-            self.signals.extend(c.signals);
-            self.meters.extend(c.meters);
-            self.ctxs.extend(c.ctxs);
-            self.rank.extend(c.rank);
-            self.traces.extend(c.traces);
+            join_tail(&mut self.engines, c.engines);
+            join_tail(&mut self.programs, c.programs);
+            join_tail(&mut self.signals, c.signals);
+            join_tail(&mut self.meters, c.meters);
+            join_tail(&mut self.ctxs, c.ctxs);
+            join_tail(&mut self.rank, c.rank);
+            join_tail(&mut self.traces, c.traces);
             self.done_count += c.done_count;
             self.done_at = self.done_at.max(c.done_at);
             self.packets_delivered += c.packets_delivered;
@@ -1115,6 +1112,31 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             events: self.events,
             done: self.done_count,
         }
+    }
+}
+
+/// Move `v[start..]` out of `v`. The first shard (`start == 0`) takes the
+/// original buffer itself, capacity included, and leaves `v` with none:
+/// `split_off(0)` would instead give `v` a fresh buffer of the same
+/// capacity, so the split core would hold a second full set of arenas
+/// while its shards run.
+fn split_tail<T>(v: &mut Vec<T>, start: usize) -> Vec<T> {
+    if start == 0 {
+        std::mem::take(v)
+    } else {
+        v.split_off(start)
+    }
+}
+
+/// Append a shard's arena to `v`, the inverse of [`split_tail`]: an empty
+/// `v` takes the first shard's buffer back, whose capacity already holds
+/// every later shard, so re-absorbing copies each later range once and
+/// allocates nothing.
+fn join_tail<T>(v: &mut Vec<T>, tail: Vec<T>) {
+    if v.is_empty() {
+        *v = tail;
+    } else {
+        v.extend(tail);
     }
 }
 
@@ -1531,7 +1553,7 @@ impl<E: MessageEngine, P: Program> DesDriver<E, P> {
                                 node: m.dst,
                                 pkt: m.pkt,
                             };
-                            core.queue.schedule_keyed(m.at, m.key, deliver);
+                            core.queue.schedule(m.at, m.key, deliver);
                         }
                         core.window(horizon);
                         rep_tx.send(core.report()).expect("coordinator alive");
@@ -1572,8 +1594,7 @@ impl<E: MessageEngine, P: Program> Shards for Core<E, P> {
 
     /// Cross-shard sends accumulate in the outbox.
     fn window(&mut self, horizon: SimTime) {
-        while self.queue.peek_time().is_some_and(|at| at < horizon) {
-            let ev = self.queue.pop().expect("peeked a live event");
+        while let Some(ev) = self.queue.pop_before(horizon) {
             self.events += 1;
             assert!(
                 self.events <= self.max_events,
@@ -1644,5 +1665,44 @@ fn coordinate(shards: &mut impl Shards, n: usize, lookahead: SimDuration) {
         }
         let Some(t0) = next else { return };
         shards.window(t0 + lookahead);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::ScriptProgram;
+    use abr_mpr::engine::Engine;
+
+    #[test]
+    fn split_leaves_no_second_set_of_arenas() {
+        let n = 8;
+        let spec = ClusterSpec::homogeneous_1000(n);
+        let programs = (0..n)
+            .map(|_| ScriptProgram::new(vec![Step::Barrier]))
+            .collect();
+        let mut d = DesDriver::new(&spec, |r, ec| Engine::new(r, n, ec), programs);
+        let original = d.core.engines.as_ptr();
+        let shards = d.core.split(&[0, 3, 5]);
+        let c = &d.core;
+        let caps = [
+            c.engines.capacity(),
+            c.programs.capacity(),
+            c.signals.capacity(),
+            c.meters.capacity(),
+            c.ctxs.capacity(),
+            c.rank.capacity(),
+            c.traces.capacity(),
+        ];
+        assert_eq!(caps, [0; 7], "the split core kept arena buffers");
+        let ranges: Vec<_> = shards.iter().map(|s| (s.base, s.len())).collect();
+        assert_eq!(ranges, [(0, 3), (3, 2), (5, 3)]);
+        d.core.absorb_shards(shards);
+        assert_eq!(d.core.len(), n as usize);
+        assert_eq!(
+            d.core.engines.as_ptr(),
+            original,
+            "absorbing copied the first shard instead of taking its buffer back"
+        );
     }
 }

@@ -188,11 +188,6 @@ impl AbEngine {
         self.signals_on
     }
 
-    /// The configured exit-delay policy.
-    pub fn delay_policy(&self) -> DelayPolicy {
-        self.config.delay
-    }
-
     fn set_signals(&mut self, on: bool) {
         if self.signals_on == on {
             return;

@@ -1,11 +1,13 @@
 //! A cancellable, deterministic event queue.
 //!
-//! Events scheduled for the same instant pop in FIFO scheduling order, so a
-//! simulation run is a pure function of its inputs and seeds. Cancellation is
-//! lazy: a cancelled event stays in the heap but is skipped on pop. This is
-//! the standard DES technique for modelling preemption — the cluster driver
-//! cancels a node's in-flight "step complete" event and reschedules it later
-//! when a signal handler steals the CPU.
+//! Every event carries a caller-supplied tie-break key, and events pop in
+//! `(at, key)` order: the order depends on the events alone, never on the
+//! order they were scheduled in, so a simulation run is a pure function of
+//! its inputs and seeds. Cancellation is lazy: a cancelled event stays in
+//! the heap but is skipped on pop. This is the standard DES technique for
+//! modelling preemption — the cluster driver cancels a node's in-flight
+//! "step complete" event and reschedules it later when a signal handler
+//! steals the CPU.
 //!
 //! # Implementation
 //!
@@ -13,10 +15,11 @@
 //! payload waits in a slab of generation-tagged slots, so a sift moves the
 //! key and never the payload, however large `E` is. An [`EventId`] packs a
 //! slot index and the slot's generation at scheduling time, so `schedule`,
-//! `cancel`, and `pop` are all hash-free — each is a couple of array
+//! `cancel`, and `pop_before` are all hash-free — each is a couple of array
 //! accesses plus the heap operation. A slot is live while it holds a
-//! payload: `pop` takes the payload out, and `cancel` drops it at once. A
-//! stale id (already fired or cancelled) simply fails the generation check.
+//! payload: `pop_before` takes the payload out, and `cancel` drops it at
+//! once. A stale id (already fired or cancelled) simply fails the
+//! generation check.
 //!
 //! Cancelled events leave tombstone keys in the heap. To keep memory strictly
 //! bounded by the live-event count, the heap is compacted in place whenever
@@ -75,11 +78,8 @@ struct Slot<E> {
 /// payload.
 struct HeapKey {
     at: SimTime,
-    /// Tie-break key for events at the same instant. [`EventQueue::schedule`]
-    /// assigns a queue-local monotonic sequence (FIFO order);
-    /// [`EventQueue::schedule_keyed`] lets the caller supply a key, which is
-    /// how the sharded executor keeps one global order across its per-shard
-    /// queues.
+    /// Tie-break key for events at the same instant, supplied by the
+    /// caller of [`EventQueue::schedule`].
     key: u64,
     slot: u32,
     gen: u32,
@@ -107,8 +107,8 @@ impl Ord for HeapKey {
     }
 }
 
-/// A priority queue of timestamped events with stable tie-breaking and
-/// O(1)-amortized hash-free cancellation.
+/// A priority queue of timestamped, keyed events with O(1)-amortized
+/// hash-free cancellation.
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapKey>,
     slots: Vec<Slot<E>>,
@@ -116,9 +116,7 @@ pub struct EventQueue<E> {
     /// Cancelled-but-still-heaped entry count; drives compaction.
     dead_in_heap: usize,
     live_count: usize,
-    next_seq: u64,
     now: SimTime,
-    popped: u64,
     trace: abr_trace::TraceHandle,
 }
 
@@ -137,9 +135,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             dead_in_heap: 0,
             live_count: 0,
-            next_seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
             trace: abr_trace::TraceHandle::default(),
         }
     }
@@ -160,12 +156,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Total number of events delivered so far.
-    #[inline]
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-
     /// Number of live (not yet popped, not cancelled) events.
     pub fn len(&self) -> usize {
         self.live_count
@@ -176,28 +166,19 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Schedule `payload` to fire at absolute time `at`.
+    /// Schedule `payload` to fire at absolute time `at` under the tie-break
+    /// `key`.
+    ///
+    /// Events at the same instant pop in increasing key order; two events
+    /// with the same `(at, key)` pop in an unspecified order, so callers
+    /// keep keys unique. The cluster driver derives them from
+    /// `(origin rank, per-origin counter)`, which makes the order of a run
+    /// independent of how its ranks are partitioned into shards.
     ///
     /// # Panics
     /// Panics if `at` is before the current time — events may not be
     /// scheduled in the past.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let key = self.next_seq;
-        self.next_seq += 1;
-        self.schedule_keyed(at, key, payload)
-    }
-
-    /// Schedule `payload` at `at` under an explicit tie-break key.
-    ///
-    /// Events at the same instant pop in increasing key order. Callers that
-    /// mix `schedule_keyed` with [`EventQueue::schedule`] must keep the key
-    /// spaces disjoint or accept interleaving; the sharded executor uses
-    /// keys derived from `(origin rank, per-origin counter)` so the merged
-    /// order is independent of how ranks are partitioned into shards.
-    ///
-    /// # Panics
-    /// Panics if `at` is before the current time.
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, key: u64, payload: E) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: at={at:?} now={:?}",
@@ -267,10 +248,13 @@ impl<E> EventQueue<E> {
         self.dead_in_heap = 0;
     }
 
-    /// Remove and return the earliest live event, advancing the clock to its
-    /// timestamp. Returns `None` when the queue is exhausted.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        while let Some(k) = self.heap.pop() {
+    /// Remove and return the earliest live event if it fires strictly
+    /// before `horizon`, advancing the clock to its timestamp; cancelled
+    /// entries met on the way are dropped. Returns `None` once no live
+    /// event lies before `horizon` (pass [`SimTime::MAX`] to drain).
+    pub fn pop_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
+        while self.heap.peek().is_some_and(|k| k.at < horizon) {
+            let k = self.heap.pop().expect("peeked a heap key");
             if !Self::key_is_live(&self.slots, &k) {
                 self.dead_in_heap -= 1;
                 continue;
@@ -283,7 +267,6 @@ impl<E> EventQueue<E> {
             self.live_count -= 1;
             debug_assert!(k.at >= self.now, "event queue produced time travel");
             self.now = k.at;
-            self.popped += 1;
             self.trace.set_now_ns(k.at.as_nanos());
             return Some(ScheduledEvent {
                 at: k.at,
@@ -300,20 +283,6 @@ impl<E> EventQueue<E> {
         while let Some(k) = self.heap.peek() {
             if Self::key_is_live(&self.slots, k) {
                 return Some(k.at);
-            }
-            self.heap.pop();
-            self.dead_in_heap -= 1;
-        }
-        None
-    }
-
-    /// The `(time, key)` ordering coordinate of the next live event without
-    /// popping it — what a cross-shard merge compares to find the global
-    /// minimum.
-    pub fn peek_coord(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(k) = self.heap.peek() {
-            if Self::key_is_live(&self.slots, k) {
-                return Some((k.at, k.key));
             }
             self.heap.pop();
             self.dead_in_heap -= 1;
@@ -338,67 +307,72 @@ mod tests {
         SimTime::from_us(n)
     }
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(us(30), "c");
-        q.schedule(us(10), "a");
-        q.schedule(us(20), "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
+    fn pop<E>(q: &mut EventQueue<E>) -> Option<ScheduledEvent<E>> {
+        q.pop_before(SimTime::MAX)
+    }
+
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| pop(q).map(|e| e.payload)).collect()
     }
 
     #[test]
-    fn simultaneous_events_pop_fifo() {
+    fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(us(5), i);
+        q.schedule(us(30), 0, "c");
+        q.schedule(us(10), 1, "a");
+        q.schedule(us(20), 2, "b");
+        assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn simultaneous_events_pop_in_key_order() {
+        // Scheduled in descending key order, popped in ascending: ties
+        // follow the key, never the scheduling order.
+        let mut q = EventQueue::new();
+        for i in (0..100u64).rev() {
+            q.schedule(us(5), i, i);
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
-        q.schedule(us(10), ());
-        q.schedule(us(25), ());
+        q.schedule(us(10), 0, ());
+        q.schedule(us(25), 1, ());
         assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
+        pop(&mut q);
         assert_eq!(q.now(), us(10));
-        q.pop();
+        pop(&mut q);
         assert_eq!(q.now(), us(25));
-        assert_eq!(q.delivered(), 2);
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
-        q.schedule(us(10), ());
-        q.pop();
-        q.schedule(us(5), ());
+        q.schedule(us(10), 0, ());
+        pop(&mut q);
+        q.schedule(us(5), 1, ());
     }
 
     #[test]
     fn cancellation_suppresses_delivery() {
         let mut q = EventQueue::new();
-        let a = q.schedule(us(10), "a");
-        q.schedule(us(20), "b");
+        let a = q.schedule(us(10), 0, "a");
+        q.schedule(us(20), 1, "b");
         assert!(q.cancel(a));
-        let e = q.pop().unwrap();
-        assert_eq!(e.payload, "b");
-        assert!(q.pop().is_none());
+        assert_eq!(drain(&mut q), vec!["b"]);
     }
 
     #[test]
     fn cancel_is_idempotent_and_safe_after_fire() {
         let mut q = EventQueue::new();
-        let a = q.schedule(us(10), ());
+        let a = q.schedule(us(10), 0, ());
         assert!(q.cancel(a));
         assert!(!q.cancel(a), "double cancel reports false");
-        let b = q.schedule(us(20), ());
-        q.pop();
+        let b = q.schedule(us(20), 1, ());
+        pop(&mut q);
         assert!(!q.cancel(b), "cancelling a fired event reports false");
         let bogus = EventId::new(999, 0);
         assert!(!q.cancel(bogus), "unknown id reports false");
@@ -409,35 +383,35 @@ mod tests {
         // `a` fires, freeing its slot; `c` reuses it. The stale handle for
         // `a` must not cancel `c`.
         let mut q = EventQueue::new();
-        let a = q.schedule(us(10), "a");
-        q.pop();
-        let c = q.schedule(us(30), "c");
+        let a = q.schedule(us(10), 0, "a");
+        pop(&mut q);
+        let c = q.schedule(us(30), 1, "c");
         assert_eq!(c.slot(), a.slot(), "test assumes slot reuse");
         assert!(!q.cancel(a), "stale id must be inert");
-        assert_eq!(q.pop().unwrap().payload, "c");
+        assert_eq!(drain(&mut q), vec!["c"]);
     }
 
     #[test]
     fn len_and_is_empty_account_for_cancellations() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        let a = q.schedule(us(1), ());
-        q.schedule(us(2), ());
+        let a = q.schedule(us(1), 0, ());
+        q.schedule(us(2), 1, ());
         assert_eq!(q.len(), 2);
         q.cancel(a);
         assert_eq!(q.len(), 1);
-        q.pop();
+        pop(&mut q);
         assert!(q.is_empty());
     }
 
     #[test]
     fn peek_time_skips_cancelled() {
         let mut q = EventQueue::new();
-        let a = q.schedule(us(10), "a");
-        q.schedule(us(20), "b");
+        let a = q.schedule(us(10), 0, "a");
+        q.schedule(us(20), 1, "b");
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(us(20)));
-        assert_eq!(q.pop().unwrap().payload, "b");
+        assert_eq!(pop(&mut q).unwrap().payload, "b");
         assert_eq!(q.peek_time(), None);
     }
 
@@ -447,13 +421,13 @@ mod tests {
         // used by the cluster driver when a signal handler preempts a busy
         // loop.
         let mut q = EventQueue::new();
-        let done = q.schedule(us(100), "work-done");
-        q.schedule(us(40), "signal");
-        let e = q.pop().unwrap();
+        let done = q.schedule(us(100), 0, "work-done");
+        q.schedule(us(40), 1, "signal");
+        let e = pop(&mut q).unwrap();
         assert_eq!(e.payload, "signal");
         assert!(q.cancel(done));
-        q.schedule(e.at + SimDuration::from_us(70), "work-done");
-        let e = q.pop().unwrap();
+        q.schedule(e.at + SimDuration::from_us(70), 2, "work-done");
+        let e = pop(&mut q).unwrap();
         assert_eq!((e.payload, e.at), ("work-done", us(110)));
     }
 
@@ -462,12 +436,12 @@ mod tests {
         let run = || {
             let mut q = EventQueue::new();
             let mut log = Vec::new();
-            q.schedule(us(1), 1u32);
-            q.schedule(us(3), 3);
-            while let Some(e) = q.pop() {
+            q.schedule(us(1), 0, 1u32);
+            q.schedule(us(3), 1, 3);
+            while let Some(e) = pop(&mut q) {
                 log.push((e.at.as_nanos(), e.payload));
                 if e.payload == 1 {
-                    q.schedule(e.at + SimDuration::from_us(1), 2);
+                    q.schedule(e.at + SimDuration::from_us(1), 2, 2);
                 }
             }
             log
@@ -486,12 +460,12 @@ mod tests {
         let mut q = EventQueue::new();
         let mut ids = Vec::new();
         for i in 0..100u64 {
-            ids.push(q.schedule(us(1_000 + i), i));
+            ids.push(q.schedule(us(1_000 + i), i, i));
         }
         for round in 0..100_000u64 {
             let victim = (round % 100) as usize;
             assert!(q.cancel(ids[victim]));
-            ids[victim] = q.schedule(us(2_000 + round), round);
+            ids[victim] = q.schedule(us(2_000 + round), round, round);
         }
         assert_eq!(q.len(), 100);
         let (heap_len, slab_len, free_len) = q.debug_mem();
@@ -507,7 +481,7 @@ mod tests {
         // Everything still pops, in time order, exactly once.
         let mut count = 0;
         let mut last = q.now();
-        while let Some(e) = q.pop() {
+        while let Some(e) = pop(&mut q) {
             assert!(e.at >= last);
             last = e.at;
             count += 1;
@@ -518,24 +492,27 @@ mod tests {
     #[test]
     fn keyed_scheduling_orders_ties_by_key() {
         let mut q = EventQueue::new();
-        q.schedule_keyed(us(5), 30, "c");
-        q.schedule_keyed(us(5), 10, "a");
-        q.schedule_keyed(us(5), 20, "b");
-        q.schedule_keyed(us(1), 99, "first");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["first", "a", "b", "c"]);
+        q.schedule(us(5), 30, "c");
+        q.schedule(us(5), 10, "a");
+        q.schedule(us(5), 20, "b");
+        q.schedule(us(1), 99, "first");
+        assert_eq!(drain(&mut q), vec!["first", "a", "b", "c"]);
     }
 
     #[test]
-    fn peek_coord_reports_time_and_key() {
+    fn pop_before_stops_short_of_horizon() {
         let mut q = EventQueue::new();
-        let a = q.schedule_keyed(us(5), 7, "a");
-        q.schedule_keyed(us(9), 1, "b");
-        assert_eq!(q.peek_coord(), Some((us(5), 7)));
+        let a = q.schedule(us(5), 7, "a");
+        q.schedule(us(9), 1, "b");
+        q.schedule(us(12), 0, "c");
         q.cancel(a);
-        assert_eq!(q.peek_coord(), Some((us(9), 1)));
-        q.pop();
-        assert_eq!(q.peek_coord(), None);
+        // The cancelled head is dropped on the way to "b".
+        assert_eq!(q.pop_before(us(10)).unwrap().payload, "b");
+        assert!(q.pop_before(us(10)).is_none(), "c lies past the horizon");
+        assert!(q.pop_before(us(12)).is_none(), "the horizon is exclusive");
+        assert_eq!(q.now(), us(9), "a refused pop leaves the clock alone");
+        assert_eq!(q.pop_before(us(13)).unwrap().payload, "c");
+        assert_eq!(q.debug_mem().0, 0, "no tombstone is left behind");
     }
 
     #[test]
@@ -543,10 +520,10 @@ mod tests {
         let mut q = EventQueue::new();
         for wave in 0..50u64 {
             for i in 0..10u64 {
-                q.schedule(us(wave * 10 + i + 1), i);
+                q.schedule(us(wave * 10 + i + 1), i, i);
             }
             for _ in 0..10 {
-                q.pop().unwrap();
+                pop(&mut q).unwrap();
             }
         }
         let (heap_len, slab_len, _) = q.debug_mem();

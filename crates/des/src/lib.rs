@@ -4,8 +4,8 @@
 //! simulator in `abr_cluster` runs:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a cancellable priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking,
+//! * [`EventQueue`] — a cancellable priority queue of timestamped events
+//!   whose same-instant ties pop in caller-keyed order,
 //! * [`rng`] — hierarchically derivable, seeded random-number streams so that
 //!   every (experiment, iteration, rank) tuple draws from an independent and
 //!   reproducible stream,
@@ -20,8 +20,8 @@
 //! NICs or MPI. Higher layers define their own event payload types.
 //!
 //! **Tracing**: with an [`abr_trace::TraceHandle`] installed,
-//! [`EventQueue::pop`] publishes virtual time to the recorder (making the
-//! event loop the single time source for trace stamps) and every
+//! [`EventQueue::pop_before`] publishes virtual time to the recorder
+//! (making the event loop the single time source for trace stamps) and every
 //! [`CpuMeter::charge`] emits a `CpuCharge` event, so trace-side CPU
 //! attribution reconciles with the meters by construction. Without a
 //! handle both sites cost one `Option` branch.
@@ -32,10 +32,11 @@
 //! use abr_des::{EventQueue, SimTime};
 //!
 //! let mut q = EventQueue::new();
-//! q.schedule(SimTime::from_us(30), "late");
-//! let early = q.schedule(SimTime::from_us(10), "early");
+//! q.schedule(SimTime::from_us(30), 0, "late");
+//! let early = q.schedule(SimTime::from_us(10), 1, "early");
 //! q.cancel(early);
-//! assert_eq!(q.pop().unwrap().payload, "late");
+//! assert!(q.pop_before(SimTime::from_us(30)).is_none());
+//! assert_eq!(q.pop_before(SimTime::MAX).unwrap().payload, "late");
 //! assert_eq!(q.now(), SimTime::from_us(30));
 //! ```
 

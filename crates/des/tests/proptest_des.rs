@@ -24,31 +24,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 #[derive(Debug, Clone)]
 enum QueueOp {
-    Schedule(u64),
-    /// Delay plus the high bits of an explicit tie-break key.
-    ScheduleKeyed(u64, u64),
+    /// Delay plus the high bits of the tie-break key.
+    Schedule(u64, u64),
     /// Cancel the nth id ever handed out: live, fired, or already cancelled.
     Cancel(usize),
-    Pop,
-    PeekCoord,
+    /// Pop before a horizon this far past the clock.
+    PopBefore(u64),
+    PeekTime,
 }
 
 fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
-        (0u64..2_000).prop_map(QueueOp::Schedule),
-        (0u64..2_000, 0u64..8).prop_map(|(dt, hi)| QueueOp::ScheduleKeyed(dt, hi)),
+        (0u64..2_000, 0u64..8).prop_map(|(dt, hi)| QueueOp::Schedule(dt, hi)),
         (0usize..64).prop_map(QueueOp::Cancel),
-        Just(QueueOp::Pop),
-        Just(QueueOp::PeekCoord),
+        (0u64..3_000).prop_map(QueueOp::PopBefore),
+        Just(QueueOp::PeekTime),
     ]
+}
+
+/// A bijection on `u64` (odd multiplier): unique keys whose order has
+/// nothing to do with the scheduling order.
+fn scrambled(seq: u64) -> u64 {
+    seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+fn drain<E>(q: &mut EventQueue<E>) -> Vec<(SimTime, E)> {
+    std::iter::from_fn(|| q.pop_before(SimTime::MAX).map(|e| (e.at, e.payload))).collect()
 }
 
 proptest! {
     /// `EventQueue` against a `BTreeMap<(at, key), payload>` model under
-    /// random schedule / schedule_keyed / cancel / pop / peek_coord
-    /// sequences. Payloads are `Rc`-counted: a cancelled event's payload
-    /// must be dropped by `cancel` itself, not parked in the slot slab
-    /// until the slot is reused, and nothing may outlive the drained queue.
+    /// random schedule / cancel / pop_before / peek_time sequences.
+    /// Payloads are `Rc`-counted: a cancelled event's payload must be
+    /// dropped by `cancel` itself, not parked in the slot slab until the
+    /// slot is reused, and nothing may outlive the drained queue.
     #[test]
     fn event_queue_matches_btree_model_and_drops_payloads(
         ops in prop::collection::vec(queue_op_strategy(), 1..300),
@@ -58,29 +67,15 @@ proptest! {
         // Every id handed out, with its model coordinate and a handle on its
         // payload.
         let mut handles: Vec<(EventId, (u64, u64), Weak<u64>)> = Vec::new();
-        // `schedule` keys are the queue's own FIFO sequence 0, 1, 2, ...;
-        // explicit keys sit above 2^32 so the two spaces never collide.
-        let mut fifo_seq = 0u64;
         let mut now = 0u64;
         for (step, op) in ops.into_iter().enumerate() {
             let step = step as u64;
             match op {
-                QueueOp::Schedule(dt) | QueueOp::ScheduleKeyed(dt, _) => {
-                    let at = now + dt;
-                    let key = match op {
-                        QueueOp::ScheduleKeyed(_, hi) => (1 << 32) | (hi << 16) | step,
-                        _ => {
-                            fifo_seq += 1;
-                            fifo_seq - 1
-                        }
-                    };
+                QueueOp::Schedule(dt, hi) => {
+                    let (at, key) = (now + dt, (hi << 16) | step);
                     let payload = Rc::new(step);
                     let weak = Rc::downgrade(&payload);
-                    let id = if matches!(op, QueueOp::ScheduleKeyed(..)) {
-                        q.schedule_keyed(SimTime::from_nanos(at), key, payload)
-                    } else {
-                        q.schedule(SimTime::from_nanos(at), payload)
-                    };
+                    let id = q.schedule(SimTime::from_nanos(at), key, payload);
                     model.insert((at, key), step);
                     handles.push((id, (at, key), weak));
                 }
@@ -93,12 +88,16 @@ proptest! {
                     prop_assert_eq!(q.cancel(*id), pending, "cancel disagreed with the model");
                     prop_assert!(weak.upgrade().is_none(), "a cancelled payload is still alive");
                 }
-                QueueOp::Pop => {
-                    let expected = model.pop_first();
-                    let got = q.pop();
+                QueueOp::PopBefore(dt) => {
+                    let horizon = now + dt;
+                    let expected = match model.first_key_value() {
+                        Some((&(at, _), _)) if at < horizon => model.pop_first(),
+                        _ => None,
+                    };
+                    let got = q.pop_before(SimTime::from_nanos(horizon));
                     match expected {
                         Some(((at, _), payload)) => {
-                            let ev = got.expect("the model has a live event");
+                            let ev = got.expect("the model has a live event before the horizon");
                             prop_assert_eq!(ev.at, SimTime::from_nanos(at));
                             prop_assert_eq!(*ev.payload, payload);
                             prop_assert_eq!(Rc::strong_count(&ev.payload), 1, "the slab kept a popped payload");
@@ -108,54 +107,56 @@ proptest! {
                         None => prop_assert!(got.is_none()),
                     }
                 }
-                QueueOp::PeekCoord => {
-                    let expected = model.keys().next().map(|&(at, key)| (SimTime::from_nanos(at), key));
-                    prop_assert_eq!(q.peek_coord(), expected);
+                QueueOp::PeekTime => {
+                    let expected = model.keys().next().map(|&(at, _)| SimTime::from_nanos(at));
+                    prop_assert_eq!(q.peek_time(), expected);
                 }
             }
             prop_assert_eq!(q.len(), model.len());
             let alive = handles.iter().filter(|(_, _, w)| w.strong_count() > 0).count();
             prop_assert_eq!(alive, model.len(), "payloads alive beyond the pending events");
         }
-        while let Some(ev) = q.pop() {
-            let ((at, _), payload) = model.pop_first().expect("the queue outlived the model");
-            prop_assert_eq!((ev.at, *ev.payload), (SimTime::from_nanos(at), payload));
+        for (at, payload) in drain(&mut q) {
+            let ((m_at, _), m_payload) = model.pop_first().expect("the queue outlived the model");
+            prop_assert_eq!((at, *payload), (SimTime::from_nanos(m_at), m_payload));
         }
         prop_assert!(model.is_empty(), "the queue drained before the model");
         prop_assert!(q.is_empty());
         prop_assert!(handles.iter().all(|(_, _, w)| w.strong_count() == 0), "a payload leaked");
     }
 
-    /// The queue always pops the earliest live event, with FIFO tie-breaks,
+    /// The queue always pops the earliest live event by `(at, key)`,
     /// matching a naive reference model under arbitrary interleavings of
-    /// schedule / pop / cancel.
+    /// schedule / pop / cancel. Keys are unique but scrambled, so ties
+    /// never follow the scheduling order by accident.
     #[test]
     fn event_queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..200)) {
         let mut q: EventQueue<u64> = EventQueue::new();
-        // Model: Vec of (time, seq, payload, alive)
+        // Model: Vec of (time, key, payload, alive)
         let mut model: Vec<(u64, u64, u64, bool)> = Vec::new();
         let mut ids = Vec::new();
         let mut seq = 0u64;
         let mut now = 0u64;
+        let earliest = |model: &[(u64, u64, u64, bool)]| {
+            model
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.3)
+                .min_by_key(|(_, e)| (e.0, e.1))
+                .map(|(i, _)| i)
+        };
         for op in ops {
             match op {
                 Op::Schedule(dt) => {
                     let at = now + dt; // never in the past
-                    let id = q.schedule(SimTime::from_nanos(at), seq);
+                    let id = q.schedule(SimTime::from_nanos(at), scrambled(seq), seq);
                     ids.push(id);
-                    model.push((at, seq, seq, true));
+                    model.push((at, scrambled(seq), seq, true));
                     seq += 1;
                 }
                 Op::Pop => {
-                    // Model pop: earliest (time, seq) alive.
-                    let pick = model
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| e.3)
-                        .min_by_key(|(_, e)| (e.0, e.1))
-                        .map(|(i, _)| i);
-                    let got = q.pop();
-                    match pick {
+                    let got = q.pop_before(SimTime::MAX);
+                    match earliest(&model) {
                         Some(i) => {
                             let (at, _, payload, _) = model[i];
                             model[i].3 = false;
@@ -179,32 +180,87 @@ proptest! {
             }
         }
         // Drain both fully; order must keep matching.
-        loop {
-            let pick = model
+        for (_, payload) in drain(&mut q) {
+            let i = earliest(&model).expect("the queue outlived the model");
+            model[i].3 = false;
+            prop_assert_eq!(payload, model[i].2);
+        }
+        prop_assert!(earliest(&model).is_none(), "the queue drained before the model");
+    }
+
+    /// Pop order depends only on `(at, key)`: the same events, scheduled in
+    /// two different orders with the same cancellations, pop identically.
+    /// Times are drawn from a narrow range so ties are common.
+    #[test]
+    fn pop_order_depends_only_on_time_and_key(
+        events in prop::collection::vec((0u64..16, 0u64..4, 0u8..4, any::<u64>()), 1..120),
+    ) {
+        // Event `i` is `(at, key high bits, cancelled when 0, shuffle rank)`.
+        let key = |i: usize| (events[i].1 << 16) | i as u64;
+        let forward: Vec<usize> = (0..events.len()).collect();
+        let mut shuffled = forward.clone();
+        shuffled.sort_by_key(|&i| (events[i].3, i));
+        let run = |order: &[usize]| {
+            let mut q = EventQueue::new();
+            let ids: Vec<_> = order
                 .iter()
-                .enumerate()
-                .filter(|(_, e)| e.3)
-                .min_by_key(|(_, e)| (e.0, e.1))
-                .map(|(i, _)| i);
-            let got = q.pop();
-            match pick {
-                Some(i) => {
-                    model[i].3 = false;
-                    prop_assert_eq!(got.unwrap().payload, model[i].2);
-                }
-                None => {
-                    prop_assert!(got.is_none());
-                    break;
+                .map(|&i| (i, q.schedule(SimTime::from_nanos(events[i].0), key(i), i)))
+                .collect();
+            for (i, id) in ids {
+                if events[i].2 == 0 {
+                    assert!(q.cancel(id));
                 }
             }
+            drain(&mut q)
+        };
+        let a = run(&forward);
+        prop_assert_eq!(&a, &run(&shuffled));
+        let mut expected: Vec<usize> = forward.into_iter().filter(|&i| events[i].2 != 0).collect();
+        expected.sort_by_key(|&i| (events[i].0, key(i)));
+        prop_assert_eq!(a.into_iter().map(|(_, i)| i).collect::<Vec<_>>(), expected);
+    }
+
+    /// `pop_before(h)` never returns an event at or after `h`, and once it
+    /// returns `None` no live event before `h` remains. Horizons advance
+    /// by random steps over a schedule with random cancellations.
+    #[test]
+    fn pop_before_respects_the_horizon(
+        times in prop::collection::vec(0u64..1_000, 1..100),
+        cancels in prop::collection::vec(any::<prop::sample::Index>(), 0..30),
+        steps in prop::collection::vec(0u64..200, 1..20),
+    ) {
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| q.schedule(SimTime::from_nanos(t), i as u64, ()))
+            .collect();
+        for c in &cancels {
+            q.cancel(ids[c.index(ids.len())]);
         }
+        let live = q.len();
+        let (mut horizon, mut popped) = (SimTime::ZERO, 0);
+        for step in steps.into_iter().chain([u64::MAX]) {
+            horizon = SimTime::from_nanos(horizon.as_nanos().saturating_add(step));
+            while let Some(ev) = q.pop_before(horizon) {
+                prop_assert!(ev.at < horizon, "popped {:?} at or after the horizon {:?}", ev.at, horizon);
+                popped += 1;
+            }
+            let next = q.peek_time();
+            prop_assert!(next.is_none_or(|t| t >= horizon), "left {:?} behind before {:?}", next, horizon);
+        }
+        prop_assert_eq!(popped, live);
     }
 
     /// len() agrees with the number of live events at every step.
     #[test]
     fn event_queue_len_is_consistent(times in prop::collection::vec(0u64..1000, 1..64), cancels in prop::collection::vec(any::<prop::sample::Index>(), 0..16)) {
         let mut q: EventQueue<()> = EventQueue::new();
-        let ids: Vec<_> = times.iter().map(|&t| q.schedule(SimTime::from_nanos(t), ())).collect();
+        let ids: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| q.schedule(SimTime::from_nanos(t), i as u64, ()))
+            .collect();
         prop_assert_eq!(q.len(), times.len());
         let mut cancelled = std::collections::HashSet::new();
         for c in cancels {
@@ -214,11 +270,7 @@ proptest! {
             }
         }
         prop_assert_eq!(q.len(), times.len() - cancelled.len());
-        let mut popped = 0;
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len() - cancelled.len());
+        prop_assert_eq!(drain(&mut q).len(), times.len() - cancelled.len());
     }
 
     /// Derived streams from distinct paths are uncorrelated enough that

@@ -166,11 +166,6 @@ impl JobMix {
     pub fn total_ranks(&self) -> usize {
         self.jobs.iter().map(|j| j.ranks as usize).sum()
     }
-
-    /// Total reductions the mix completes.
-    pub fn total_reductions(&self) -> u64 {
-        self.jobs.iter().map(|j| j.reductions()).sum()
-    }
 }
 
 /// Parse an offered-load factor (the `ABR_TENANT_LOAD` grammar): a

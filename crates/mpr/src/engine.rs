@@ -409,11 +409,6 @@ impl Engine {
         Some(msg)
     }
 
-    /// True if undelivered packets sit in the receive queue.
-    pub fn has_rx(&self) -> bool {
-        !self.rx.is_empty()
-    }
-
     // ------------------------------------------------------------------
     // Point-to-point
     // ------------------------------------------------------------------

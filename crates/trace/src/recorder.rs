@@ -253,14 +253,6 @@ impl TraceHandle {
         }
     }
 
-    /// A copy of this handle bound to a different rank.
-    pub fn for_rank(&self, rank: u32) -> TraceHandle {
-        TraceHandle {
-            tracer: self.tracer.clone(),
-            rank,
-        }
-    }
-
     /// The rank this handle emits on behalf of.
     pub fn rank(&self) -> u32 {
         self.rank
