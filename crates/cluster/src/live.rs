@@ -2,11 +2,20 @@
 //!
 //! One OS thread per rank runs real application code against a
 //! [`RankCtx`] handle; one *dispatcher* thread per rank plays the role of
-//! the NIC+kernel signal path: it watches the rank's mailbox and, when
-//! signals are enabled and a collective packet arrives, grabs the engine
-//! lock and runs the asynchronous handler. If the application thread holds
-//! the lock (progress already underway), the dispatcher skips — the live
-//! analogue of Fig. 4's "signal is simply ignored".
+//! the NIC+kernel signal path. Both enter the engine through one node loop
+//! (`RankShared::service`): mail flows mailbox → reliability layer (under
+//! faults) → engine, a collective packet raises a pending-signal flag,
+//! and the asynchronous handler runs once that flag is up and the engine
+//! has signals enabled. The application thread runs the loop before and
+//! after each engine call; the dispatcher runs it on every wake (mail or
+//! idle timeout) if it can take the engine lock. If the application thread
+//! holds the lock (progress already underway), the dispatcher skips — the
+//! live analogue of Fig. 4's "signal is simply ignored" — and the flag
+//! keeps the signal for the holder's next pass.
+//!
+//! Every blocking [`RankCtx`] verb takes one path: post the request, block
+//! on it (polling, with the §IV-E bounded exit for bypassed reductions),
+//! and shape its outcome.
 //!
 //! The protocol engines are byte-for-byte the same objects the
 //! discrete-event driver runs; this runtime exists to demonstrate the
@@ -31,8 +40,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long a dispatcher sleeps when it cannot act.
+/// How long a dispatcher waits for mail before an idle service pass.
 const DISPATCH_IDLE: Duration = Duration::from_micros(200);
+/// How long a dispatcher backs off when the application thread holds the
+/// engine lock.
+const LOCK_HELD_BACKOFF: Duration = Duration::from_micros(20);
 /// How long a blocked application thread waits for mail before re-polling.
 const BLOCK_POLL: Duration = Duration::from_micros(100);
 
@@ -161,16 +173,32 @@ impl LiveFaults {
 
 /// What the engine mutex protects: the protocol engine plus (under faults)
 /// the rank's reliability state, so mail always flows mailbox → reliability
-/// → engine under one lock.
+/// → engine under one lock, and the buffers [`RankShared::service`] reuses.
 struct RankState {
     eng: AbEngine,
     rel: Option<NodeReliability>,
     /// A collective packet reached the engine but the NIC signal has not
-    /// fired yet. The flag survives across drains so a packet that lands
-    /// while signals are still disabled (its descriptor not yet posted)
-    /// triggers the handler as soon as signals come up, instead of parking
-    /// in the engine forever.
+    /// fired yet. The flag survives across service passes so a packet that
+    /// lands while signals are still disabled (its descriptor not yet
+    /// posted) triggers the handler as soon as signals come up, instead of
+    /// parking in the engine forever.
     pending_collective: bool,
+    mail: Vec<Packet>,
+    rel_out: Vec<RelEvent>,
+    actions: Vec<Action>,
+}
+
+impl RankState {
+    fn new(eng: AbEngine, rel: Option<NodeReliability>) -> Self {
+        RankState {
+            eng,
+            rel,
+            pending_collective: false,
+            mail: Vec::new(),
+            rel_out: Vec::new(),
+            actions: Vec::new(),
+        }
+    }
 }
 
 struct RankShared {
@@ -178,31 +206,40 @@ struct RankShared {
     engine: Mutex<RankState>,
     mailbox: Arc<Mailbox>,
     fabric: Arc<LiveFabric>,
-    signals_enabled: AtomicBool,
     faults: Option<Arc<LiveFaults>>,
 }
 
 impl RankShared {
-    /// Drain the mailbox into the engine (through the reliability layer
-    /// when faults are active, which also fires retransmission timers).
-    /// A collective packet reaching the engine raises
-    /// `st.pending_collective` — the caller is responsible for firing the
-    /// signal via [`Self::fire_signal_if_pending`].
-    fn drain_mail(&self, st: &mut RankState) {
-        let pkts = self.mailbox.drain();
-        match (&mut st.rel, &self.faults) {
+    /// The node loop, the one place the live runtime applies its node
+    /// rules. Mail flows mailbox → reliability (under faults, which also
+    /// fires due retransmissions) → engine; a packet that lands while
+    /// signals are disabled waits in the engine's receive queue, as in the
+    /// DES. The NIC signal handler runs when `pending_collective` is up and
+    /// the engine has signals enabled. Last, every queued send is routed.
+    fn service(&self, st: &mut RankState) {
+        let RankState {
+            eng,
+            rel,
+            pending_collective,
+            mail,
+            rel_out,
+            actions,
+        } = st;
+        self.mailbox.drain_into(mail);
+        let mut deliver = |p: Packet| {
+            *pending_collective |= p.header.kind == PacketKind::Collective;
+            eng.deliver(p);
+        };
+        match (rel.as_mut(), &self.faults) {
             (Some(rel), Some(fl)) => {
-                let mut out = Vec::new();
-                for pkt in pkts {
-                    rel.on_receive(pkt, fl.now_ns(), &mut out);
+                let now = fl.now_ns();
+                for pkt in mail.drain(..) {
+                    rel.on_receive(pkt, now, rel_out);
                 }
-                rel.on_tick(fl.now_ns(), &mut out);
-                for e in out {
+                rel.on_tick(now, rel_out);
+                for e in rel_out.drain(..) {
                     match e {
-                        RelEvent::Deliver(p) => {
-                            st.pending_collective |= p.header.kind == PacketKind::Collective;
-                            st.eng.deliver(p);
-                        }
+                        RelEvent::Deliver(p) => deliver(p),
                         RelEvent::Transmit(p) => fl.send(p),
                         RelEvent::LinkDead { peer } => panic!(
                             "rank {}: link to rank {peer} declared dead (retry budget exhausted)",
@@ -211,58 +248,35 @@ impl RankShared {
                     }
                 }
             }
-            _ => {
-                for pkt in pkts {
-                    st.pending_collective |= pkt.header.kind == PacketKind::Collective;
-                    st.eng.deliver(pkt);
+            _ => mail.drain(..).for_each(deliver),
+        }
+        if *pending_collective && eng.signals_enabled() {
+            *pending_collective = false;
+            eng.handle_signal();
+        }
+        // Signal toggles need no routing: the engine's own flag, read above
+        // under the lock, is the NIC state.
+        eng.drain_actions_into(actions);
+        for a in actions.drain(..) {
+            if let Action::Send(pkt) = a {
+                match (rel.as_mut(), &self.faults) {
+                    (Some(rel), Some(fl)) => fl.send(rel.on_send(pkt, fl.now_ns())),
+                    _ => self.fabric.send(pkt),
                 }
             }
         }
     }
 
-    /// Run the NIC signal handler if a collective packet is waiting and
-    /// signals are enabled. The pending flag deliberately *persists* while
-    /// signals are disabled: a packet can land before its descriptor is
-    /// posted (a fast child racing its parent's `reduce()` call), and the
-    /// handler must then fire as soon as the descriptor enables signals —
-    /// nothing else will ever re-raise the flag for that packet.
-    fn fire_signal_if_pending(&self, st: &mut RankState) {
-        if st.pending_collective && self.signals_enabled.load(Ordering::SeqCst) {
-            st.pending_collective = false;
-            st.eng.handle_signal();
-        }
-    }
-
-    /// Drain the mailbox into the engine and run `f`, then route actions.
-    /// The caller must hold no engine lock.
+    /// Run `f` on the engine between two service passes. The second pass
+    /// fires the signal `f` may have just enabled (posting a descriptor for
+    /// a collective whose packets already arrived) and routes what `f`
+    /// queued. The caller must hold no engine lock.
     fn with_engine<T>(&self, f: impl FnOnce(&mut AbEngine) -> T) -> T {
         let mut st = self.engine.lock().expect("engine lock poisoned");
-        self.drain_mail(&mut st);
-        self.fire_signal_if_pending(&mut st);
+        self.service(&mut st);
         let out = f(&mut st.eng);
-        self.route_actions(&mut st);
-        // `f` may have just enabled signals (posting a descriptor for a
-        // collective whose packets already arrived): fire now, then route
-        // whatever the handler produced.
-        self.fire_signal_if_pending(&mut st);
-        self.route_actions(&mut st);
+        self.service(&mut st);
         out
-    }
-
-    fn route_actions(&self, st: &mut RankState) {
-        for a in st.eng.drain_actions() {
-            match a {
-                Action::Send(pkt) => match (&mut st.rel, &self.faults) {
-                    (Some(rel), Some(fl)) => {
-                        let p = rel.on_send(pkt, fl.now_ns());
-                        fl.send(p);
-                    }
-                    _ => self.fabric.send(pkt),
-                },
-                Action::EnableSignals => self.signals_enabled.store(true, Ordering::SeqCst),
-                Action::DisableSignals => self.signals_enabled.store(false, Ordering::SeqCst),
-            }
-        }
     }
 }
 
@@ -303,30 +317,58 @@ impl RankCtx {
         self.comm
     }
 
-    fn block_on(&self, req: ReqId) -> Option<Outcome> {
+    /// Post a request on this rank's communicator.
+    fn post(&self, post: impl FnOnce(&mut AbEngine, &Communicator) -> ReqId) -> ReqId {
+        self.shared.with_engine(|e| post(e, &self.comm))
+    }
+
+    /// Post a split-phase request and hand out its handle.
+    fn split(&self, post: impl FnOnce(&mut AbEngine, &Communicator) -> ReqId) -> SplitReduce<'_> {
+        SplitReduce {
+            ctx: self,
+            req: self.post(post),
+        }
+    }
+
+    /// Post, block and return the data of a verb that yields data on every
+    /// rank.
+    fn call_data(
+        &self,
+        verb: &str,
+        post: impl FnOnce(&mut AbEngine, &Communicator) -> ReqId,
+    ) -> Result<Bytes, MprError> {
+        let data = self.finish(self.post(post))?;
+        Ok(data.unwrap_or_else(|| panic!("{verb} completed without data")))
+    }
+
+    /// Block on `req` and shape its outcome: the data if it carries any,
+    /// `Err` if the request failed.
+    fn finish(&self, req: ReqId) -> Result<Option<Bytes>, MprError> {
         // Honour the bounded-block hint (the §IV-E exit delay): poll inside
         // the "call" until the budget expires, then split-phase exit.
         let mut deadline: Option<Instant> = None;
-        loop {
+        let outcome = loop {
             let (done, hint) = self.shared.with_engine(|e| {
                 e.progress();
                 (e.test(req), e.bounded_block_hint(req))
             });
             if done {
-                return self.shared.with_engine(|e| e.take_outcome(req));
+                break self.shared.with_engine(|e| e.take_outcome(req));
             }
             if let Some(budget) = hint {
                 let dl = *deadline.get_or_insert_with(|| {
                     Instant::now() + Duration::from_nanos(budget.as_nanos())
                 });
                 if Instant::now() >= dl {
-                    return self.shared.with_engine(|e| {
+                    break self.shared.with_engine(|e| {
                         e.split_phase_exit(req);
                         debug_assert!(e.test(req));
                         e.take_outcome(req)
                     });
                 }
             }
+            // Wakes on any arrival, also one the dispatcher's service pass
+            // has already moved into the engine's receive queue.
             self.shared.mailbox.wait_nonempty(Some(BLOCK_POLL));
             if self.shared.mailbox.is_closed() {
                 // A closed fabric under a still-blocked call can only mean
@@ -344,6 +386,11 @@ impl RankCtx {
                     );
                 }
             }
+        };
+        match outcome {
+            Some(Outcome::Data(d)) => Ok(Some(d)),
+            Some(Outcome::Done) | None => Ok(None),
+            Some(Outcome::Failed(e)) => Err(e),
         }
     }
 
@@ -355,15 +402,7 @@ impl RankCtx {
         dtype: Datatype,
         data: &[u8],
     ) -> Result<Option<Bytes>, MprError> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| e.ireduce(&comm, root, op, dtype, data));
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(Some(d)),
-            Some(Outcome::Done) | None => Ok(None),
-            Some(Outcome::Failed(e)) => Err(e),
-        }
+        self.finish(self.post(|e, c| e.ireduce(c, root, op, dtype, data)))
     }
 
     /// Split-phase reduction (extension): returns a handle immediately; the
@@ -375,35 +414,19 @@ impl RankCtx {
         dtype: Datatype,
         data: &[u8],
     ) -> SplitReduce<'_> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| AbEngine::ireduce_split(e, &comm, root, op, dtype, data));
-        SplitReduce { ctx: self, req }
+        self.split(|e, c| AbEngine::ireduce_split(e, c, root, op, dtype, data))
     }
 
     /// Split-phase allreduce (§II extension): a bypassed reduce chained
     /// into a bypassed broadcast; every rank's handle completes with the
     /// reduced data, signal-driven.
     pub fn allreduce_split(&self, op: ReduceOp, dtype: Datatype, data: &[u8]) -> SplitReduce<'_> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| e.iallreduce_split(&comm, op, dtype, data));
-        SplitReduce { ctx: self, req }
+        self.split(|e, c| e.iallreduce_split(c, op, dtype, data))
     }
 
     /// Blocking allreduce; every rank gets the result.
     pub fn allreduce(&self, op: ReduceOp, dtype: Datatype, data: &[u8]) -> Result<Bytes, MprError> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| e.iallreduce(&comm, op, dtype, data));
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(d),
-            Some(Outcome::Failed(e)) => Err(e),
-            other => panic!("allreduce completed without data: {other:?}"),
-        }
+        self.call_data("allreduce", |e, c| e.iallreduce(c, op, dtype, data))
     }
 
     /// Blocking dual-root doubly-pipelined allreduce (Träff): both halves
@@ -416,15 +439,9 @@ impl RankCtx {
         dtype: Datatype,
         data: &[u8],
     ) -> Result<Bytes, MprError> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| e.iallreduce_dual(&comm, op, dtype, data));
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(d),
-            Some(Outcome::Failed(e)) => Err(e),
-            other => panic!("allreduce_dual completed without data: {other:?}"),
-        }
+        self.call_data("allreduce_dual", |e, c| {
+            e.iallreduce_dual(c, op, dtype, data)
+        })
     }
 
     /// Split-phase dual-root allreduce; waited on like the other split
@@ -435,111 +452,44 @@ impl RankCtx {
         dtype: Datatype,
         data: &[u8],
     ) -> SplitReduce<'_> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| e.iallreduce_dual_split(&comm, op, dtype, data));
-        SplitReduce { ctx: self, req }
+        self.split(|e, c| e.iallreduce_dual_split(c, op, dtype, data))
     }
 
     /// Split-phase application-bypass broadcast (ref. \[8\]): returns a
     /// handle immediately; interior forwarding happens in the dispatcher's
     /// signal path while this thread computes.
     pub fn bcast_split(&self, root: Rank, data: Option<Bytes>, len: usize) -> SplitReduce<'_> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| e.ibcast_split(&comm, root, data, len));
-        SplitReduce { ctx: self, req }
+        self.split(|e, c| e.ibcast_split(c, root, data, len))
     }
 
     /// Blocking broadcast from `root`.
     pub fn bcast(&self, root: Rank, data: Option<Bytes>, len: usize) -> Result<Bytes, MprError> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| e.ibcast(&comm, root, data, len));
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(d),
-            Some(Outcome::Failed(e)) => Err(e),
-            other => panic!("bcast completed without data: {other:?}"),
-        }
-    }
-
-    /// Blocking gather to `root`; the root gets the rank-ordered
-    /// concatenation.
-    pub fn gather(&self, root: Rank, data: &[u8]) -> Result<Option<Bytes>, MprError> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| abr_mpr::engine::Engine::igather(e.inner_mut(), &comm, root, data));
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(Some(d)),
-            Some(Outcome::Done) | None => Ok(None),
-            Some(Outcome::Failed(e)) => Err(e),
-        }
-    }
-
-    /// Blocking scatter from `root` (`data` is `size * block` bytes there);
-    /// every rank receives its own block.
-    pub fn scatter(
-        &self,
-        root: Rank,
-        data: Option<&[u8]>,
-        block: usize,
-    ) -> Result<Bytes, MprError> {
-        let comm = self.world();
-        let req = self.shared.with_engine(|e| {
-            abr_mpr::engine::Engine::iscatter(e.inner_mut(), &comm, root, data, block)
-        });
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(d),
-            Some(Outcome::Failed(e)) => Err(e),
-            other => panic!("scatter completed without data: {other:?}"),
-        }
+        self.call_data("bcast", |e, c| e.ibcast(c, root, data, len))
     }
 
     /// Blocking allgather; every rank gets every block in rank order.
     pub fn allgather(&self, data: &[u8]) -> Result<Bytes, MprError> {
-        let comm = self.world();
-        let req = self
-            .shared
-            .with_engine(|e| abr_mpr::engine::Engine::iallgather(e.inner_mut(), &comm, data));
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(d),
-            Some(Outcome::Failed(e)) => Err(e),
-            other => panic!("allgather completed without data: {other:?}"),
-        }
+        self.call_data("allgather", |e, c| {
+            abr_mpr::engine::Engine::iallgather(e.inner_mut(), c, data)
+        })
     }
 
     /// Blocking barrier.
     pub fn barrier(&self) {
-        let comm = self.world();
-        let req = self.shared.with_engine(|e| e.ibarrier(&comm));
-        if let Some(Outcome::Failed(e)) = self.block_on(req) {
+        if let Err(e) = self.finish(self.post(|e, c| e.ibarrier(c))) {
             panic!("barrier failed: {e}")
         }
     }
 
     /// Blocking send.
     pub fn send(&self, dst: Rank, tag: i32, data: Bytes) -> Result<(), MprError> {
-        let comm = self.world();
-        let req = self.shared.with_engine(|e| e.isend(&comm, dst, tag, data));
-        match self.block_on(req) {
-            Some(Outcome::Failed(e)) => Err(e),
-            _ => Ok(()),
-        }
+        self.finish(self.post(|e, c| e.isend(c, dst, tag, data)))
+            .map(drop)
     }
 
     /// Blocking receive.
     pub fn recv(&self, src: Option<Rank>, tag: TagSel, cap: usize) -> Result<Bytes, MprError> {
-        let comm = self.world();
-        let req = self.shared.with_engine(|e| e.irecv(&comm, src, tag, cap));
-        match self.block_on(req) {
-            Some(Outcome::Data(d)) => Ok(d),
-            Some(Outcome::Failed(e)) => Err(e),
-            other => panic!("recv completed without data: {other:?}"),
-        }
+        self.call_data("recv", |e, c| e.irecv(c, src, tag, cap))
     }
 
     /// Snapshot the rank's statistics.
@@ -548,11 +498,6 @@ impl RankCtx {
             ab: *e.ab_stats(),
             counters: e.counters(),
         })
-    }
-
-    /// Whether NIC signals are currently enabled for this rank.
-    pub fn signals_enabled(&self) -> bool {
-        self.shared.signals_enabled.load(Ordering::SeqCst)
     }
 }
 
@@ -577,75 +522,34 @@ impl SplitReduce<'_> {
 
     /// Wait for completion; the root gets `Some(result)`.
     pub fn wait(self) -> Result<Option<Bytes>, MprError> {
-        match self.ctx.block_on(self.req) {
-            Some(Outcome::Data(d)) => Ok(Some(d)),
-            Some(Outcome::Done) | None => Ok(None),
-            Some(Outcome::Failed(e)) => Err(e),
-        }
+        self.ctx.finish(self.req)
     }
 }
 
+/// One rank's NIC + kernel signal path. On every wake (mail or idle
+/// timeout) it runs [`RankShared::service`] if it can take the engine
+/// lock; a held lock means progress is already underway, and the signal is
+/// simply ignored (Fig. 4) — the holder's own service pass picks up the
+/// pending flag. Under faults the same pass fires due retransmissions, so
+/// a lost packet recovers even while every application thread is blocked.
+///
+/// The dispatcher serves until the whole run is over (fabric closed) and
+/// makes one last pass then: a rank's application thread may return while
+/// its own reduction is still in flight — that is the entire point of
+/// application bypass — and only this thread can finish it.
 fn dispatcher_loop(shared: Arc<RankShared>) {
-    let faulty = shared.faults.is_some();
     loop {
-        // The dispatcher serves until the whole run is over (fabric
-        // closed): a rank's application thread may return while its own
-        // reduction is still in flight — that is the entire point of
-        // application bypass — and only this thread can finish it then.
-        if shared.mailbox.is_closed() {
-            if shared.signals_enabled.load(Ordering::SeqCst) && !shared.mailbox.is_empty() {
-                // try_lock treats a poisoned lock like a held one: the
-                // owning rank died mid-crank, there is nothing to save.
-                if let Ok(mut st) = shared.engine.try_lock() {
-                    shared.drain_mail(&mut st);
-                    st.eng.handle_signal();
-                    shared.route_actions(&mut st);
-                }
-            }
-            return;
-        }
-        let got_mail = shared.mailbox.wait_nonempty(Some(DISPATCH_IDLE));
-        if faulty {
-            // Under faults the dispatcher doubles as the timer thread: on
-            // every wake (mail or timeout) it runs arriving packets through
-            // the reliability layer and fires due retransmissions, so a
-            // lost packet recovers even while every app thread is blocked.
-            if let Ok(mut st) = shared.engine.try_lock() {
-                shared.drain_mail(&mut st);
-                shared.fire_signal_if_pending(&mut st);
-                shared.route_actions(&mut st);
-            } else if got_mail {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-            continue;
-        }
-        if !got_mail {
-            continue;
-        }
-        if !shared.signals_enabled.load(Ordering::SeqCst) {
-            // Signals disabled at the NIC: packets wait for the application
-            // to trigger progress. Idle briefly to avoid spinning.
-            std::thread::sleep(DISPATCH_IDLE);
-            continue;
-        }
-        // Only collective packets generate signals.
-        let has_collective = {
-            // Peek cheaply: drain would steal packets from the app thread's
-            // own drain, which is fine — both paths deliver to the engine
-            // under the lock.
-            !shared.mailbox.is_empty()
-        };
-        if !has_collective {
-            continue;
-        }
-        // Signal fires: try to enter the progress engine. A held lock means
-        // progress is already underway — the signal is simply ignored.
+        shared.mailbox.wait_nonempty(Some(DISPATCH_IDLE));
+        let closed = shared.mailbox.is_closed();
+        // try_lock treats a poisoned lock like a held one: the owning rank
+        // died mid-crank, there is nothing to save.
         if let Ok(mut st) = shared.engine.try_lock() {
-            shared.drain_mail(&mut st);
-            shared.fire_signal_if_pending(&mut st);
-            shared.route_actions(&mut st);
-        } else {
-            std::thread::sleep(Duration::from_micros(20));
+            shared.service(&mut st);
+        } else if !closed {
+            std::thread::sleep(LOCK_HELD_BACKOFF);
+        }
+        if closed {
+            return;
         }
     }
 }
@@ -818,11 +722,10 @@ fn run_live_world<R: Send, F: Fn(&RankCtx) -> R + Send + Sync>(
     });
     let shareds: Vec<Arc<RankShared>> = (0..n)
         .map(|r| {
-            let mut state = RankState {
-                eng: AbEngine::new(r, n, spec.engine_config(), ab.clone()),
-                rel: faults.as_ref().map(|_| NodeReliability::new(r, rel_cfg)),
-                pending_collective: false,
-            };
+            let mut state = RankState::new(
+                AbEngine::new(r, n, spec.engine_config(), ab.clone()),
+                faults.as_ref().map(|_| NodeReliability::new(r, rel_cfg)),
+            );
             // Rebind the collective context: a no-op for solo runs (the
             // engine is born with `world(n)`), the job communicator under
             // `run_live_jobs`.
@@ -839,7 +742,6 @@ fn run_live_world<R: Send, F: Fn(&RankCtx) -> R + Send + Sync>(
                 engine: Mutex::new(state),
                 mailbox: fabric.mailbox(NodeId(r)),
                 fabric: Arc::clone(&fabric),
-                signals_enabled: AtomicBool::new(false),
                 faults: faults.clone(),
             })
         })
@@ -851,45 +753,6 @@ fn run_live_world<R: Send, F: Fn(&RankCtx) -> R + Send + Sync>(
         if let Some(fl) = &faults {
             let fl = Arc::clone(fl);
             s.spawn(move || fl.delay_worker());
-        }
-        // Optional hang watchdog: with `ABR_LIVE_HANG_DUMP=<seconds>` set,
-        // a run still alive after that long dumps every rank's reliability
-        // window and mailbox depth to stderr (once), for debugging stuck
-        // fault scenarios. Exits with the fabric.
-        if let Some(secs) = abr_trace::knob::LIVE_HANG_DUMP.positive() {
-            let shareds = shareds.clone();
-            let fabric = Arc::clone(&fabric);
-            s.spawn(move || {
-                let start = Instant::now();
-                let mut dumped = false;
-                while !fabric.mailbox(NodeId(0)).is_closed() {
-                    std::thread::sleep(Duration::from_millis(50));
-                    if !dumped && start.elapsed() >= Duration::from_secs(secs) {
-                        dumped = true;
-                        eprintln!("=== live hang dump after {secs}s ===");
-                        for sh in &shareds {
-                            let mail = sh.mailbox.len();
-                            match sh.engine.try_lock() {
-                                Ok(st) => {
-                                    let rel = st
-                                        .rel
-                                        .as_ref()
-                                        .map(|r| r.debug_summary())
-                                        .unwrap_or_default();
-                                    eprintln!(
-                                        "rank {:2}: mail={mail} {rel} eng={:?}",
-                                        sh.rank,
-                                        st.eng.counters()
-                                    );
-                                }
-                                Err(_) => {
-                                    eprintln!("rank {:2}: mail={mail} <engine lock held>", sh.rank)
-                                }
-                            }
-                        }
-                    }
-                }
-            });
         }
         // Dispatcher threads (the NIC/kernel signal path).
         for shared in &shareds {
@@ -942,6 +805,53 @@ mod tests {
 
     fn spec(n: u32) -> ClusterSpec {
         ClusterSpec::homogeneous_1000(n)
+    }
+
+    #[test]
+    fn service_fires_a_signal_pending_from_before_signals_came_up() {
+        // No threads: rank 0 of 4 (binomial children 1 and 2) sees child
+        // 1's collective packet land before it posts its split reduce.
+        let n = 4;
+        let engine = |r| AbEngine::new(r, n, spec(n).engine_config(), AbConfig::default());
+        let fabric = Arc::new(LiveFabric::new(n as usize));
+        let shared = RankShared {
+            rank: 0,
+            engine: Mutex::new(RankState::new(engine(0), None)),
+            mailbox: fabric.mailbox(NodeId(0)),
+            fabric: Arc::clone(&fabric),
+            faults: None,
+        };
+        let comm = Communicator::world(n);
+        let data = f64s_to_bytes(&[1.0]);
+        let mut leaf = engine(1);
+        leaf.ireduce(&comm, 0, ReduceOp::Sum, Datatype::F64, &data);
+        for a in leaf.drain_actions() {
+            if let Action::Send(p) = a {
+                fabric.send(p);
+            }
+        }
+        let mut st = shared.engine.lock().unwrap();
+        shared.service(&mut st);
+        assert!(st.pending_collective, "the child's packet is collective");
+        assert!(!st.eng.signals_enabled());
+        assert_eq!(
+            st.eng.ab_stats().signals_handled,
+            0,
+            "no handler runs while signals are disabled"
+        );
+        let req = st
+            .eng
+            .ireduce_split(&comm, 0, ReduceOp::Sum, Datatype::F64, &data);
+        assert!(st.eng.signals_enabled(), "child 2 is still outstanding");
+        shared.service(&mut st);
+        assert_eq!(
+            st.eng.ab_stats().signals_handled,
+            1,
+            "the first pass after signals come up runs the pending handler"
+        );
+        shared.service(&mut st);
+        assert_eq!(st.eng.ab_stats().signals_handled, 1, "and only once");
+        assert!(!st.eng.test(req), "child 2 has not arrived");
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl AbStats {
         self.zero_copy_children + self.ab_unexpected_parked
     }
 
-    /// Total children folded in through bypass machinery.
-    pub fn children_processed(&self) -> u64 {
-        self.sync_children + self.async_children
-    }
-
     /// Total fallback count.
     pub fn fallbacks(&self) -> u64 {
         self.fallback_root + self.fallback_leaf + self.fallback_large + self.fallback_disabled
@@ -102,7 +97,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.copies_saved(), 5);
-        assert_eq!(s.children_processed(), 9);
         assert_eq!(s.fallbacks(), 10);
     }
 

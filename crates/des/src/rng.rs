@@ -76,11 +76,6 @@ impl StreamRng {
         self.rng.gen_range(lo..=hi)
     }
 
-    /// A uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        self.rng.gen::<f64>()
-    }
-
     /// A raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
         self.rng.gen()
@@ -174,15 +169,6 @@ mod tests {
             }
         }
         assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn unit_f64_in_unit_interval() {
-        let mut r = StreamRng::root(11).derive(&[4]);
-        for _ in 0..1_000 {
-            let x = r.unit_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl Accumulator {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge another accumulator into this one (parallel Welford merge).
     pub fn merge(&mut self, other: &Accumulator) {
         if other.count == 0 {
@@ -137,7 +132,6 @@ mod tests {
         }
         // sample variance of 1..4 = 5/3
         assert!((a.variance() - 5.0 / 3.0).abs() < 1e-12);
-        assert!((a.std_dev() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked duration since `earlier`; `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -282,14 +276,6 @@ mod tests {
         let late = SimTime::from_us(20);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_us(10));
-    }
-
-    #[test]
-    fn checked_since_detects_reversal() {
-        let early = SimTime::from_us(10);
-        let late = SimTime::from_us(20);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_us(10)));
     }
 
     #[test]

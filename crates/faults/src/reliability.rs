@@ -365,38 +365,6 @@ impl NodeReliability {
         (self.earliest_ns != u64::MAX).then_some(self.earliest_ns)
     }
 
-    /// One-line human-readable dump of every peer's TX/RX window, for
-    /// debugging stuck runs (see the live driver's hang watchdog).
-    pub fn debug_summary(&self) -> String {
-        let mut s = format!("rank {}:", self.rank);
-        let mut tx: Vec<_> = self.tx.iter().collect();
-        tx.sort_by_key(|(id, _)| **id);
-        for (id, p) in tx {
-            if !p.unacked.is_empty() || p.dead {
-                s.push_str(&format!(
-                    " tx->{id}[unacked={} next={} dl={} retries={} dead={}]",
-                    p.unacked.len(),
-                    p.next_seq,
-                    p.deadline_ns,
-                    p.retries,
-                    p.dead
-                ));
-            }
-        }
-        let mut rx: Vec<_> = self.rx.iter().collect();
-        rx.sort_by_key(|(id, _)| **id);
-        for (id, p) in rx {
-            if !p.buffer.is_empty() {
-                s.push_str(&format!(
-                    " rx<-{id}[cum={} buffered={}]",
-                    p.cum,
-                    p.buffer.len()
-                ));
-            }
-        }
-        s
-    }
-
     fn ack_packet(&self, peer: u32, cum: u64) -> Packet {
         Packet::new(
             PacketHeader {

@@ -1,7 +1,8 @@
 //! A real in-process transport for the live threaded runtime.
 //!
 //! Each node owns a [`Mailbox`]; the [`LiveFabric`] routes packets to the
-//! destination mailbox and stamps per-(src,dst) wire sequence numbers so
+//! destination mailbox and stamps wire sequence numbers from one counter
+//! per sender, which rises strictly on each of its (src, dst) pairs, so
 //! receivers can assert GM's FIFO guarantee. Two consumers drain a mailbox
 //! in the live runtime — the application thread (inside blocking MPI calls)
 //! and the per-node signal-dispatcher thread — which mirrors the paper's
@@ -9,13 +10,16 @@
 //! protocol state.
 
 use crate::packet::{NodeId, Packet};
-use abr_des::FxHashMap;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 struct MailboxInner {
     queue: VecDeque<Packet>,
+    /// Packets ever pushed, so a waiter sees an arrival that another
+    /// consumer drained before the waiter woke.
+    pushed: u64,
     closed: bool,
 }
 
@@ -38,6 +42,7 @@ impl Mailbox {
         Mailbox {
             inner: Mutex::new(MailboxInner {
                 queue: VecDeque::new(),
+                pushed: 0,
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -50,19 +55,15 @@ impl Mailbox {
         let mut inner = self.inner.lock().unwrap();
         if !inner.closed {
             inner.queue.push_back(packet);
+            inner.pushed += 1;
             self.cv.notify_all();
         }
     }
 
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<Packet> {
-        self.inner.lock().unwrap().queue.pop_front()
-    }
-
-    /// Drain everything currently queued.
-    pub fn drain(&self) -> Vec<Packet> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.queue.drain(..).collect()
+    /// Move everything currently queued onto the end of `out`, in
+    /// arrival order.
+    pub fn drain_into(&self, out: &mut Vec<Packet>) {
+        out.extend(self.inner.lock().unwrap().queue.drain(..));
     }
 
     /// Number of queued packets.
@@ -75,28 +76,19 @@ impl Mailbox {
         self.len() == 0
     }
 
-    /// Block until at least one packet is queued (returning `true`) or the
-    /// mailbox is closed and empty (returning `false`). An optional timeout
-    /// bounds the wait; on timeout the current emptiness is returned.
+    /// Block until a packet is queued, a packet arrives (even one another
+    /// consumer drains before this waiter wakes), or the mailbox is closed.
+    /// An optional timeout bounds the wait. Returns whether a packet is
+    /// queued now.
     pub fn wait_nonempty(&self, timeout: Option<Duration>) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        match timeout {
-            Some(t) => {
-                let (guard, _res) = self
-                    .cv
-                    .wait_timeout_while(inner, t, |m| m.queue.is_empty() && !m.closed)
-                    .unwrap();
-                inner = guard;
-                !inner.queue.is_empty()
-            }
-            None => {
-                inner = self
-                    .cv
-                    .wait_while(inner, |m| m.queue.is_empty() && !m.closed)
-                    .unwrap();
-                !inner.queue.is_empty()
-            }
-        }
+        let inner = self.inner.lock().unwrap();
+        let seen = inner.pushed;
+        let idle = |m: &mut MailboxInner| m.queue.is_empty() && m.pushed == seen && !m.closed;
+        let inner = match timeout {
+            Some(t) => self.cv.wait_timeout_while(inner, t, idle).unwrap().0,
+            None => self.cv.wait_while(inner, idle).unwrap(),
+        };
+        !inner.queue.is_empty()
     }
 
     /// Close the mailbox, waking all waiters. Used at teardown so dispatcher
@@ -117,7 +109,8 @@ impl Mailbox {
 /// sequence numbers.
 pub struct LiveFabric {
     boxes: Vec<Arc<Mailbox>>,
-    wire_seq: Mutex<FxHashMap<(u32, u32), u64>>,
+    /// Next `wire_seq` each sender stamps.
+    wire_seq: Vec<AtomicU64>,
 }
 
 impl LiveFabric {
@@ -125,18 +118,8 @@ impl LiveFabric {
     pub fn new(n: usize) -> Self {
         LiveFabric {
             boxes: (0..n).map(|_| Arc::new(Mailbox::new())).collect(),
-            wire_seq: Mutex::new(FxHashMap::default()),
+            wire_seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// True for a zero-node fabric (never useful, but keeps clippy honest).
-    pub fn is_empty(&self) -> bool {
-        self.boxes.is_empty()
     }
 
     /// The mailbox of `node`, for the node's own threads to drain.
@@ -144,19 +127,17 @@ impl LiveFabric {
         Arc::clone(&self.boxes[node.index()])
     }
 
-    /// Route `packet` to its destination mailbox, stamping the wire
-    /// sequence number for the (src, dst) pair.
+    /// Route `packet` to its destination mailbox, stamping the sender's
+    /// next wire sequence number.
     ///
     /// # Panics
-    /// Panics if the destination is out of range.
+    /// Panics if the source or destination is out of range.
     pub fn send(&self, mut packet: Packet) {
-        let key = (packet.header.src.0, packet.header.dst.0);
-        {
-            let mut seqs = self.wire_seq.lock().unwrap();
-            let seq = seqs.entry(key).or_insert(0);
-            packet.header.wire_seq = *seq;
-            *seq += 1;
-        }
+        // Relaxed: the counter publishes no other data (the packet itself
+        // travels through the mailbox lock), and one atomic's updates are
+        // totally ordered, so each sender's stamps still rise strictly.
+        packet.header.wire_seq =
+            self.wire_seq[packet.header.src.index()].fetch_add(1, Ordering::Relaxed);
         self.boxes[packet.header.dst.index()].push(packet);
     }
 
@@ -193,14 +174,22 @@ mod tests {
         )
     }
 
+    /// Everything queued in `m`, drained.
+    fn drained(m: &Mailbox) -> Vec<Packet> {
+        let mut out = Vec::new();
+        m.drain_into(&mut out);
+        out
+    }
+
     #[test]
     fn push_pop_roundtrip() {
         let m = Mailbox::new();
-        assert!(m.try_pop().is_none());
+        assert!(drained(&m).is_empty());
         m.push(pkt(0, 1, 7));
         assert_eq!(m.len(), 1);
-        let p = m.try_pop().unwrap();
-        assert_eq!(p.header.tag, 7);
+        let p = drained(&m);
+        assert_eq!(p.len(), 1);
+        assert_eq!(p[0].header.tag, 7);
         assert!(m.is_empty());
     }
 
@@ -210,8 +199,14 @@ mod tests {
         for t in 0..5 {
             m.push(pkt(0, 1, t));
         }
-        let tags: Vec<_> = m.drain().into_iter().map(|p| p.header.tag).collect();
-        assert_eq!(tags, vec![0, 1, 2, 3, 4]);
+        let mut out = vec![pkt(0, 1, -1)];
+        m.drain_into(&mut out);
+        let tags: Vec<_> = out.iter().map(|p| p.header.tag).collect();
+        assert_eq!(
+            tags,
+            vec![-1, 0, 1, 2, 3, 4],
+            "appended after what `out` held"
+        );
         assert!(m.is_empty());
     }
 
@@ -232,14 +227,12 @@ mod tests {
             f.send(pkt(0, 1, t));
         }
         f.send(pkt(1, 0, 99)); // separate pair, separate numbering
-        let seqs: Vec<_> = f
-            .mailbox(NodeId(1))
-            .drain()
-            .into_iter()
+        let seqs: Vec<_> = drained(&f.mailbox(NodeId(1)))
+            .iter()
             .map(|p| p.header.wire_seq)
             .collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
-        assert_eq!(f.mailbox(NodeId(0)).try_pop().unwrap().header.wire_seq, 0);
+        assert_eq!(drained(&f.mailbox(NodeId(0)))[0].header.wire_seq, 0);
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub struct SignalControl {
     enabled: bool,
     raised: u64,
     suppressed_disabled: u64,
-    suppressed_kind: u64,
     suppressed_busy: u64,
     toggles: u64,
     trace: TraceHandle,
@@ -85,7 +84,6 @@ impl SignalControl {
         progress_underway: bool,
     ) -> Result<(), SignalSuppression> {
         if !packet.generates_signal() {
-            self.suppressed_kind += 1;
             self.trace.emit(TraceEvent::Signal {
                 outcome: "suppressed-kind",
             });
@@ -118,11 +116,6 @@ impl SignalControl {
     /// Collective packets that arrived while signals were disabled.
     pub fn suppressed_disabled(&self) -> u64 {
         self.suppressed_disabled
-    }
-
-    /// Non-collective packets (which can never signal).
-    pub fn suppressed_wrong_kind(&self) -> u64 {
-        self.suppressed_kind
     }
 
     /// Signals ignored because progress was already underway.
@@ -200,7 +193,6 @@ mod tests {
                 Err(SignalSuppression::WrongKind)
             );
         }
-        assert_eq!(s.suppressed_wrong_kind(), 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! that names the variable, so a typo in a benchmark invocation can never
 //! degrade into a silent default.
 //!
-//! The nine integer knobs share one reader, [`Knob::positive`]. Value
+//! The eight integer knobs share one reader, [`Knob::positive`]. Value
 //! grammars stay in the crates that own their meaning
 //! (`TopologyKind::parse`, `FabricSpec::parse`, `FaultPlan::parse`,
 //! [`crate::TraceConfig::parse`], the tenant load factor) and are handed
@@ -92,17 +92,6 @@ pub const TRACE: Knob = Knob {
     consumed_by: "`trace_figure`",
     doc: "which trace artifacts to write and the per-rank ring capacity; \
           `0` writes none",
-};
-
-/// The live runtime's hang watchdog.
-pub const LIVE_HANG_DUMP: Knob = Knob {
-    name: "ABR_LIVE_HANG_DUMP",
-    values: POSITIVE_INTEGER,
-    default: None,
-    consumed_by: "live threaded runtime (`abr_cluster::live`)",
-    doc: "seconds after which a still-running live run dumps each rank's \
-          reliability window and mailbox depth to stderr, once; the run is \
-          not aborted; unset: no watchdog",
 };
 
 /// Reduction-tree family.
@@ -202,13 +191,12 @@ pub const MSG_BYTES: Knob = Knob {
 };
 
 /// Every knob the workspace reads, in README order.
-pub const KNOBS: [&Knob; 15] = [
+pub const KNOBS: [&Knob; 14] = [
     &ITERS,
     &JOBS,
     &RECORD_JSON,
     &FAULTS,
     &TRACE,
-    &LIVE_HANG_DUMP,
     &TOPO,
     &DES_SHARDS,
     &SCALE_MAX,
@@ -352,7 +340,7 @@ mod tests {
             .into_iter()
             .filter(|k| k.values == POSITIVE_INTEGER)
             .collect();
-        assert_eq!(integer.len(), 9);
+        assert_eq!(integer.len(), 8);
         for knob in integer {
             for bad in ["", "0", "-1", "x"] {
                 std::env::set_var(knob.name, bad);
@@ -375,7 +363,7 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_knob_and_unique_names() {
-        assert_eq!(KNOBS.len(), 15);
+        assert_eq!(KNOBS.len(), 14);
         let mut names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
         names.sort_unstable();
         names.dedup();

@@ -129,6 +129,10 @@ diff -u FIG_tenant.txt FIG_tenant_check.txt \
 echo "==> Fig. 2 time lines from the trace rings (bypass must free node 2)"
 cargo run -q --release --example fig2_timeline > /dev/null
 
+echo "==> live-runtime smoke (README quickstart and the only allgather caller; both assert results)"
+cargo run -q --release --example quickstart > /dev/null
+cargo run -q --release --example power_iteration > /dev/null
+
 echo "==> docs link check (intra-repo links in the teaching docs)"
 ./scripts/check_links.sh
 
