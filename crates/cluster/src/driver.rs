@@ -61,7 +61,9 @@ use crate::program::{Obs, Program, Step, StepCtx};
 use abr_des::meter::CpuCategory;
 use abr_des::{CpuMeter, EventId, EventQueue, SimDuration, SimTime};
 use abr_fabric::FabricNetwork;
-use abr_faults::{FaultInjector, FaultPlan, NodeReliability, RelConfig, RelEvent, RelStats};
+use abr_faults::{
+    FaultInjector, FaultPlan, NodeReliability, RelConfig, RelEvent, RelStats, Verdict,
+};
 use abr_gm::nic::NodeHw;
 use abr_gm::packet::Packet;
 use abr_gm::signal::SignalControl;
@@ -452,89 +454,62 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
 
     /// Send one engine-originated packet at `stamp`. With faults installed
     /// the packet first passes through the sender's reliability layer
-    /// (stamping `rel_seq`, buffering for retransmission); without, this is
-    /// exactly the fault-free send.
+    /// (stamping `rel_seq`, buffering for retransmission), and the sender's
+    /// retransmit timer then follows the layer's earliest deadline.
     fn transmit(&mut self, i: usize, mut pkt: Packet, stamp: SimTime) {
         if let Some(f) = &mut self.faults {
             pkt = f.rel[i - self.base].on_send(pkt, stamp.as_nanos());
         }
-        self.transmit_raw(i, pkt, stamp);
-        if self.faults.is_some() {
-            self.schedule_rel_tick(i, stamp);
-        }
+        self.wire(i, pkt, stamp);
+        self.schedule_rel_tick(i, stamp);
     }
 
-    /// Tenant-mode transmit: packet headers carry *job-local* ranks, so the
-    /// driver resolves the destination's global arena slot through the
-    /// sender's job base, and asks the network for a delivery time between
-    /// the two *physical node* ids — the network keys NIC-injection
-    /// serialization and FIFO floors off its endpoint ids, so co-located
-    /// ranks (any job) share one NIC clock exactly as they share hardware.
-    /// The job-local header reaches the receiving engine untouched,
-    /// keeping its rank-addressing invariants intact. Per-(src,dst)-floor
-    /// FIFO order survives the remap: a job pair's packets are a
-    /// subsequence of its physical pair's, and the floor keeps the full
-    /// sequence monotone.
-    fn transmit_tenant(&mut self, i: usize, mut pkt: Packet, stamp: SimTime) {
-        let ts = self.tenant.as_ref().expect("tenant transmit");
-        let dst = ts.base_of[ts.job_of[i] as usize] + pkt.header.dst.index();
-        let (psrc, pdst) = (ts.phys_of[i] as u32, ts.phys_of[dst] as u32);
-        // Wire seqs per *global* sender slot: distinct jobs' identical
-        // local ranks must not share a counter.
+    /// Put a packet on the wire at `stamp`: the one path every packet
+    /// takes, engine sends, retransmissions and acks alike. It resolves the
+    /// destination's arena slot and the network endpoint ids, stamps
+    /// `wire_seq` (one counter per global sender slot), asks the fault
+    /// injector (only when installed) how many copies survive, and
+    /// schedules each. Tenant headers carry *job-local* ranks: the slot is
+    /// the sender's job base plus the header rank, and the endpoints are
+    /// the *physical* nodes, so co-located ranks (any job) share one NIC
+    /// clock and one set of FIFO floors as they share hardware, while the
+    /// header reaches the receiving engine untouched. A job pair's packets
+    /// are a subsequence of its physical pair's, so FIFO order survives.
+    fn wire(&mut self, i: usize, mut pkt: Packet, stamp: SimTime) {
+        let (dst, src_id, dst_id) = match &self.tenant {
+            None => {
+                debug_assert_eq!(pkt.header.src.index(), i, "sending from the wrong rank");
+                let dst = pkt.header.dst.index();
+                (dst, i as u32, dst as u32)
+            }
+            Some(ts) => {
+                let dst = ts.base_of[ts.job_of[i] as usize] + pkt.header.dst.index();
+                (dst, ts.phys_of[i] as u32, ts.phys_of[dst] as u32)
+            }
+        };
         pkt.header.wire_seq = self.rank[i - self.base].next_wire_seq();
-        let arrive = self.network.delivery_time(
-            stamp,
-            psrc,
-            pdst,
-            &self.hw[i],
-            &self.hw[dst],
-            pkt.wire_bytes(),
-        );
-        self.send_deliver(i, dst, arrive, pkt);
-    }
-
-    /// Put a packet on the wire: stamp `wire_seq`, run the fault injector,
-    /// and schedule delivery for every surviving copy. Retransmissions and
-    /// acks enter here directly (they bypass `on_send`).
-    fn transmit_raw(&mut self, i: usize, mut pkt: Packet, stamp: SimTime) {
-        if self.tenant.is_some() {
-            // Fault injection is rejected at tenant construction, so the
-            // whole reliability path stays solo-only.
-            self.transmit_tenant(i, pkt, stamp);
-            return;
+        let verdict = match &mut self.faults {
+            None => Verdict::clean(),
+            Some(f) => f.injector.decide(&pkt, Some(stamp.as_nanos())),
+        };
+        let (src_hw, dst_hw, bytes) = (self.hw[i], self.hw[dst], pkt.wire_bytes());
+        let delay = SimDuration::from_nanos(verdict.extra_delay_ns);
+        let arrival = |net: &mut FabricNetwork| {
+            net.delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes) + delay
+        };
+        for _ in 1..verdict.copies {
+            let at = arrival(&mut self.network);
+            self.send_deliver(i, dst, at, pkt.clone());
         }
-        debug_assert_eq!(pkt.header.src.index(), i, "sending from the wrong rank");
-        pkt.header.wire_seq = self.rank[i - self.base].next_wire_seq();
-        let dst = pkt.header.dst.index();
-        let (src_hw, dst_hw) = (self.hw[i], self.hw[dst]);
-        let (src_id, dst_id, bytes) = (i as u32, dst as u32, pkt.wire_bytes());
-        if self.faults.is_none() {
-            let arrive = self
-                .network
-                .delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes);
-            self.send_deliver(i, dst, arrive, pkt);
-            return;
-        }
-        let f = self.faults.as_mut().expect("checked above");
-        let verdict = f.injector.decide(&pkt, Some(stamp.as_nanos()));
-        if verdict.copies == 0 {
-            // Dropped: the NIC and wire still did the work of sending it,
-            // so charge network occupancy exactly as for a delivered packet.
-            let _ = self
-                .network
-                .delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes);
-            return;
-        }
-        for _ in 0..verdict.copies {
-            let arrive = self
-                .network
-                .delivery_time(stamp, src_id, dst_id, &src_hw, &dst_hw, bytes)
-                + SimDuration::from_nanos(verdict.extra_delay_ns);
-            self.send_deliver(i, dst, arrive, pkt.clone());
+        // A dropped packet (no copies) still occupied the NIC and the
+        // wire, so the network is charged for it as for a delivered one.
+        let at = arrival(&mut self.network);
+        if verdict.copies > 0 {
+            self.send_deliver(i, dst, at, pkt);
         }
     }
 
-    /// Schedule (or outbox) a fault-free packet delivery.
+    /// Schedule (or outbox) a packet delivery.
     fn send_deliver(&mut self, src: usize, dst: usize, arrive: SimTime, pkt: Packet) {
         if self.owns(dst) {
             self.sched(src, arrive, Ev::Deliver { node: dst, pkt });
@@ -550,7 +525,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     }
 
     /// (Re-)schedule node `i`'s retransmission-timer event to match its
-    /// reliability layer's earliest deadline.
+    /// reliability layer's earliest deadline (a no-op without faults).
     fn schedule_rel_tick(&mut self, i: usize, now: SimTime) {
         let l = i - self.base;
         let Some(f) = &mut self.faults else {
@@ -559,46 +534,44 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         let want = f.rel[l]
             .next_deadline()
             .map(|ns| SimTime::from_nanos(ns).max(now));
-        match (want, f.tick[l]) {
-            (None, None) => {}
-            (None, Some((_, ev))) => {
-                self.queue.cancel(ev);
-                let f = self.faults.as_mut().expect("checked above");
-                f.tick[l] = None;
-            }
-            (Some(at), Some((cur, _))) if cur == at => {}
-            (Some(at), prev) => {
-                if let Some((_, ev)) = prev {
-                    self.queue.cancel(ev);
-                }
-                let ev = self.sched(i, at, Ev::RelTick { node: i });
-                let f = self.faults.as_mut().expect("checked above");
-                f.tick[l] = Some((at, ev));
-            }
+        let prev = f.tick[l];
+        if want == prev.map(|(at, _)| at) {
+            return;
         }
+        if let Some((_, ev)) = prev {
+            self.queue.cancel(ev);
+        }
+        let tick = want.map(|at| (at, self.sched(i, at, Ev::RelTick { node: i })));
+        self.faults.as_mut().expect("checked above").tick[l] = tick;
     }
 
-    /// A reliability timer fired: let node `i` retransmit what's overdue.
-    /// Out of line for the same reason as [`Self::deliver_reliable`].
+    /// Node `i`'s reliability layer at `t`, the one drain both of its
+    /// inputs share: an `arrival` (acks are consumed, duplicates
+    /// suppressed, out-of-order data resequenced) or, with `None`, a
+    /// retransmission-timer tick. What the layer emits is acted on here:
+    /// in-sequence data flows on to the engine in `rel_seq` order,
+    /// retransmissions and acks go on the wire, and the timer follows the
+    /// layer's new earliest deadline. Kept out of line so the fault-free
+    /// event loop does not grow.
     #[inline(never)]
-    fn on_rel_tick(&mut self, i: usize, t: SimTime) {
+    fn rel_drain(&mut self, i: usize, arrival: Option<Packet>, t: SimTime) {
         let l = i - self.base;
-        let mut out = {
-            let Some(f) = &mut self.faults else {
-                return;
-            };
-            f.tick[l] = None;
-            let mut out = std::mem::take(&mut f.events);
-            f.rel[l].on_tick(t.as_nanos(), &mut out);
-            out
-        };
+        let f = self.faults.as_mut().expect("reliability runs under faults");
+        let mut out = std::mem::take(&mut f.events);
+        match arrival {
+            Some(pkt) => f.rel[l].on_receive(pkt, t.as_nanos(), &mut out),
+            None => {
+                f.tick[l] = None;
+                f.rel[l].on_tick(t.as_nanos(), &mut out);
+            }
+        }
         for e in out.drain(..) {
             match e {
-                RelEvent::Transmit(p) => self.transmit_raw(i, p, t),
+                RelEvent::Deliver(p) => self.deliver_to_node(i, p, t),
+                RelEvent::Transmit(p) => self.wire(i, p, t),
                 RelEvent::LinkDead { peer } => {
                     panic!("rank {i}: link to rank {peer} declared dead (retry budget exhausted)")
                 }
-                RelEvent::Deliver(_) => unreachable!("ticks never deliver"),
             }
         }
         self.faults.as_mut().expect("checked above").events = out;
@@ -616,20 +589,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         self.rank[i - self.base].cpu_free_at = end;
         self.route_actions(i, end);
         end
-    }
-
-    /// Signals were just enabled while collective packets already sat in
-    /// the receive queue (the enable-with-backlog edge §V-A must not lose):
-    /// the NIC raises a signal immediately.
-    fn maybe_synth_signal(&mut self, i: usize, t: SimTime) {
-        let l = i - self.base;
-        if matches!(self.rank[l].state, NodeState::Blocked { .. }) {
-            return;
-        }
-        if self.signals[l].is_enabled() && self.engines[l].has_pending_signal_work() {
-            self.rank[l].synth_signals += 1;
-            self.run_handler(i, t);
-        }
     }
 
     /// Deliver a signal: run the asynchronous handler, preempting whatever
@@ -665,39 +624,6 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     // Event handlers
     // ------------------------------------------------------------------
 
-    fn on_deliver(&mut self, i: usize, pkt: Packet, t: SimTime) {
-        if self.faults.is_some() {
-            self.deliver_reliable(i, pkt, t);
-        } else {
-            self.deliver_to_node(i, pkt, t);
-        }
-    }
-
-    /// Reliability pre-stage: acks are consumed here, duplicates are
-    /// suppressed, out-of-order data is resequenced; whatever is ready
-    /// flows on to the engine in `rel_seq` order. Kept out of line so the
-    /// fault-free event loop stays as small as it is without faults.
-    #[inline(never)]
-    fn deliver_reliable(&mut self, i: usize, pkt: Packet, t: SimTime) {
-        let mut out = {
-            let f = self.faults.as_mut().expect("checked by on_deliver");
-            let mut out = std::mem::take(&mut f.events);
-            f.rel[i - self.base].on_receive(pkt, t.as_nanos(), &mut out);
-            out
-        };
-        for e in out.drain(..) {
-            match e {
-                RelEvent::Deliver(p) => self.deliver_to_node(i, p, t),
-                RelEvent::Transmit(p) => self.transmit_raw(i, p, t),
-                RelEvent::LinkDead { peer } => {
-                    panic!("rank {i}: link to rank {peer} declared dead")
-                }
-            }
-        }
-        self.faults.as_mut().expect("checked by on_deliver").events = out;
-        self.schedule_rel_tick(i, t);
-    }
-
     /// Hand one in-sequence packet to node `i`'s engine (the fault-free
     /// delivery path; under faults the reliability layer feeds this).
     fn deliver_to_node(&mut self, i: usize, pkt: Packet, t: SimTime) {
@@ -713,15 +639,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
             // result on its way up the tree (refs. \[9\]/\[11\]'s trade-off).
             let nic_busy = self.rank[l].last_nic_charge;
             self.route_actions(i, t + nic_busy);
-            if matches!(self.rank[l].state, NodeState::Blocked { .. }) {
-                if t >= self.rank[l].cpu_free_at {
-                    self.wake_blocked(i, t);
-                } else if !self.rank[l].kick_pending {
-                    self.rank[l].kick_pending = true;
-                    let at = self.rank[l].cpu_free_at;
-                    self.sched(i, at, Ev::Kick { node: i });
-                }
-            }
+            self.wake_or_kick(i, t, false);
             return;
         };
         let blocked = matches!(self.rank[l].state, NodeState::Blocked { .. });
@@ -737,13 +655,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         }
         self.engines[l].deliver(pkt);
         if blocked {
-            if t >= self.rank[l].cpu_free_at {
-                self.wake_blocked(i, t);
-            } else if !self.rank[l].kick_pending {
-                self.rank[l].kick_pending = true;
-                let at = self.rank[l].cpu_free_at;
-                self.sched(i, at, Ev::Kick { node: i });
-            }
+            self.wake_or_kick(i, t, false);
         } else if signal {
             self.run_handler(i, t);
         }
@@ -752,15 +664,27 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         // MPICH behaviour the paper describes.
     }
 
-    fn on_kick(&mut self, i: usize, t: SimTime) {
-        // Kicks are deliberately NOT generation-checked: a kick scheduled
-        // for one blocking call may fire during a later one, where it is a
-        // harmless extra progress pass — but dropping it while leaving
-        // `kick_pending` set would lose the wakeup entirely.
-        let l = i - self.base;
-        self.rank[l].kick_pending = false;
-        if matches!(self.rank[l].state, NodeState::Blocked { .. }) {
-            self.wake_blocked(i, t);
+    /// New input reached node `i` at `t`, or (`kicked`) its deferred kick
+    /// fired. A blocked node gets a progress pass now if its CPU is free (a
+    /// kick always runs one); otherwise one kick is scheduled for when the
+    /// CPU frees up. Kicks are deliberately NOT generation-checked: a kick
+    /// scheduled for one blocking call may fire during a later one, where
+    /// it is a harmless extra progress pass — but dropping it while leaving
+    /// `kick_pending` set would lose the wakeup entirely.
+    fn wake_or_kick(&mut self, i: usize, t: SimTime, kicked: bool) {
+        let r = &mut self.rank[i - self.base];
+        if kicked {
+            r.kick_pending = false;
+        }
+        if !matches!(r.state, NodeState::Blocked { .. }) {
+            return;
+        }
+        if kicked || t >= r.cpu_free_at {
+            self.blocked_pass(i, t, false);
+        } else if !r.kick_pending {
+            r.kick_pending = true;
+            let at = r.cpu_free_at;
+            self.sched(i, at, Ev::Kick { node: i });
         }
     }
 
@@ -779,40 +703,13 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         self.advance_program(i, t);
     }
 
-    fn on_deadline(&mut self, i: usize, req_raw: u64, gen: u64, t: SimTime) {
-        let l = i - self.base;
-        if self.rank[l].gen != gen {
-            return;
-        }
-        let NodeState::Blocked { req, .. } = self.rank[l].state else {
-            return;
-        };
-        if req.raw() != req_raw {
-            return;
-        }
-        // Charge the tail of the bounded poll.
-        let poll_from = self.rank[l].poll_from;
-        if t > poll_from {
-            self.meters[l].charge(CpuCategory::Polling, t - poll_from);
-        }
-        self.tenant_poll_stop(i);
-        let exit_at = self.rank[l].cpu_free_at.max(t);
-        self.engines[l].split_phase_exit(req);
-        let end = self.finish_call(i, exit_at);
-        debug_assert!(
-            self.engines[l].test(req),
-            "split exit must complete the call"
-        );
-        let _ = self.engines[l].take_outcome(req);
-        self.rank[l].gen += 1;
-        self.maybe_synth_signal(i, end);
-        self.advance_program(i, end);
-    }
-
-    /// A blocked node's CPU gets new input at `t`: charge the poll burn,
-    /// run the progress engine, and resume the program if the request
-    /// completed.
-    fn wake_blocked(&mut self, i: usize, t: SimTime) {
+    /// One pass of blocked node `i`'s call at `t`: a progress pass on new
+    /// input, or (`expired`) the §IV-E bounded block running out, which
+    /// exits the call split-phase. Either way the poll burn up to `t` is
+    /// charged first. Once the request is complete the node leaves the
+    /// call: a generation bump, the one return from a blocking call, and
+    /// the program resumes.
+    fn blocked_pass(&mut self, i: usize, t: SimTime, expired: bool) {
         let l = i - self.base;
         let NodeState::Blocked {
             req,
@@ -825,31 +722,63 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         if t > poll_from {
             self.meters[l].charge(CpuCategory::Polling, t - poll_from);
         }
-        // Ignored-signal deliveries stole CPU while the node polled; the
-        // lost time shows up as extra elapsed work now.
-        let debt = std::mem::take(&mut self.rank[l].interrupt_debt);
-        self.engines[l].progress();
-        let end = self.finish_call(i, t.max(poll_from) + debt);
-        self.rank[l].poll_from = end;
-        if self.engines[l].test(req) {
+        let end = if expired {
+            let exit_at = self.rank[l].cpu_free_at.max(t);
+            self.engines[l].split_phase_exit(req);
+            let end = self.finish_call(i, exit_at);
+            debug_assert!(
+                self.engines[l].test(req),
+                "split exit must complete the call"
+            );
+            end
+        } else {
+            // Ignored-signal deliveries stole CPU while the node polled;
+            // the lost time shows up as extra elapsed work now.
+            let debt = std::mem::take(&mut self.rank[l].interrupt_debt);
+            self.engines[l].progress();
+            let end = self.finish_call(i, t.max(poll_from) + debt);
+            self.rank[l].poll_from = end;
+            if !self.engines[l].test(req) {
+                return;
+            }
             if let Some(ev) = deadline_event {
                 self.queue.cancel(ev);
             }
-            self.tenant_poll_stop(i);
-            self.consume_outcome(i, req);
-            self.rank[l].gen += 1;
-            self.maybe_synth_signal(i, end);
-            self.advance_program(i, end);
-        }
+            end
+        };
+        self.rank[l].gen += 1;
+        let resume = self.return_from_call(i, req, end);
+        self.advance_program(i, resume);
     }
 
-    fn consume_outcome(&mut self, i: usize, req: ReqId) {
+    /// The one return from a blocking call on `req` at `t`, synchronous or
+    /// not: the tenant poll stops, the outcome is consumed, and the §V-A
+    /// enable-with-backlog edge is applied — signals enabled while
+    /// collective packets already sit in the receive queue make the NIC
+    /// raise a signal at once. This is the edge's only site. Returns when
+    /// the program may resume.
+    fn return_from_call(&mut self, i: usize, req: ReqId, t: SimTime) -> SimTime {
         let l = i - self.base;
+        self.tenant_poll_stop(i);
         match self.engines[l].take_outcome(req) {
             Some(Outcome::Data(d)) => self.ctxs[l].last_data = Some(d),
             Some(Outcome::Done) | None => {}
             Some(Outcome::Failed(e)) => panic!("rank {i}: operation failed: {e}"),
         }
+        // Known hole (the lost edge, first of ROADMAP's open items): the
+        // state still reads `Blocked` on every asynchronous return, and on
+        // a synchronous one until the program next busy-loops or blocks,
+        // so those returns skip the edge. A packet stranded this way waits
+        // for the rank's next library call, and after its last call there
+        // is none. The model fix is deleting the `Blocked` test below.
+        if !matches!(self.rank[l].state, NodeState::Blocked { .. })
+            && self.signals[l].is_enabled()
+            && self.engines[l].has_pending_signal_work()
+        {
+            self.rank[l].synth_signals += 1;
+            self.run_handler(i, t);
+        }
+        t.max(self.rank[l].cpu_free_at)
     }
 
     // ------------------------------------------------------------------
@@ -863,8 +792,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         let mut t = start.max(self.rank[l].cpu_free_at);
         loop {
             self.ctxs[l].now = t;
-            let step = self.programs[l].next(&mut self.ctxs[l]);
-            match step {
+            let req = match self.programs[l].next(&mut self.ctxs[l]) {
                 Step::Busy(d) => {
                     self.traces[l].emit(TraceEvent::EngineState { state: "busy" });
                     // `d` of CPU work; the wall span stretches under tenant
@@ -878,10 +806,12 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 }
                 Step::WindowStart => {
                     self.meters[l].window_start();
+                    continue;
                 }
                 Step::WindowStop => {
                     let w = self.meters[l].window_stop();
                     self.ctxs[l].last_window = Some(w);
+                    continue;
                 }
                 Step::Done => {
                     self.traces[l].emit(TraceEvent::EngineState { state: "done" });
@@ -891,72 +821,40 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                     self.done_at = self.queue.now();
                     return;
                 }
-                Step::ReduceSplit {
-                    root,
-                    op,
-                    dtype,
-                    data,
-                } => {
-                    let comm = self.engines[l].world();
-                    let req = self.engines[l].ireduce_split(&comm, root, op, dtype, &data);
-                    t = self.finish_call(i, t);
-                    self.rank[l].split_req = Some(req);
-                    // Not a blocking call: fall through to the next step.
-                }
-                Step::BcastSplit { root, data, len } => {
-                    let comm = self.engines[l].world();
-                    let req = self.engines[l].ibcast_split(&comm, root, data, len);
-                    t = self.finish_call(i, t);
-                    self.rank[l].split_req = Some(req);
-                    // Not a blocking call: fall through to the next step.
-                }
-                Step::AllreduceDualSplit { op, dtype, data } => {
-                    let comm = self.engines[l].world();
-                    let req = self.engines[l].iallreduce_dual_split(&comm, op, dtype, &data);
-                    t = self.finish_call(i, t);
-                    self.rank[l].split_req = Some(req);
-                    // Not a blocking call: fall through to the next step.
-                }
-                Step::WaitSplit => {
-                    let Some(req) = self.rank[l].split_req.take() else {
-                        continue;
-                    };
-                    if !self.engines[l].test(req) {
-                        // Entering the wait triggers a progress pass, which
-                        // drains packets that landed during application
-                        // compute.
-                        self.engines[l].progress();
-                        t = self.finish_call(i, t);
-                    }
-                    if self.engines[l].test(req) {
-                        self.consume_outcome(i, req);
-                        continue;
-                    }
-                    self.block_on(i, req, t);
-                    return;
-                }
+                Step::WaitSplit => match self.rank[l].split_req.take() {
+                    Some(req) => req,
+                    None => continue,
+                },
                 step => {
-                    // Blocking operations.
-                    let req = self.post_blocking(i, step);
+                    let split = matches!(
+                        step,
+                        Step::ReduceSplit { .. }
+                            | Step::BcastSplit { .. }
+                            | Step::AllreduceDualSplit { .. }
+                    );
+                    let req = self.post(i, step);
                     t = self.finish_call(i, t);
-                    if !self.engines[l].test(req) {
-                        // Entering a blocking call triggers the progress
-                        // engine (Fig. 4 left entry): packets that arrived
-                        // while the application was computing get matched
-                        // before the node settles into its poll loop.
-                        self.engines[l].progress();
-                        t = self.finish_call(i, t);
-                    }
-                    if self.engines[l].test(req) {
-                        self.consume_outcome(i, req);
-                        self.maybe_synth_signal(i, t);
-                        t = t.max(self.rank[l].cpu_free_at);
+                    if split {
+                        // Not a blocking call: a later `WaitSplit` enters it.
+                        self.rank[l].split_req = Some(req);
                         continue;
                     }
-                    self.block_on(i, req, t);
-                    return;
+                    req
                 }
+            };
+            // Entering a blocking call triggers the progress engine (Fig. 4
+            // left entry): packets that arrived while the application was
+            // computing get matched before the node settles into its poll
+            // loop.
+            if !self.engines[l].test(req) {
+                self.engines[l].progress();
+                t = self.finish_call(i, t);
             }
+            if !self.engines[l].test(req) {
+                self.block_on(i, req, t);
+                return;
+            }
+            t = self.return_from_call(i, req, t);
         }
     }
 
@@ -986,10 +884,10 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         self.tenant_poll_start(i, budget.is_some());
     }
 
-    fn post_blocking(&mut self, i: usize, step: Step) -> ReqId {
-        let l = i - self.base;
-        let comm = self.engines[l].world();
-        let e = &mut self.engines[l];
+    /// Post the request of a blocking or split-phase `step` on rank `i`.
+    fn post(&mut self, i: usize, step: Step) -> ReqId {
+        let e = &mut self.engines[i - self.base];
+        let comm = e.world();
         match step {
             Step::Reduce {
                 root,
@@ -997,13 +895,23 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 dtype,
                 data,
             } => e.ireduce(&comm, root, op, dtype, &data),
+            Step::ReduceSplit {
+                root,
+                op,
+                dtype,
+                data,
+            } => e.ireduce_split(&comm, root, op, dtype, &data),
             Step::Allreduce { op, dtype, data } => e.iallreduce(&comm, op, dtype, &data),
             Step::AllreduceDual { op, dtype, data } => e.iallreduce_dual(&comm, op, dtype, &data),
+            Step::AllreduceDualSplit { op, dtype, data } => {
+                e.iallreduce_dual_split(&comm, op, dtype, &data)
+            }
             Step::Bcast { root, data, len } => e.ibcast(&comm, root, data, len),
+            Step::BcastSplit { root, data, len } => e.ibcast_split(&comm, root, data, len),
             Step::Barrier => e.ibarrier(&comm),
             Step::Send { dst, tag, data } => e.isend(&comm, dst, tag, data),
             Step::Recv { src, tag, cap } => e.irecv(&comm, Some(src), TagSel::Is(tag), cap),
-            other => unreachable!("not a blocking step: {other:?}"),
+            other => unreachable!("not a posting step: {other:?}"),
         }
     }
 
@@ -1013,11 +921,22 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
 
     fn dispatch(&mut self, ev: Ev, at: SimTime) {
         match ev {
-            Ev::Deliver { node, pkt } => self.on_deliver(node, pkt, at),
+            Ev::Deliver { node, pkt } if self.faults.is_some() => {
+                self.rel_drain(node, Some(pkt), at)
+            }
+            Ev::Deliver { node, pkt } => self.deliver_to_node(node, pkt, at),
             Ev::StepDone { node, gen } => self.on_step_done(node, gen, at),
-            Ev::Deadline { node, req, gen } => self.on_deadline(node, req, gen, at),
-            Ev::Kick { node } => self.on_kick(node, at),
-            Ev::RelTick { node } => self.on_rel_tick(node, at),
+            Ev::Deadline { node, req, gen } => {
+                // A deadline is live only for the call that scheduled it.
+                let r = &self.rank[node - self.base];
+                let live = r.gen == gen
+                    && matches!(r.state, NodeState::Blocked { req: b, .. } if b.raw() == req);
+                if live {
+                    self.blocked_pass(node, at, true);
+                }
+            }
+            Ev::Kick { node } => self.wake_or_kick(node, at, true),
+            Ev::RelTick { node } => self.rel_drain(node, None, at),
         }
     }
 
@@ -1029,24 +948,32 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
     }
 
     /// Report a run that ran out of events with programs unfinished,
-    /// naming each stuck rank and what it waits on.
+    /// naming each stuck rank and what it waits on, then every *stranded*
+    /// rank: signals enabled with collective packets still queued, the
+    /// state the §V-A edge exists to prevent (see `return_from_call`).
     fn panic_deadlock(&self) -> ! {
         let mut stuck = Vec::new();
         let mut waits = Vec::new();
+        let mut stranded = Vec::new();
         for (l, r) in self.rank.iter().enumerate() {
             let i = self.base + l;
-            match r.state {
-                NodeState::Done => continue,
-                NodeState::Blocked { req, .. } => {
-                    waits.push(format!("rank {i} blocked on request {}", req.raw()))
-                }
-                NodeState::Busy { .. } => waits.push(format!("rank {i} busy")),
+            let state = match r.state {
+                NodeState::Done => "done".to_string(),
+                NodeState::Blocked { req, .. } => format!("blocked on request {}", req.raw()),
+                NodeState::Busy { .. } => "busy".to_string(),
+            };
+            if self.signals[l].is_enabled() && self.engines[l].has_pending_signal_work() {
+                stranded.push(format!("rank {i} ({state})"));
             }
-            stuck.push(i);
+            if !matches!(r.state, NodeState::Done) {
+                stuck.push(i);
+                waits.push(format!("rank {i} {state}"));
+            }
         }
         panic!(
-            "DES deadlock: nodes {stuck:?} never finished ({})",
-            waits.join(", ")
+            "DES deadlock: nodes {stuck:?} never finished ({}); stranded: [{}]",
+            waits.join(", "),
+            stranded.join(", ")
         );
     }
 

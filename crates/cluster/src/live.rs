@@ -348,12 +348,13 @@ impl RankCtx {
         // the "call" until the budget expires, then split-phase exit.
         let mut deadline: Option<Instant> = None;
         let outcome = loop {
-            let (done, hint) = self.shared.with_engine(|e| {
+            let (outcome, hint) = self.shared.with_engine(|e| {
                 e.progress();
-                (e.test(req), e.bounded_block_hint(req))
+                let outcome = e.test(req).then(|| e.take_outcome(req));
+                (outcome, e.bounded_block_hint(req))
             });
-            if done {
-                break self.shared.with_engine(|e| e.take_outcome(req));
+            if let Some(outcome) = outcome {
+                break outcome;
             }
             if let Some(budget) = hint {
                 let dl = *deadline.get_or_insert_with(|| {

@@ -163,6 +163,17 @@ fn tenant_fingerprint(r: &TenantResult) -> (Vec<JobPrint>, u64, u64) {
     (jobs, r.makespan_us.to_bits(), r.events)
 }
 
+/// The deadlock report names the rank the lost §V-A edge stranded: it
+/// finished its program with signals enabled and a collective packet still
+/// in its receive queue, so rank 0 waits forever on that collective. The
+/// driver deadlocks on this mix until the lost edge is fixed (ROADMAP's
+/// first open item); that fix turns this test into one that it completes.
+#[test]
+#[should_panic(expected = "stranded: [rank 8 (done)]")]
+fn deadlock_report_names_the_stranded_rank() {
+    run_tenant(&saturation_config(1, 4, 1.0, 8.0, 4, true));
+}
+
 #[test]
 fn multi_job_tenant_run_is_deterministic_across_repeats() {
     for ab in [false, true] {

@@ -151,7 +151,7 @@ impl AbEngine {
     }
 
     /// Mutable access to the wrapped engine, for operations the bypass
-    /// layer does not intercept (gather/scatter/allgather and friends).
+    /// layer does not intercept (gather, allgather and friends).
     pub fn inner_mut(&mut self) -> &mut Engine {
         &mut self.inner
     }

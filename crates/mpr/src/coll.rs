@@ -197,25 +197,6 @@ pub struct GatherState {
     pub send_req: Option<ReqId>,
 }
 
-/// State of a scatter (linear from the root).
-#[derive(Debug)]
-pub struct ScatterState {
-    /// Collective context id.
-    pub context: u32,
-    /// Root rank.
-    pub root: Rank,
-    /// This rank.
-    pub rank: Rank,
-    /// Instance sequence number.
-    pub coll_seq: u64,
-    /// Non-root: the pending receive for this rank's block.
-    pub recv_req: Option<ReqId>,
-    /// Root: this rank's own block, returned when sends complete.
-    pub own: Option<Bytes>,
-    /// Root: outstanding sends.
-    pub send_reqs: Vec<ReqId>,
-}
-
 /// Phase of a Rabenseifner (reduce-scatter + recursive-doubling allgather)
 /// allreduce, the bandwidth-optimal algorithm real MPICH switches to for
 /// large messages on power-of-two communicators.
@@ -587,8 +568,6 @@ pub enum CollState {
     Barrier(BarrierState),
     /// Linear gather.
     Gather(GatherState),
-    /// Linear scatter.
-    Scatter(ScatterState),
     /// Gather + broadcast.
     Allgather(AllgatherState),
     /// Rabenseifner allreduce (large messages, power-of-two sizes).
@@ -611,7 +590,6 @@ impl CollState {
             CollState::Bcast(_) => "bcast",
             CollState::Barrier(_) => "barrier",
             CollState::Gather(_) => "gather",
-            CollState::Scatter(_) => "scatter",
             CollState::Allgather(_) => "allgather",
             CollState::RsAllreduce(_) => "rs-allreduce",
             CollState::Pipeline { name, .. } => name,

@@ -17,8 +17,8 @@
 use crate::charge::Charges;
 use crate::coll::{
     barrier_rounds, AllgatherPhase, AllgatherState, BarrierState, BcastState, CollState,
-    GatherState, Lane, PipeCall, ReduceState, RsAllreduceState, RsPhase, ScatterState, SegMachine,
-    SegPipeline, SegRunner, StepRes,
+    GatherState, Lane, PipeCall, ReduceState, RsAllreduceState, RsPhase, SegMachine, SegPipeline,
+    SegRunner, StepRes,
 };
 use crate::comm::Communicator;
 pub use crate::matchq::UnexpectedMsg;
@@ -1014,67 +1014,6 @@ impl Engine {
         self.post_coll(CollState::Gather(state))
     }
 
-    /// Post a scatter: the root supplies `size * block` bytes; every rank's
-    /// request completes with its own `block`-byte slice.
-    pub fn iscatter(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        data: Option<&[u8]>,
-        block: usize,
-    ) -> ReqId {
-        if let Some(failed) = self.reject(comm, root, None) {
-            return failed;
-        }
-        debug_assert_eq!(self.rank == root, data.is_some());
-        let coll_seq = self.alloc_coll_seq(comm.coll_context);
-        let mut state = ScatterState {
-            context: comm.coll_context,
-            root,
-            rank: self.rank,
-            coll_seq,
-            recv_req: None,
-            own: None,
-            send_reqs: Vec::new(),
-        };
-        if self.rank == root {
-            let data = data.expect("root supplies scatter data");
-            assert_eq!(
-                data.len(),
-                block * comm.size as usize,
-                "scatter buffer must be size*block bytes"
-            );
-            for dst in 0..comm.size {
-                let chunk =
-                    Bytes::from(data[dst as usize * block..(dst as usize + 1) * block].to_vec());
-                if dst == root {
-                    state.own = Some(chunk);
-                } else {
-                    let req = self.isend_with_kind(
-                        dst,
-                        coll_tag(coll_code::SCATTER, coll_seq, 0),
-                        comm.coll_context,
-                        chunk,
-                        PacketKind::Eager,
-                        coll_seq,
-                        root,
-                    );
-                    state.send_reqs.push(req);
-                }
-            }
-        } else {
-            let req = self.irecv_internal(
-                Some(root),
-                TagSel::Is(coll_tag(coll_code::SCATTER, coll_seq, 0)),
-                comm.coll_context,
-                block,
-                Some(coll_seq),
-            );
-            state.recv_req = Some(req);
-        }
-        self.post_coll(CollState::Scatter(state))
-    }
-
     /// Post an allgather (gather to rank 0, then broadcast the assembled
     /// buffer). Every rank's request completes with all blocks in rank
     /// order.
@@ -1636,7 +1575,6 @@ impl Engine {
                     CollState::Bcast(s) => self.step_bcast(s),
                     CollState::Barrier(s) => self.step_barrier(s),
                     CollState::Gather(s) => self.step_gather(s),
-                    CollState::Scatter(s) => self.step_scatter(s),
                     CollState::Allgather(s) => self.step_allgather(s),
                     CollState::RsAllreduce(s) => self.step_rs_allreduce(s),
                     CollState::Pipeline { pipe, .. } => pipe.advance(self),
@@ -1880,32 +1818,6 @@ impl Engine {
             return StepRes::done(Outcome::Data(Bytes::from(out)));
         }
         StepRes::pending(progressed)
-    }
-
-    fn step_scatter(&mut self, s: &mut ScatterState) -> StepRes {
-        if s.rank == s.root {
-            let mut pending = Vec::new();
-            let mut progressed = false;
-            for req in s.send_reqs.drain(..) {
-                match self.poll_sub(req) {
-                    Some(Outcome::Done) => progressed = true,
-                    Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                    Some(Outcome::Data(_)) | None => pending.push(req),
-                }
-            }
-            s.send_reqs = pending;
-            if s.send_reqs.is_empty() {
-                let own = s.own.take().expect("root keeps its own block");
-                return StepRes::done(Outcome::Data(own));
-            }
-            return StepRes::pending(progressed);
-        }
-        let r = s.recv_req.expect("non-root posted a receive");
-        match self.poll_sub(r) {
-            Some(Outcome::Data(d)) => StepRes::done(Outcome::Data(d)),
-            Some(Outcome::Failed(e)) => StepRes::done(Outcome::Failed(e)),
-            Some(Outcome::Done) | None => StepRes::pending(false),
-        }
     }
 
     fn step_allgather(&mut self, s: &mut AllgatherState) -> StepRes {

@@ -34,8 +34,7 @@ pub mod coll_code {
     pub const BCAST: u8 = 1;
     /// Gather traffic.
     pub const GATHER: u8 = 2;
-    /// Scatter traffic.
-    pub const SCATTER: u8 = 3;
+    // 3 was the deleted scatter's code.
     /// Rabenseifner allreduce exchanges.
     pub const RS: u8 = 4;
     /// Dissemination-barrier tokens (round in the sub-field).
@@ -272,7 +271,7 @@ mod tests {
         use super::coll_code::*;
         let mut seen = std::collections::HashSet::new();
         for seq in [0u64, 1, 2, 77, 9999] {
-            for code in [REDUCE, BCAST, GATHER, SCATTER, RS] {
+            for code in [REDUCE, BCAST, GATHER, RS] {
                 let t = coll_tag(code, seq, 0);
                 assert!(t <= COLL_TAG_BASE, "collective tags stay reserved");
                 assert_eq!(coll_tag_code(t), Some(code));

@@ -1,4 +1,4 @@
-//! Tests for the gather / scatter / allgather collectives.
+//! Tests for the gather and allgather collectives.
 
 use abr_mpr::engine::{Engine, EngineConfig};
 use abr_mpr::request::Outcome;
@@ -40,37 +40,6 @@ fn gather_assembles_blocks_in_rank_order() {
 }
 
 #[test]
-fn scatter_distributes_blocks() {
-    for n in [1u32, 2, 4, 7, 8] {
-        for root in [0, n / 2] {
-            let mut lb = world(n);
-            let comm = lb.engines[0].world();
-            let full: Vec<f64> = (0..n).map(|k| 100.0 + k as f64).collect();
-            let buf = f64s_to_bytes(&full);
-            let reqs: Vec<_> = (0..n as usize)
-                .map(|r| {
-                    let data = (r as u32 == root).then_some(&buf[..]);
-                    (r, lb.engines[r].iscatter(&comm, root, data, 8))
-                })
-                .collect();
-            lb.run_until_complete(&reqs, 3000);
-            for (r, id) in reqs {
-                match lb.engines[r].take_outcome(id) {
-                    Some(Outcome::Data(d)) => {
-                        assert_eq!(
-                            bytes_to_f64s(&d),
-                            vec![100.0 + r as f64],
-                            "n={n} root={root}"
-                        )
-                    }
-                    other => panic!("n={n} root={root} rank={r}: {other:?}"),
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn allgather_gives_everyone_everything() {
     for n in [1u32, 2, 4, 6, 16] {
         let mut lb = world(n);
@@ -89,39 +58,6 @@ fn allgather_gives_everyone_everything() {
                 other => panic!("n={n} rank={r}: {other:?}"),
             }
         }
-    }
-}
-
-#[test]
-fn scatter_then_gather_roundtrips() {
-    let n = 8u32;
-    let mut lb = world(n);
-    let comm = lb.engines[0].world();
-    let original: Vec<f64> = (0..n).map(|k| k as f64 * 3.25).collect();
-    let buf = f64s_to_bytes(&original);
-    // Scatter the buffer, then gather it back; it must be unchanged.
-    let scatter: Vec<_> = (0..n as usize)
-        .map(|r| {
-            let data = (r == 0).then_some(&buf[..]);
-            (r, lb.engines[r].iscatter(&comm, 0, data, 8))
-        })
-        .collect();
-    lb.run_until_complete(&scatter, 3000);
-    let mut chunks = Vec::new();
-    for (r, id) in scatter {
-        match lb.engines[r].take_outcome(id) {
-            Some(Outcome::Data(d)) => chunks.push((r, d)),
-            other => panic!("rank {r}: {other:?}"),
-        }
-    }
-    let gather: Vec<_> = chunks
-        .into_iter()
-        .map(|(r, chunk)| (r, lb.engines[r].igather(&comm, 0, &chunk)))
-        .collect();
-    lb.run_until_complete(&gather, 3000);
-    match lb.engines[0].take_outcome(gather[0].1) {
-        Some(Outcome::Data(d)) => assert_eq!(bytes_to_f64s(&d), original),
-        other => panic!("{other:?}"),
     }
 }
 
@@ -153,13 +89,4 @@ fn gather_with_early_and_late_senders() {
         }
         other => panic!("{other:?}"),
     }
-}
-
-#[test]
-#[should_panic(expected = "size*block")]
-fn scatter_rejects_misshapen_buffer() {
-    let mut lb = world(4);
-    let comm = lb.engines[0].world();
-    let buf = vec![0u8; 17]; // not 4 * block for any block=8
-    let _ = lb.engines[0].iscatter(&comm, 0, Some(&buf), 8);
 }

@@ -43,6 +43,9 @@ diff -u crates/bench/golden/loss_flat_faults_iters20.txt FIG_loss_flat_faults.tx
 echo "==> traced figure run (Chrome JSON + CPU attribution, reconciled)"
 ABR_ITERS=20 ABR_TRACE="chrome=TRACE_events.json,report=TRACE_cpu.txt" \
   cargo run -q --release -p abr_bench --bin trace_figure
+# The only CI run of the tracer path: pin its per-rank CPU attribution.
+diff -u crates/bench/golden/trace_cpu_iters20.txt TRACE_cpu.txt \
+  || { echo "traced run's CPU report diverged from its golden"; exit 1; }
 
 echo "==> topology smoke matrix (every tree family end-to-end on the DES)"
 for topo in binomial knomial4 chain flat; do
