@@ -1,13 +1,15 @@
 //! Criterion microbenchmarks for the stack's hot paths: tree math, the
 //! reduction operators, matching queues, the DES event queue, a full
-//! engine-level reduction over the loopback, and one simulated
-//! CPU-utilization iteration.
+//! engine-level reduction over the loopback, dissemination barriers on the
+//! DES driver, and one simulated CPU-utilization iteration.
 
+use abr_cluster::driver::DesDriver;
 use abr_cluster::microbench::{run_cpu_util, run_scale_bench, CpuUtilConfig, Mode};
 use abr_cluster::node::ClusterSpec;
+use abr_cluster::program::{ScriptProgram, Step};
 use abr_core::DelayPolicy;
 use abr_des::{EventQueue, SimTime};
-use abr_mpr::engine::{Action, EngineConfig};
+use abr_mpr::engine::{Action, Engine, EngineConfig};
 use abr_mpr::matchq::{MsgKey, PostedQueue, PostedRecv, UnexpectedQueue};
 use abr_mpr::op::ReduceOp;
 use abr_mpr::testutil::{engines, Loopback};
@@ -269,6 +271,27 @@ fn bench_drain_actions(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_barrier(c: &mut Criterion) {
+    // The dissemination barrier sends most of perfbench's packets: time it
+    // alone. Each run is ten back-to-back barriers, driver set-up included.
+    let mut g = c.benchmark_group("barrier");
+    g.sample_size(10);
+    for ranks in [32u32, 1024] {
+        let spec = ClusterSpec::homogeneous_1000(ranks);
+        g.bench_function(format!("des_{ranks}r_x10"), |b| {
+            b.iter(|| {
+                let programs = (0..ranks)
+                    .map(|_| ScriptProgram::new(vec![Step::Barrier; 10]))
+                    .collect();
+                let mut d = DesDriver::new(&spec, |r, ec| Engine::new(r, ranks, ec), programs);
+                d.run_sharded(1);
+                black_box(d.now())
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_simulated_iteration(c: &mut Criterion) {
     let mut g = c.benchmark_group("des_microbench");
     g.sample_size(10);
@@ -310,6 +333,7 @@ criterion_group!(
     bench_event_queue,
     bench_loopback_reduce,
     bench_drain_actions,
+    bench_barrier,
     bench_simulated_iteration,
     bench_scale
 );

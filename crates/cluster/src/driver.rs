@@ -155,6 +155,9 @@ impl TenantState {
 }
 
 enum NodeState {
+    /// Running program steps inline: at start, and from the end of a busy
+    /// loop until the program next busy-loops, blocks or finishes.
+    Running,
     /// Executing a busy-loop step; `charge` is applied when it completes.
     Busy { charge: SimDuration, event: EventId },
     /// Inside a blocking MPI call, busy-polling.
@@ -201,7 +204,7 @@ struct RankState {
 impl RankState {
     fn fresh() -> Self {
         RankState {
-            state: NodeState::Done, // replaced at start
+            state: NodeState::Running,
             cpu_free_at: SimTime::ZERO,
             poll_from: SimTime::ZERO,
             kick_pending: false,
@@ -700,6 +703,9 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
         // preemptions were charged separately as they happened).
         self.meters[l].charge(CpuCategory::Application, charge);
         self.rank[l].gen += 1;
+        // The loop is over: a signal synthesized before the program next
+        // busy-loops must not find it and reschedule its end.
+        self.rank[l].state = NodeState::Running;
         self.advance_program(i, t);
     }
 
@@ -961,6 +967,7 @@ impl<E: MessageEngine, P: Program> Core<E, P> {
                 NodeState::Done => "done".to_string(),
                 NodeState::Blocked { req, .. } => format!("blocked on request {}", req.raw()),
                 NodeState::Busy { .. } => "busy".to_string(),
+                NodeState::Running => "running".to_string(),
             };
             if self.signals[l].is_enabled() && self.engines[l].has_pending_signal_work() {
                 stranded.push(format!("rank {i} ({state})"));
@@ -1599,7 +1606,65 @@ fn coordinate(shards: &mut impl Shards, n: usize, lookahead: SimDuration) {
 mod tests {
     use super::*;
     use crate::program::ScriptProgram;
+    use abr_core::{AbConfig, AbEngine};
+    use abr_gm::packet::{NodeId, PacketHeader, PacketKind};
     use abr_mpr::engine::Engine;
+    use abr_mpr::types::{coll_code, coll_tag};
+    use bytes::Bytes;
+
+    /// A signal synthesized on a synchronous return right after a busy loop
+    /// must leave the next busy loop whole. Rank 0 busy-loops, makes a
+    /// blocking send that completes at post, and busy-loops again. It
+    /// starts with signals enabled and a collective packet queued, a state
+    /// the lost edge in `return_from_call` can leave a rank in, so the
+    /// send's return raises the signal.
+    #[test]
+    fn a_synthesized_signal_keeps_the_next_busy_loop_whole() {
+        let spec = ClusterSpec::homogeneous_1000(2);
+        let (d1, d2) = (SimDuration::from_us(100), SimDuration::from_us(500));
+        let send = Step::Send {
+            dst: 1,
+            tag: 7,
+            data: Bytes::new(),
+        };
+        let recv = Step::Recv {
+            src: 0,
+            tag: 7,
+            cap: 0,
+        };
+        let programs = vec![
+            ScriptProgram::new(vec![Step::Busy(d1), send, Step::Busy(d2)]),
+            ScriptProgram::new(vec![recv]),
+        ];
+        let make = |r, ec| AbEngine::new(r, 2, ec, AbConfig::default());
+        let mut d = DesDriver::new(&spec, make, programs);
+        let header = PacketHeader {
+            src: NodeId(1),
+            dst: NodeId(0),
+            kind: PacketKind::Collective,
+            context: d.core.engines[0].world().coll_context,
+            tag: coll_tag(coll_code::REDUCE, 0, 0),
+            coll_seq: 0,
+            coll_root: 1,
+            msg_len: 0,
+            wire_seq: 0,
+            rel_seq: 0,
+        };
+        d.core.engines[0].deliver(Packet::new(header, Bytes::new()));
+        d.core.signals[0].enable();
+        d.run();
+        assert_eq!(
+            d.core.rank[0].synth_signals, 1,
+            "the send's return raised no signal"
+        );
+        // Rank 0 finishes last; a spurious end event for the second loop
+        // would finish it in event time before the loop's wall span ran out.
+        assert!(
+            d.now() >= SimTime::ZERO + d1 + d2,
+            "the run ended at {:?}, before rank 0's two busy loops could",
+            d.now()
+        );
+    }
 
     #[test]
     fn split_leaves_no_second_set_of_arenas() {

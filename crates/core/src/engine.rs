@@ -326,17 +326,14 @@ impl AbEngine {
             // Largest subtree first, like the blocking path.
             for i in (0..sched.children_of(rank).len()).rev() {
                 let child = sched.children_of(rank)[i];
-                let send = self.inner.isend_with_kind(
+                self.eager_send(
                     child,
                     coll_tag(coll_code::BCAST, seq, 0),
                     comm.coll_context,
                     payload.clone(),
-                    PacketKind::Collective,
                     seq,
                     root,
                 );
-                let done = self.inner.take_outcome(send);
-                debug_assert!(matches!(done, Some(Outcome::Done)));
                 self.stats.bcast_forwards += 1;
             }
             self.inner.complete_shell(req, Outcome::Data(payload));
@@ -822,19 +819,14 @@ impl AbEngine {
         self.inner.charge(CpuCategory::Protocol, desc_cost);
         let acc = d.acc;
         if let Some(parent) = d.parent {
-            let send = self.inner.isend_with_kind(
+            self.eager_send(
                 parent,
                 coll_tag(coll_code::REDUCE, d.coll_seq, 0),
                 d.context,
                 Bytes::from(acc),
-                PacketKind::Collective,
                 d.coll_seq,
                 d.root,
             );
-            // AB runs only below the eager limit, so the send completes
-            // locally at post; reap it.
-            let done = self.inner.take_outcome(send);
-            debug_assert!(matches!(done, Some(Outcome::Done)));
             if in_signal {
                 self.stats.async_parent_sends += 1;
             } else {
@@ -907,17 +899,14 @@ impl AbEngine {
         let rank = self.inner.rank();
         for i in (0..w.sched.children_of(rank).len()).rev() {
             let child = w.sched.children_of(rank)[i];
-            let send = self.inner.isend_with_kind(
+            self.eager_send(
                 child,
                 coll_tag(coll_code::BCAST, w.coll_seq, 0),
                 w.context,
                 data.clone(),
-                PacketKind::Collective,
                 w.coll_seq,
                 w.root,
             );
-            let done = self.inner.take_outcome(send);
-            debug_assert!(matches!(done, Some(Outcome::Done)));
             self.stats.bcast_forwards += 1;
         }
         if in_signal {
@@ -928,6 +917,25 @@ impl AbEngine {
         if self.bypass_idle() {
             self.set_signals(false);
         }
+    }
+
+    /// Send one collective-type packet of bypass traffic. Bypass runs only
+    /// at or below the eager limit, so the send completes at post and
+    /// enters no request.
+    fn eager_send(
+        &mut self,
+        dst: Rank,
+        tag: i32,
+        context: u32,
+        data: Bytes,
+        coll_seq: u64,
+        root: Rank,
+    ) {
+        let kind = PacketKind::Collective;
+        let rndv = self
+            .inner
+            .isend_internal(dst, tag, context, data, kind, coll_seq, root);
+        debug_assert!(rndv.is_none(), "bypass traffic above the eager limit");
     }
 
     /// Run pre-processing over everything in the receive queue, forwarding

@@ -63,7 +63,8 @@ pub struct ReduceState {
     pub next_child: usize,
     /// The single outstanding child receive, if any.
     pub child_recv: Option<ReqId>,
-    /// The send-to-parent request once every child has been folded in.
+    /// A rendezvous send to the parent once every child has been folded
+    /// in (an eager one completes at post and finishes the reduction).
     pub send_req: Option<ReqId>,
     /// Packet kind for reduction messages: `Eager` for the stock baseline,
     /// `Collective` when running under the application-bypass layer (so the
@@ -123,7 +124,7 @@ pub struct BcastState {
     pub sched: Arc<TopoSchedule>,
     /// Index into this rank's schedule children: the next child to send to.
     pub next_send: usize,
-    /// In-flight send requests (rendezvous sends complete asynchronously).
+    /// In-flight rendezvous sends (eager ones complete at post).
     pub send_reqs: Vec<ReqId>,
 }
 
@@ -193,7 +194,7 @@ pub struct GatherState {
     pub chunks: Vec<Option<Bytes>>,
     /// Root: outstanding receives (req, src).
     pub recvs: Vec<(ReqId, Rank)>,
-    /// Non-root: the send request.
+    /// Non-root: the send's request while it is a rendezvous in flight.
     pub send_req: Option<ReqId>,
 }
 
@@ -237,7 +238,7 @@ pub struct RsAllreduceState {
     pub offset: usize,
     /// Byte length of that segment.
     pub seglen: usize,
-    /// Outstanding exchange.
+    /// Outstanding exchange send, when it went rendezvous.
     pub send_req: Option<ReqId>,
     /// Outstanding exchange receive.
     pub recv_req: Option<ReqId>,

@@ -116,6 +116,13 @@ pub struct EngineStats {
     /// Retransmitted duplicates dropped before matching (reliability layer
     /// active and a repeat `rel_seq` arrived).
     pub duplicates_suppressed: u64,
+    /// Requests entered into the request map: user requests (the bypass
+    /// layer's shells among them), collectives, collective-internal
+    /// receives and rendezvous sends. An eager collective-internal send
+    /// completes at post and never enters it.
+    pub requests: u64,
+    /// Most requests the map held at once.
+    pub requests_high_water: u64,
 }
 
 /// The per-rank protocol engine. See the module docs.
@@ -127,7 +134,6 @@ pub struct Engine {
     posted: PostedQueue,
     unexpected: UnexpectedQueue,
     requests: SmallMap<u64, Request>,
-    next_req: u64,
     next_xfer: u64,
     actions: Vec<Action>,
     charges: Charges,
@@ -174,7 +180,6 @@ impl Engine {
             posted: PostedQueue::new(),
             unexpected: UnexpectedQueue::new(),
             requests: SmallMap::new(),
-            next_req: 0,
             next_xfer: 0,
             actions: Vec::new(),
             charges: Charges::ZERO,
@@ -377,10 +382,7 @@ impl Engine {
     /// Allocate a request owned by an outer layer (application bypass). It
     /// tests incomplete until [`Engine::complete_shell`] is called.
     pub fn alloc_shell_req(&mut self) -> ReqId {
-        let id = self.fresh_req();
-        self.requests
-            .insert(id.raw(), Request::new(RequestBody::SendEager));
-        id
+        self.new_req(Request::new(RequestBody::Bare))
     }
 
     /// Complete a shell request with `outcome`.
@@ -414,8 +416,11 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Non-blocking send on a communicator (eager or rendezvous by size).
+    /// An eager send's request is complete at post.
     pub fn isend(&mut self, comm: &Communicator, dst: Rank, tag: i32, data: Bytes) -> ReqId {
-        self.isend_with_kind(dst, tag, comm.pt2pt_context, data, PacketKind::Eager, 0, 0)
+        let ctx = comm.pt2pt_context;
+        self.isend_internal(dst, tag, ctx, data, PacketKind::Eager, 0, 0)
+            .unwrap_or_else(|| self.completed_req(Outcome::Done))
     }
 
     /// Non-blocking receive on a communicator.
@@ -429,11 +434,18 @@ impl Engine {
         self.irecv_internal(src, tag, comm.pt2pt_context, capacity, None)
     }
 
-    /// Send with full header control. `kind` selects eager-class
+    /// Send with full header control: the one send path, for collectives
+    /// and [`Engine::isend`] alike. `kind` selects eager-class
     /// (`Eager`/`Collective`) transmission for small payloads; payloads over
     /// the eager limit always go rendezvous regardless of `kind`.
+    ///
+    /// An eager send completes at post, so it returns `None` and enters no
+    /// request. A rendezvous send returns its request, which completes when
+    /// the CTS arrives, or at once with [`MprError::OutOfPinnedMemory`] when
+    /// the payload cannot be pinned.
     #[allow(clippy::too_many_arguments)] // mirrors the wire-header fields
-    pub fn isend_with_kind(
+    #[must_use = "a rendezvous send's request must be reaped"]
+    pub fn isend_internal(
         &mut self,
         dst: Rank,
         tag: i32,
@@ -442,13 +454,12 @@ impl Engine {
         kind: PacketKind,
         coll_seq: u64,
         coll_root: Rank,
-    ) -> ReqId {
+    ) -> Option<ReqId> {
         debug_assert!(
             dst < self.size,
             "send to rank {dst} outside 0..{}",
             self.size
         );
-        let id = self.fresh_req();
         if data.len() <= self.config.eager_limit {
             // Eager: copy into the pre-pinned bounce buffer, hand to NIC,
             // locally complete immediately.
@@ -470,48 +481,50 @@ impl Engine {
             };
             self.push_action(Action::Send(Packet::new(header, data)));
             self.stats.eager_sent += 1;
-            let mut req = Request::new(RequestBody::SendEager);
-            req.outcome = Some(Outcome::Done);
-            self.requests.insert(id.raw(), req);
-        } else {
-            // Rendezvous: pin in place, announce with an RTS, wait for CTS.
-            let pin = self.config.cost.pin(data.len());
-            self.charge(CpuCategory::Protocol, pin);
-            self.charge(CpuCategory::Protocol, self.config.cost.rndv_control_host());
-            let region = self
-                .memory
-                .register(data.len())
-                .expect("pinned-memory budget exceeded on send");
-            let xfer_id = self.fresh_xfer();
-            let header = PacketHeader {
-                src: NodeId(self.rank),
-                dst: NodeId(dst),
-                kind: PacketKind::RendezvousRts,
-                context,
-                tag,
-                coll_seq: xfer_id,
-                coll_root: 0,
-                msg_len: data.len() as u32,
-                wire_seq: 0,
-                rel_seq: 0,
-            };
-            self.actions
-                .push(Action::Send(Packet::new(header, Bytes::new())));
-            self.stats.rndv_sent += 1;
-            self.pending_rndv_sends.insert(xfer_id, id);
-            self.requests.insert(
-                id.raw(),
-                Request::new(RequestBody::SendRndv(RndvSend {
-                    dst,
-                    xfer_id,
-                    data,
-                    region,
-                    tag,
-                    context,
-                })),
-            );
+            return None;
         }
-        id
+        // Rendezvous: pin in place, announce with an RTS, wait for CTS.
+        let region = match self.memory.register(data.len()) {
+            Ok(region) => region,
+            Err(_) => {
+                // Registration fails only under a budget.
+                let err = MprError::OutOfPinnedMemory {
+                    requested: data.len(),
+                    pinned: self.memory.pinned_bytes(),
+                    budget: self.config.memory_budget.unwrap_or_default(),
+                };
+                return Some(self.completed_req(Outcome::Failed(err)));
+            }
+        };
+        let pin = self.config.cost.pin(data.len());
+        self.charge(CpuCategory::Protocol, pin);
+        self.charge(CpuCategory::Protocol, self.config.cost.rndv_control_host());
+        let xfer_id = self.fresh_xfer();
+        let header = PacketHeader {
+            src: NodeId(self.rank),
+            dst: NodeId(dst),
+            kind: PacketKind::RendezvousRts,
+            context,
+            tag,
+            coll_seq: xfer_id,
+            coll_root: 0,
+            msg_len: data.len() as u32,
+            wire_seq: 0,
+            rel_seq: 0,
+        };
+        self.actions
+            .push(Action::Send(Packet::new(header, Bytes::new())));
+        self.stats.rndv_sent += 1;
+        let id = self.new_req(Request::new(RequestBody::SendRndv(RndvSend {
+            dst,
+            xfer_id,
+            data,
+            region,
+            tag,
+            context,
+        })));
+        self.pending_rndv_sends.insert(xfer_id, id);
+        Some(id)
     }
 
     /// Receive with full control; `expect_coll_seq` adds the §IV-D debug
@@ -524,11 +537,7 @@ impl Engine {
         capacity: usize,
         expect_coll_seq: Option<u64>,
     ) -> ReqId {
-        let id = self.fresh_req();
-        self.requests.insert(
-            id.raw(),
-            Request::new(RequestBody::Recv(RecvState::default())),
-        );
+        let id = self.new_req(Request::new(RequestBody::Recv(RecvState::default())));
         // MPI_Recv semantics: search the unexpected queue first (§III).
         self.charge(CpuCategory::Protocol, self.config.cost.matching());
         if let Some(msg) = self.unexpected.take_match(src, tag, context) {
@@ -663,9 +672,7 @@ impl Engine {
             },
             (Ok(()), _) => return None,
         };
-        let id = self.alloc_shell_req();
-        self.complete_shell(id, Outcome::Failed(err));
-        Some(id)
+        Some(self.completed_req(Outcome::Failed(err)))
     }
 
     /// What every segment of a pipeline over `comm` shares.
@@ -1000,7 +1007,7 @@ impl Engine {
                 state.recvs.push((req, src));
             }
         } else {
-            let req = self.isend_with_kind(
+            state.send_req = self.isend_internal(
                 root,
                 coll_tag(coll_code::GATHER, coll_seq, 0),
                 comm.coll_context,
@@ -1009,7 +1016,6 @@ impl Engine {
                 coll_seq,
                 root,
             );
-            state.send_req = Some(req);
         }
         self.post_coll(CollState::Gather(state))
     }
@@ -1045,7 +1051,7 @@ impl Engine {
                 gather.recvs.push((req, src));
             }
         } else {
-            let req = self.isend_with_kind(
+            gather.send_req = self.isend_internal(
                 0,
                 coll_tag(coll_code::GATHER, gather_seq, 0),
                 comm.coll_context,
@@ -1054,7 +1060,6 @@ impl Engine {
                 gather_seq,
                 0,
             );
-            gather.send_req = Some(req);
         }
         let state = AllgatherState {
             phase: AllgatherPhase::Gather(gather),
@@ -1109,7 +1114,7 @@ impl Engine {
                     (s.offset + half, s.offset)
                 };
                 let payload = Bytes::from(s.buf[send_off..send_off + half].to_vec());
-                let send = self.isend_with_kind(
+                s.send_req = self.isend_internal(
                     partner,
                     coll_tag(coll_code::RS, s.coll_seq, 0),
                     s.context,
@@ -1125,7 +1130,6 @@ impl Engine {
                     half,
                     Some(s.coll_seq),
                 );
-                s.send_req = Some(send);
                 s.recv_req = Some(recv);
                 s.offset = keep_off;
                 s.seglen = half;
@@ -1133,7 +1137,7 @@ impl Engine {
             RsPhase::Allgather { dist } => {
                 let partner = s.rank ^ dist;
                 let payload = Bytes::from(s.buf[s.offset..s.offset + s.seglen].to_vec());
-                let send = self.isend_with_kind(
+                s.send_req = self.isend_internal(
                     partner,
                     coll_tag(coll_code::RS, s.coll_seq, 0),
                     s.context,
@@ -1149,7 +1153,6 @@ impl Engine {
                     s.seglen,
                     Some(s.coll_seq),
                 );
-                s.send_req = Some(send);
                 s.recv_req = Some(recv);
             }
         }
@@ -1225,12 +1228,10 @@ impl Engine {
     }
 
     fn post_coll(&mut self, state: CollState) -> ReqId {
-        let id = self.fresh_req();
         self.trace.emit(TraceEvent::PhaseEnter {
             phase: state.name(),
         });
-        self.requests
-            .insert(id.raw(), Request::new(RequestBody::Coll(Box::new(state))));
+        let id = self.new_req(Request::new(RequestBody::Coll(Box::new(state))));
         self.active_colls.push(id);
         // Step immediately: leaves can often send right away, and a
         // single-rank collective completes synchronously.
@@ -1260,9 +1261,9 @@ impl Engine {
         if !complete {
             return None;
         }
-        let r = self.requests.remove(&req.raw()).unwrap();
-        self.active_colls.retain(|&c| c != req);
-        r.outcome
+        // A collective leaves `active_colls` when it completes.
+        debug_assert!(!self.active_colls.contains(&req));
+        self.requests.remove(&req.raw()).unwrap().outcome
     }
 
     /// Outstanding request count (leak detection in tests).
@@ -1528,9 +1529,21 @@ impl Engine {
         self.stats.copy_bytes += bytes as u64;
     }
 
-    fn fresh_req(&mut self) -> ReqId {
-        let id = ReqId::from_raw(self.next_req);
-        self.next_req += 1;
+    /// A request complete at post with `outcome`.
+    fn completed_req(&mut self, outcome: Outcome) -> ReqId {
+        self.new_req(Request {
+            body: RequestBody::Bare,
+            outcome: Some(outcome),
+        })
+    }
+
+    /// Enter `req` into the request map under a fresh id.
+    fn new_req(&mut self, req: Request) -> ReqId {
+        let id = ReqId::from_raw(self.stats.requests);
+        self.stats.requests += 1;
+        self.requests.insert(id.raw(), req);
+        let live = self.requests.len() as u64;
+        self.stats.requests_high_water = self.stats.requests_high_water.max(live);
         id
     }
 
@@ -1563,37 +1576,39 @@ impl Engine {
         progressed
     }
 
+    /// Step the collective `id` where it sits: its state leaves the live
+    /// request only while it is stepped.
     fn step_one_coll(&mut self, id: ReqId) -> bool {
-        let Some(mut req) = self.requests.remove(&id.raw()) else {
+        let Some(r) = self.requests.get_mut(&id.raw()) else {
             return false;
         };
-        let mut progressed = false;
-        if req.outcome.is_none() {
-            if let RequestBody::Coll(state) = &mut req.body {
-                let res = match &mut **state {
-                    CollState::Reduce(s) => self.step_reduce(s),
-                    CollState::Bcast(s) => self.step_bcast(s),
-                    CollState::Barrier(s) => self.step_barrier(s),
-                    CollState::Gather(s) => self.step_gather(s),
-                    CollState::Allgather(s) => self.step_allgather(s),
-                    CollState::RsAllreduce(s) => self.step_rs_allreduce(s),
-                    CollState::Pipeline { pipe, .. } => pipe.advance(self),
-                };
-                progressed = res.progressed;
-                if let Some(outcome) = res.outcome {
-                    req.outcome = Some(outcome);
-                    self.stats.colls_completed += 1;
-                    self.active_colls.retain(|&c| c != id);
-                    if let RequestBody::Coll(state) = &req.body {
-                        self.trace.emit(TraceEvent::PhaseExit {
-                            phase: state.name(),
-                        });
-                    }
-                }
-            }
+        debug_assert!(r.outcome.is_none(), "a completed collective is stepped");
+        let RequestBody::Coll(mut state) = std::mem::replace(&mut r.body, RequestBody::Bare) else {
+            unreachable!("only collectives are stepped");
+        };
+        let res = match &mut *state {
+            CollState::Reduce(s) => self.step_reduce(s),
+            CollState::Bcast(s) => self.step_bcast(s),
+            CollState::Barrier(s) => self.step_barrier(s),
+            CollState::Gather(s) => self.step_gather(s),
+            CollState::Allgather(s) => self.step_allgather(s),
+            CollState::RsAllreduce(s) => self.step_rs_allreduce(s),
+            CollState::Pipeline { pipe, .. } => pipe.advance(self),
+        };
+        if res.outcome.is_some() {
+            self.stats.colls_completed += 1;
+            self.active_colls.retain(|&c| c != id);
+            self.trace.emit(TraceEvent::PhaseExit {
+                phase: state.name(),
+            });
         }
-        self.requests.insert(id.raw(), req);
-        progressed
+        let r = self
+            .requests
+            .get_mut(&id.raw())
+            .expect("a collective stays live while stepped");
+        r.body = RequestBody::Coll(state);
+        r.outcome = res.outcome;
+        res.progressed
     }
 
     /// Poll a sub-request; if complete, free it and return the outcome.
@@ -1629,7 +1644,7 @@ impl Engine {
                     Some(Outcome::Done) | None => return StepRes::pending(progressed),
                 }
             }
-            // Wait out the send to the parent.
+            // Wait out a rendezvous send to the parent.
             if let Some(r) = s.send_req {
                 return match self.poll_sub(r) {
                     Some(Outcome::Done) => StepRes::done(Outcome::Done),
@@ -1653,7 +1668,7 @@ impl Engine {
                 continue;
             }
             if let Some(parent) = s.sched.parent_of(s.rank) {
-                let req = self.isend_with_kind(
+                let rndv = self.isend_internal(
                     parent,
                     coll_tag(coll_code::REDUCE, s.coll_seq, 0),
                     s.context,
@@ -1662,7 +1677,10 @@ impl Engine {
                     s.coll_seq,
                     s.root,
                 );
-                s.send_req = Some(req);
+                let Some(r) = rndv else {
+                    return StepRes::done(Outcome::Done);
+                };
+                s.send_req = Some(r);
                 progressed = true;
                 continue;
             }
@@ -1704,7 +1722,7 @@ impl Engine {
         let data = s.data.clone().expect("data present past receive phase");
         while let Some(&child) = s.sched.children_of(s.rank).get(s.next_send) {
             s.next_send += 1;
-            let req = self.isend_with_kind(
+            let rndv = self.isend_internal(
                 child,
                 coll_tag(coll_code::BCAST, s.coll_seq, 0),
                 s.context,
@@ -1713,11 +1731,10 @@ impl Engine {
                 s.coll_seq,
                 s.root,
             );
-            s.send_reqs.push(req);
+            s.send_reqs.extend(rndv);
             progressed = true;
         }
-        // Collect completed sends (eager completes instantly; rendezvous
-        // may straggle).
+        // Collect completed rendezvous sends (eager ones completed at post).
         let mut pending = Vec::new();
         for req in s.send_reqs.drain(..) {
             match self.poll_sub(req) {
@@ -1746,7 +1763,8 @@ impl Engine {
                 let dist = 1u32 << s.round;
                 let to = (s.rank + dist) % s.size;
                 let tag = coll_tag(coll_code::BARRIER, s.coll_seq, s.round as u8);
-                let send = self.isend_with_kind(
+                // A zero-byte send is eager: it completes at post.
+                let rndv = self.isend_internal(
                     to,
                     tag,
                     s.context,
@@ -1755,9 +1773,7 @@ impl Engine {
                     s.coll_seq,
                     0,
                 );
-                // Zero-byte eager sends complete at post.
-                let done = self.poll_sub(send);
-                debug_assert!(matches!(done, Some(Outcome::Done)));
+                debug_assert!(rndv.is_none());
                 let from = (s.rank + s.size - dist) % s.size;
                 let req = self.irecv_internal(
                     Some(from),

@@ -41,8 +41,10 @@ pub enum Outcome {
 /// The state of one request inside the engine.
 #[derive(Debug)]
 pub enum RequestBody {
-    /// An eager-mode send (completes as soon as the bounce copy is made).
-    SendEager,
+    /// No engine-side state: a point-to-point eager send (complete at
+    /// post), a shell request an outer layer completes, or a collective's
+    /// slot while the engine steps its state machine.
+    Bare,
     /// A rendezvous send awaiting its clear-to-send.
     SendRndv(RndvSend),
     /// A receive (posted, or already satisfied).
@@ -116,7 +118,7 @@ mod tests {
 
     #[test]
     fn fresh_request_is_pending() {
-        let r = Request::new(RequestBody::SendEager);
+        let r = Request::new(RequestBody::Bare);
         assert!(!r.is_complete());
     }
 

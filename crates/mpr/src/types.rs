@@ -145,6 +145,16 @@ pub enum MprError {
         /// Actual byte length.
         actual: usize,
     },
+    /// A rendezvous send could not pin its payload within the pinned-memory
+    /// budget (`MPI_ERR_NO_MEM`).
+    OutOfPinnedMemory {
+        /// Bytes the send asked to pin.
+        requested: usize,
+        /// Bytes already pinned.
+        pinned: usize,
+        /// The budget in bytes.
+        budget: usize,
+    },
 }
 
 impl fmt::Display for MprError {
@@ -166,6 +176,14 @@ impl fmt::Display for MprError {
                     "buffer shape mismatch: expected {expected} bytes, got {actual}"
                 )
             }
+            MprError::OutOfPinnedMemory {
+                requested,
+                pinned,
+                budget,
+            } => write!(
+                f,
+                "cannot pin {requested} bytes: {pinned} of the {budget}-byte pinned-memory budget in use"
+            ),
         }
     }
 }

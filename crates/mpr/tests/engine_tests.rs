@@ -104,6 +104,46 @@ fn rendezvous_transfer_for_large_messages() {
     assert!(lb.engines[1].memory().is_balanced());
 }
 
+/// A rendezvous send that cannot pin its payload fails at post with the
+/// sizes (`MPI_ERR_NO_MEM`) instead of panicking, and sends nothing; a
+/// collective whose send fails that way fails too.
+#[test]
+fn send_over_the_pinned_memory_budget_fails() {
+    let config = EngineConfig {
+        memory_budget: Some(4096),
+        ..EngineConfig::default()
+    };
+    let mut e = Engine::new(0, 2, config);
+    let comm = e.world();
+    let big = Bytes::from(vec![0u8; 32 * 1024]);
+    let s = e.isend(&comm, 1, 5, big.clone());
+    assert!(e.test(s), "the failure is reported at post");
+    let expected = MprError::OutOfPinnedMemory {
+        requested: 32 * 1024,
+        pinned: 0,
+        budget: 4096,
+    };
+    match e.take_outcome(s) {
+        Some(Outcome::Failed(err)) => {
+            assert_eq!(err, expected);
+            assert_eq!(
+                err.to_string(),
+                "cannot pin 32768 bytes: 0 of the 4096-byte pinned-memory budget in use"
+            );
+        }
+        other => panic!("expected a pinned-memory failure, got {other:?}"),
+    }
+    assert!(e.drain_actions().is_empty(), "no RTS for a failed send");
+    assert_eq!(e.stats().rndv_sent, 0);
+    let b = e.ibcast(&comm, 0, Some(big), 32 * 1024);
+    match e.take_outcome(b) {
+        Some(Outcome::Failed(err)) => assert_eq!(err, expected),
+        other => panic!("expected the bcast to fail, got {other:?}"),
+    }
+    assert_eq!(e.live_requests(), 0);
+    assert!(e.memory().is_balanced());
+}
+
 #[test]
 fn rendezvous_rts_arriving_before_recv_is_parked() {
     let mut lb = world(2);
