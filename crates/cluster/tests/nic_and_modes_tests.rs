@@ -2,7 +2,7 @@
 //! discrete-event driver.
 
 use abr_cluster::microbench::{
-    run_bcast_util, run_cpu_util, run_latency, CpuUtilConfig, LatencyConfig, Mode,
+    run_bcast_util, run_cpu_util, run_latency, BenchColl, CpuUtilConfig, LatencyConfig, Mode,
 };
 use abr_cluster::node::ClusterSpec;
 use abr_cluster::program::{Program, Step, StepCtx};
@@ -202,3 +202,120 @@ fn broadcast_benchmark_records_wall_time_when_asked() {
         assert_eq!(quiet.mean_wall_us, 0.0, "{mode:?}: wall recorded unasked");
     }
 }
+
+/// A small CPU-utilization run: 16 nodes, 300 µs skew, four iterations.
+fn small(mode: Mode, segments: usize, elems: usize) -> CpuUtilConfig {
+    CpuUtilConfig {
+        iters: 4,
+        max_skew_us: 300,
+        elems,
+        ..CpuUtilConfig::new(ClusterSpec::heterogeneous(16).with_segments(segments), mode)
+    }
+}
+
+/// One run's engine counters, summed over its nodes: the nonzero ones as
+/// `name=value`, four to a line.
+fn counter_lines(label: &str, cfg: &CpuUtilConfig, bcast: bool) -> String {
+    let r = match bcast {
+        false => run_cpu_util(cfg),
+        true => run_bcast_util(cfg),
+    };
+    let pairs: Vec<String> = r
+        .counters
+        .iter()
+        .filter(|(_, v)| *v != 0)
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    let lines: Vec<String> = pairs.chunks(4).map(|c| c.join(" ")).collect();
+    format!("[{label}]\n{}\n", lines.join("\n"))
+}
+
+#[test]
+fn bypass_counters_match_recorded_values() {
+    // Every bypass counter, summed over small runs of each mode and path:
+    // the §V-B mode select (root, leaf, over-eager and segmented), the
+    // synchronous, asynchronous and NIC child folds, early parks and the
+    // bypassed broadcast. No figure prints most of these, so this is their
+    // pin. Values recorded from the engine before its rules were merged.
+    let none = Mode::Bypass(abr_core::DelayPolicy::None);
+    let delayed = Mode::Bypass(abr_core::DelayPolicy::Fixed { us: 30.0 });
+    let (eager, large) = (4, 8192); // 8192 doubles: 4x the 16 KiB eager limit
+    let dual = CpuUtilConfig {
+        coll: BenchColl::DualAllreduce,
+        ..small(Mode::SplitPhase, 8, large)
+    };
+    let runs = [
+        ("ab", false, small(none, 1, eager)),
+        ("ab-delay", false, small(delayed, 1, eager)),
+        ("ab-split", false, small(Mode::SplitPhase, 1, eager)),
+        ("ab-nic", false, small(Mode::NicBypass, 1, eager)),
+        ("bcast-ab", true, small(none, 1, eager)),
+        ("ab-large", false, small(none, 1, large)),
+        ("split-large", false, small(Mode::SplitPhase, 1, large)),
+        ("seg-ab", false, small(none, 8, large)),
+        ("seg-split", false, small(Mode::SplitPhase, 8, large)),
+        ("dual-split", false, dual),
+    ];
+    let got: String = runs
+        .iter()
+        .map(|(label, bcast, cfg)| counter_lines(label, cfg, *bcast))
+        .collect();
+    assert_eq!(got, RECORDED_COUNTERS, "bypass counters moved:\n{got}");
+}
+
+const RECORDED_COUNTERS: &str = "\
+[ab]
+eager_sent=316 packets_processed=272 posted_matched=184 unexpected_enqueued=88
+unexpected_matched=88 copies=676 copy_bytes=2656 polls=294
+colls_completed=100 ab_reductions=28 fallback_root=4 fallback_leaf=32
+sync_children=12 async_children=32 zero_copy_children=44 signals_handled=32
+delegated_to_async=22 completed_in_sync=12 copies_saved=44 descriptor_high_water=7
+[ab-delay]
+eager_sent=316 packets_processed=272 posted_matched=184 unexpected_enqueued=88
+unexpected_matched=88 copies=676 copy_bytes=2656 polls=304
+colls_completed=100 ab_reductions=28 fallback_root=4 fallback_leaf=32
+sync_children=18 async_children=26 zero_copy_children=44 signals_handled=26
+delegated_to_async=19 completed_in_sync=15 copies_saved=44 descriptor_high_water=7
+[ab-split]
+eager_sent=316 packets_processed=256 posted_matched=165 unexpected_enqueued=91
+unexpected_matched=91 copies=663 copy_bytes=1920 polls=252
+colls_completed=96 sync_children=18 async_children=42 zero_copy_children=60
+signals_handled=42 delegated_to_async=25 completed_in_sync=14 copies_saved=60
+descriptor_high_water=8
+[ab-nic]
+eager_sent=293 packets_processed=272 posted_matched=187 unexpected_enqueued=85
+unexpected_matched=85 copies=650 copy_bytes=1920 polls=296
+colls_completed=100 ab_reductions=28 fallback_root=4 fallback_leaf=32
+sync_children=12 zero_copy_children=44 delegated_to_async=22 completed_in_sync=10
+copies_saved=44 descriptor_high_water=7 nic_children=32
+[bcast-ab]
+eager_sent=316 packets_processed=256 posted_matched=178 unexpected_enqueued=78
+unexpected_matched=78 copies=650 copy_bytes=1920 polls=262
+colls_completed=64 signals_handled=43 bcast_splits=64 bcast_forwards=60
+[ab-large]
+eager_sent=256 rndv_sent=60 packets_processed=436 posted_matched=192
+unexpected_enqueued=124 unexpected_matched=124 copies=636 polls=551
+colls_completed=128 fallback_root=4 fallback_leaf=32 fallback_large=28
+[split-large]
+eager_sent=256 rndv_sent=60 packets_processed=436 posted_matched=192
+unexpected_enqueued=124 unexpected_matched=124 copies=636 polls=512
+colls_completed=128 fallback_large=64
+[seg-ab]
+eager_sent=1756 packets_processed=656 posted_matched=333 unexpected_enqueued=323
+unexpected_matched=323 copies=2735 copy_bytes=5524880 polls=632
+colls_completed=100 ab_reductions=28 fallback_root=4 fallback_leaf=32
+sync_children=1100 ab_unexpected_parked=299 zero_copy_children=801 delegated_to_async=647
+completed_in_sync=753 copies_saved=1100 descriptor_high_water=56
+[seg-split]
+eager_sent=1756 packets_processed=313 posted_matched=158 unexpected_enqueued=155
+unexpected_matched=155 copies=2224 copy_bytes=4223216 polls=260
+colls_completed=96 fallback_leaf=32 sync_children=116 async_children=1384
+ab_unexpected_parked=58 zero_copy_children=1385 signals_handled=1496 delegated_to_async=796
+completed_in_sync=8 copies_saved=1443 descriptor_high_water=64
+[dual-split]
+eager_sent=9376 packets_processed=256 posted_matched=149 unexpected_enqueued=107
+unexpected_matched=107 copies=9739 copy_bytes=7864320 polls=7346
+colls_completed=368 sync_children=3379 async_children=1181 ab_unexpected_parked=23
+zero_copy_children=4537 signals_handled=1942 delegated_to_async=4536 completed_in_sync=3155
+copies_saved=4560 descriptor_high_water=240 bcast_splits=4864 bcast_forwards=4560
+";

@@ -39,8 +39,6 @@ pub struct BcastWait {
 #[derive(Debug, Default)]
 pub struct BcastWaitQueue {
     entries: Vec<BcastWait>,
-    high_water: usize,
-    total: u64,
 }
 
 impl BcastWaitQueue {
@@ -52,8 +50,6 @@ impl BcastWaitQueue {
     /// Register a wait.
     pub fn push(&mut self, w: BcastWait) {
         self.entries.push(w);
-        self.high_water = self.high_water.max(self.entries.len());
-        self.total += 1;
     }
 
     /// Index of the oldest wait in `context` expecting data from `src`,
@@ -82,16 +78,6 @@ impl BcastWaitQueue {
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Peak occupancy.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Lifetime registered count.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 }
 
@@ -133,17 +119,5 @@ mod tests {
         assert_eq!(q.find_for_parent(3, 1).0, None);
         assert_eq!(q.find_for_parent(2, 2).0, None);
         assert_eq!(q.find_for_parent(2, 1).0, Some(0));
-    }
-
-    #[test]
-    fn counters_track_peak_and_total() {
-        let mut q = BcastWaitQueue::new();
-        q.push(wait(0, 1));
-        q.push(wait(1, 1));
-        q.remove(0);
-        q.push(wait(2, 1));
-        assert_eq!(q.high_water(), 2);
-        assert_eq!(q.total(), 3);
-        assert_eq!(q.len(), 2);
     }
 }

@@ -61,7 +61,6 @@ impl ReduceDescriptor {
 pub struct DescriptorQueue {
     entries: Vec<ReduceDescriptor>,
     high_water: usize,
-    total_enqueued: u64,
 }
 
 impl DescriptorQueue {
@@ -75,7 +74,6 @@ impl DescriptorQueue {
     pub fn push(&mut self, d: ReduceDescriptor) {
         self.entries.push(d);
         self.high_water = self.high_water.max(self.entries.len());
-        self.total_enqueued += 1;
     }
 
     /// Index of the oldest descriptor in `context` still waiting on `src`
@@ -116,11 +114,6 @@ impl DescriptorQueue {
     /// Largest number of simultaneously outstanding descriptors.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Lifetime enqueue count.
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
     }
 
     /// Iterate over outstanding descriptors (diagnostics).
@@ -211,7 +204,6 @@ mod tests {
         q.remove(0);
         q.push(desc(2, 1, &[2]));
         assert_eq!(q.high_water(), 2);
-        assert_eq!(q.total_enqueued(), 3);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
     }

@@ -31,7 +31,7 @@ use crate::stats::AbStats;
 use crate::unexpected::{AbUnexpectedMsg, AbUnexpectedQueue};
 use abr_des::meter::CpuCategory;
 use abr_des::{SimDuration, SmallMap};
-use abr_gm::packet::{Packet, PacketKind};
+use abr_gm::packet::{NodeId, Packet, PacketHeader, PacketKind};
 use abr_mpr::charge::Charges;
 use abr_mpr::coll::{Lane, PipeCall, SegPipeline, SegRunner, StepRes};
 use abr_mpr::engine::{Action, Engine, EngineConfig, MessageEngine};
@@ -89,6 +89,34 @@ impl AbConfig {
             nic_offload: true,
         }
     }
+}
+
+/// How a reduce reaches the §V-B mode select. The entries differ on
+/// purpose: a split-phase root bypasses too, and a single split-phase
+/// instance (every pipeline segment is one) sends a leaf or a size-1
+/// communicator down the stock path without counting a fallback.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// The blocking `MPI_Reduce` of Fig. 3.
+    Blocking,
+    /// One split-phase instance: a whole call or one pipeline segment.
+    Split,
+    /// A reduce call whose payload the segment plan splits.
+    Segmented { split: bool },
+}
+
+/// Where a child's contribution is folded in, which sets what the fold and
+/// the descriptor finish charge and count.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// Swept off an unexpected queue by the synchronous call; the message
+    /// was copied once when it arrived early.
+    Swept,
+    /// Host pre-processing straight from the packet buffer, inside a
+    /// signal handler or not.
+    Host { in_signal: bool },
+    /// The NIC processor (§VII), charged to the NIC meter.
+    Nic,
 }
 
 /// The application-bypass engine. Implements [`MessageEngine`] so drivers
@@ -224,6 +252,23 @@ impl AbEngine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
+        self.post_reduce(comm, root, op, dtype, data, true)
+    }
+
+    /// Shared body of the blocking and split-phase reduce calls. A payload
+    /// the segment plan splits runs as one sequence number per segment: the
+    /// stock segmented pipeline on the §V-B fallback ranks, a pipeline of
+    /// per-segment bypassed reduces everywhere else. The two are
+    /// wire-compatible because both tag segment `i` with `base_seq + i`.
+    fn post_reduce(
+        &mut self,
+        comm: &Communicator,
+        root: Rank,
+        op: ReduceOp,
+        dtype: Datatype,
+        data: &[u8],
+        split: bool,
+    ) -> ReqId {
         if let Some(failed) = self.inner.reject(comm, root, Some((op, dtype))) {
             return failed;
         }
@@ -234,47 +279,62 @@ impl AbEngine {
         let (k, seg_bytes) = self
             .inner
             .segment_plan(root, comm.size, data.len(), dtype.size());
-        if k >= 2 {
-            return self.ireduce_segmented(comm, root, op, dtype, data, k, seg_bytes, true);
+        if k < 2 {
+            let seq = self.inner.alloc_coll_seq(comm.coll_context);
+            let sched = self.inner.schedule(root, comm.size);
+            let entry = if split { Entry::Split } else { Entry::Blocking };
+            return self.reduce_instance(entry, comm, root, op, dtype, data, seq, sched);
         }
-        let seq = self.inner.alloc_coll_seq(comm.coll_context);
+        // Reserve the block even on fallback ranks: every rank must consume
+        // the same count to keep later instances' tags aligned.
+        let base_seq = self.inner.alloc_seq_range(comm.coll_context, k);
         let sched = self.inner.schedule(root, comm.size);
-        self.ireduce_split_with_seq(comm, root, op, dtype, data, seq, sched)
+        if !self.bypasses(Entry::Segmented { split }, root, &sched, seg_bytes) {
+            return self
+                .inner
+                .ireduce_segmented_with_seqs(comm, root, op, dtype, data, base_seq, k, seg_bytes);
+        }
+        let lane =
+            self.inner
+                .reduce_lane(comm, root, data.len(), base_seq, k, seg_bytes, "seg-split");
+        self.post_pipeline(comm, op, dtype, data, [lane])
     }
 
-    /// As [`AbEngine::ireduce_split`] with an externally allocated instance
-    /// sequence number and an explicit schedule (pipeline segments reduce
-    /// on pre-allocated numbers, the dual-root halves over chain
-    /// schedules regardless of the configured topology).
-    #[allow(clippy::too_many_arguments)] // mirrors ireduce_split + seq + sched
-    fn ireduce_split_with_seq(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: &[u8],
-        seq: u64,
-        sched: Arc<TopoSchedule>,
-    ) -> ReqId {
+    /// The §V-B mode select, for every reduce entry: true to bypass,
+    /// otherwise the reduce takes the stock path. Either way it counts the
+    /// outcome. `len` is what one bypassed instance carries (a segment's
+    /// bytes under a segmented plan).
+    fn bypasses(&mut self, entry: Entry, root: Rank, sched: &TopoSchedule, len: usize) -> bool {
         let rank = self.inner.rank();
-        if !self.config.enabled || data.len() > self.inner.eager_limit() {
-            self.stats.fallback_large += u64::from(self.config.enabled);
-            self.stats.fallback_disabled += u64::from(!self.config.enabled);
-            return self
-                .inner
-                .ireduce_with_seq(comm, root, op, dtype, data, seq, sched);
-        }
-        if sched.is_leaf(rank) || comm.size == 1 {
-            // A leaf's only action is the send; the stock path already
-            // completes it without blocking. Size-1: trivially complete.
-            return self
-                .inner
-                .ireduce_with_seq(comm, root, op, dtype, data, seq, sched);
-        }
-        self.stats.split_phase_started += 1;
-        let parent = sched.parent_of(rank);
-        self.ab_reduce_start(comm, root, op, dtype, data, seq, parent, true, sched)
+        let split = matches!(entry, Entry::Split | Entry::Segmented { split: true });
+        // A leaf, or the root of a size-1 communicator: nothing to fold.
+        let childless = sched.children_of(rank).is_empty();
+        let s = &mut self.stats;
+        let fallback = if !self.config.enabled {
+            &mut s.fallback_disabled
+        } else if !split && rank == root {
+            &mut s.fallback_root
+        } else if childless && entry != Entry::Split {
+            &mut s.fallback_leaf
+        } else if len > self.inner.eager_limit() {
+            &mut s.fallback_large
+        } else if childless {
+            // The stock path completes a leaf's only action, the send,
+            // without blocking.
+            return false;
+        } else {
+            match entry {
+                Entry::Blocking => s.ab_reductions += 1,
+                Entry::Split => s.split_phase_started += 1,
+                Entry::Segmented { split } => {
+                    s.seg_reductions += 1;
+                    s.ab_reductions += u64::from(!split);
+                }
+            }
+            return true;
+        };
+        *fallback += 1;
+        false
     }
 
     /// Application-bypass broadcast (the companion system of ref. \[8\]): the
@@ -319,48 +379,17 @@ impl AbEngine {
                 .ibcast_with_seq_sched(comm, root, data, len, seq, sched);
         }
         self.stats.bcast_splits += 1;
+        let req = self.inner.alloc_shell_req();
         if rank == root {
             let payload = data.expect("the root supplies bcast data");
             debug_assert_eq!(payload.len(), len);
-            let req = self.inner.alloc_shell_req();
-            // Largest subtree first, like the blocking path.
-            for i in (0..sched.children_of(rank).len()).rev() {
-                let child = sched.children_of(rank)[i];
-                self.eager_send(
-                    child,
-                    coll_tag(coll_code::BCAST, seq, 0),
-                    comm.coll_context,
-                    payload.clone(),
-                    seq,
-                    root,
-                );
-                self.stats.bcast_forwards += 1;
-            }
+            self.forward_bcast(comm.coll_context, seq, root, &sched, &payload);
             self.inner.complete_shell(req, Outcome::Data(payload));
             return req;
         }
-        let req = self.inner.alloc_shell_req();
         let parent = sched.parent_of(rank).expect("non-root has a parent");
-        // The parent's data may already be parked (early arrival).
-        if let Some(msg) = self.ab_unexpected.take(
-            parent,
-            coll_tag(coll_code::BCAST, seq, 0),
-            comm.coll_context,
-        ) {
-            debug_assert_eq!(msg.coll_seq, seq, "bcast instance mix-up");
-            let w = BcastWait {
-                context: comm.coll_context,
-                coll_seq: seq,
-                root,
-                parent,
-                len,
-                sched,
-                call_req: req,
-            };
-            self.deliver_bcast(w, msg.data, false);
-            return req;
-        }
-        self.bcast_waits.push(BcastWait {
+        let tag = coll_tag(coll_code::BCAST, seq, 0);
+        let w = BcastWait {
             context: comm.coll_context,
             coll_seq: seq,
             root,
@@ -368,7 +397,14 @@ impl AbEngine {
             len,
             sched,
             call_req: req,
-        });
+        };
+        // The parent's data may already be parked (early arrival).
+        if let Some(msg) = self.ab_unexpected.take(parent, tag, comm.coll_context) {
+            debug_assert_eq!(msg.coll_seq, seq, "bcast instance mix-up");
+            self.deliver_bcast(w, msg.data, false);
+            return req;
+        }
+        self.bcast_waits.push(w);
         // Split-phase: the application will not poll; arm signals (broadcast
         // stays host-signal-driven even under NIC reduce offload).
         self.set_signals(true);
@@ -399,55 +435,6 @@ impl AbEngine {
         // collective order regardless of when the chain advances locally.
         let lane = self.inner.allreduce_lane(comm, data.len());
         self.stats.allreduce_splits += 1;
-        self.post_pipeline(comm, op, dtype, data, [lane])
-    }
-
-    /// Shared body of the segmented reduce paths (blocking and split): one
-    /// sequence number per segment, stock segmented pipeline on the §V-B
-    /// fallback ranks, a pipeline of per-segment bypassed reduces
-    /// everywhere else. The two are wire-compatible because both tag
-    /// segment `i` with `base_seq + i`.
-    #[allow(clippy::too_many_arguments)] // mirrors ireduce + the segment plan
-    fn ireduce_segmented(
-        &mut self,
-        comm: &Communicator,
-        root: Rank,
-        op: ReduceOp,
-        dtype: Datatype,
-        data: &[u8],
-        k: usize,
-        seg_bytes: usize,
-        split: bool,
-    ) -> ReqId {
-        // Reserve the block even on fallback ranks: every rank must consume
-        // the same count to keep later instances' tags aligned.
-        let base_seq = self.inner.alloc_seq_range(comm.coll_context, k);
-        let rank = self.inner.rank();
-        // Same §V-B fallbacks as the single-segment path; the stock pipeline
-        // reuses the pre-allocated sequence block so its per-segment tags
-        // match the bypassed ranks' exactly.
-        let fallback = if !self.config.enabled {
-            Some(&mut self.stats.fallback_disabled)
-        } else if !split && rank == root {
-            Some(&mut self.stats.fallback_root)
-        } else if self.inner.schedule(root, comm.size).is_leaf(rank) {
-            Some(&mut self.stats.fallback_leaf)
-        } else {
-            None
-        };
-        if let Some(count) = fallback {
-            *count += 1;
-            return self
-                .inner
-                .ireduce_segmented_with_seqs(comm, root, op, dtype, data, base_seq, k, seg_bytes);
-        }
-        self.stats.seg_reductions += 1;
-        if !split {
-            self.stats.ab_reductions += 1;
-        }
-        let lane =
-            self.inner
-                .reduce_lane(comm, root, data.len(), base_seq, k, seg_bytes, "seg-split");
         self.post_pipeline(comm, op, dtype, data, [lane])
     }
 
@@ -518,23 +505,34 @@ impl AbEngine {
         self.pipelines = list;
     }
 
-    /// Shared body of the bypassed reduce paths. `parent == None` is the
-    /// split-phase root, which keeps the result.
-    #[allow(clippy::too_many_arguments)]
-    fn ab_reduce_start(
+    /// One reduce instance on sequence number `seq` over `sched`: the §V-B
+    /// mode select, then the stock reduce or Fig. 3's synchronous
+    /// component. A split-phase root has no parent and keeps the result.
+    #[allow(clippy::too_many_arguments)] // ireduce's arguments + entry, seq, sched
+    fn reduce_instance(
         &mut self,
+        entry: Entry,
         comm: &Communicator,
         root: Rank,
         op: ReduceOp,
         dtype: Datatype,
         data: &[u8],
         seq: u64,
-        parent: Option<Rank>,
-        split: bool,
         sched: Arc<TopoSchedule>,
     ) -> ReqId {
+        if !self.bypasses(entry, root, &sched, data.len()) {
+            return self
+                .inner
+                .ireduce_with_seq(comm, root, op, dtype, data, seq, sched);
+        }
+        let split = entry == Entry::Split;
         let rank = self.inner.rank();
         let ctx = comm.coll_context;
+        let parent = sched.parent_of(rank);
+        debug_assert!(
+            split || parent.is_some(),
+            "internal node always has a parent"
+        );
         self.inner.tracer().emit(TraceEvent::PhaseEnter {
             phase: "reduce-sync",
         });
@@ -545,7 +543,7 @@ impl AbEngine {
         let kids = sched.children_of(rank);
         let desc_cost = self.inner.cost().descriptor();
         self.inner.charge(CpuCategory::Protocol, desc_cost);
-        let mut desc = ReduceDescriptor {
+        self.descriptors.push(ReduceDescriptor {
             context: ctx,
             coll_seq: seq,
             root,
@@ -555,53 +553,30 @@ impl AbEngine {
             parent,
             pending_children: kids.to_vec(),
             call_req: Some(req),
-        };
+        });
+        let idx = self.descriptors.len() - 1;
+        let tag = coll_tag(coll_code::REDUCE, seq, 0);
         // Fold in children already parked on the AB unexpected queue —
-        // processed directly from the queue, no second copy (§V-B).
-        for child in kids {
-            if let Some(msg) =
-                self.ab_unexpected
-                    .take(*child, coll_tag(coll_code::REDUCE, seq, 0), ctx)
-            {
-                debug_assert_eq!(msg.coll_seq, seq, "FIFO instance mix-up");
-                let op_cost = self.inner.cost().reduce_op(dtype.count(desc.acc.len()));
-                self.inner.charge(CpuCategory::Protocol, op_cost);
-                desc.op
-                    .apply(dtype, &mut desc.acc, &msg.data)
-                    .expect("op/type checked at post");
-                desc.complete_child(*child);
-                self.stats.sync_children += 1;
+        // processed directly from the queue, no second copy (§V-B). If
+        // every child was already waiting, the whole reduction finishes
+        // inside the synchronous call.
+        let mut finished = false;
+        for &child in kids {
+            if let Some(msg) = self.ab_unexpected.take(child, tag, ctx) {
+                finished |= self.fold(idx, child, msg.coll_seq, &msg.data, Fold::Swept);
             }
         }
         // The split-phase root may find children in the *MPICH* unexpected
         // queue (they passed through pre-processing before this descriptor
         // existed, back when this rank looked like a blocking root).
-        if parent.is_none() {
-            let pending = desc.pending_children.clone();
+        if parent.is_none() && !finished {
+            let pending = self.descriptors.get_mut(idx).pending_children.clone();
             for child in pending {
-                if let Some(msg) = self.inner.take_unexpected(
-                    Some(child),
-                    TagSel::Is(coll_tag(coll_code::REDUCE, seq, 0)),
-                    ctx,
-                ) {
-                    debug_assert_eq!(msg.coll_seq, seq, "FIFO instance mix-up");
-                    let op_cost = self.inner.cost().reduce_op(dtype.count(desc.acc.len()));
-                    self.inner.charge(CpuCategory::Protocol, op_cost);
-                    desc.op
-                        .apply(dtype, &mut desc.acc, &msg.data)
-                        .expect("op/type checked at post");
-                    desc.complete_child(child);
-                    self.stats.sync_children += 1;
+                let sel = TagSel::Is(tag);
+                if let Some(msg) = self.inner.take_unexpected(Some(child), sel, ctx) {
+                    self.fold(idx, child, msg.coll_seq, &msg.data, Fold::Swept);
                 }
             }
-        }
-        let swept_complete = desc.is_complete();
-        self.descriptors.push(desc);
-        if swept_complete {
-            // Every child was already waiting on the unexpected queues: the
-            // whole reduction finishes inside the synchronous call.
-            let idx = self.descriptors.len() - 1;
-            self.finish_descriptor(idx, false);
         }
         // Fig. 3: trigger progress. Packets already in the receive queue now
         // match the descriptor directly (zero additional copies).
@@ -627,6 +602,8 @@ impl AbEngine {
                 self.hints.insert(req.raw(), budget);
             }
         } else {
+            // A non-root descriptor that finished inside the call was
+            // already counted by `finish_descriptor`, so it counts twice.
             self.stats.completed_in_sync += 1;
         }
         self.inner.tracer().emit(TraceEvent::PhaseExit {
@@ -662,228 +639,179 @@ impl AbEngine {
         self.inner.complete_shell(req, Outcome::Done);
     }
 
-    /// NIC-context pre-processing (the §VII extension): match and fold the
-    /// packet entirely on the NIC processor. Returns `Some(pkt)` to deliver
-    /// to the host (no descriptor matched: a root-instance or early packet).
-    fn nic_process(&mut self, pkt: Packet) -> Option<Packet> {
-        if pkt.header.kind != PacketKind::Collective
-            || coll_tag_code(pkt.header.tag) != Some(coll_code::REDUCE)
-        {
-            // The NIC firmware only understands reduce descriptors;
-            // broadcast traffic goes to the host path.
+    /// Classify one incoming packet (Fig. 4 gray boxes / Fig. 5), on the
+    /// host or, under the §VII extension, on the NIC processor. Returns
+    /// `Some(packet)` if it must pass through: to the default MPICH path
+    /// on the host, or from the NIC up to the host.
+    fn preprocess(&mut self, pkt: Packet, by: Fold) -> Option<Packet> {
+        let code = coll_tag_code(pkt.header.tag);
+        // The NIC firmware only understands reduce descriptors; broadcast
+        // traffic goes to the host path.
+        let nic = by == Fold::Nic;
+        if pkt.header.kind != PacketKind::Collective || (nic && code != Some(coll_code::REDUCE)) {
             return Some(pkt);
         }
-        let src = pkt.header.src.0;
-        let ctx = pkt.header.context;
-        let (idx, probed) = self.descriptors.find_for_sender(src, ctx);
-        let match_cost = self.inner.cost().nic_match().scaled(probed.max(1) as u64);
-        self.inner.charge(CpuCategory::NicOffload, match_cost);
-        let Some(idx) = idx else {
-            return Some(pkt);
+        let (src, ctx) = (pkt.header.src.0, pkt.header.context);
+        let bcast = code == Some(coll_code::BCAST);
+        let (idx, probed) = match bcast {
+            true => self.bcast_waits.find_for_parent(src, ctx),
+            false => self.descriptors.find_for_sender(src, ctx),
         };
-        {
-            let d = self.descriptors.get_mut(idx);
-            debug_assert_eq!(d.coll_seq, pkt.header.coll_seq, "instance mismatch");
-            // Idempotence: retire the sender's pending slot *before* folding
-            // so a retransmitted contribution can never be reduced twice.
-            if !d.complete_child(src) {
-                self.stats.duplicates_suppressed += 1;
-                return None;
-            }
-            let elems = d.dtype.count(d.acc.len());
-            let (op, dtype) = (d.op, d.dtype);
-            let op_cost = self.inner.cost().nic_reduce_op(elems);
-            self.inner.charge(CpuCategory::NicOffload, op_cost);
-            op.apply(dtype, &mut d.acc, &pkt.payload)
-                .expect("op/type checked at post");
-        }
-        self.stats.nic_children += 1;
-        self.stats.zero_copy_children += 1;
-        if self.descriptors.get_mut(idx).is_complete() {
-            self.finish_descriptor_from_nic(idx);
-        }
-        None
-    }
-
-    /// A NIC-resident descriptor drained: the NIC forwards the result to
-    /// the parent itself and flags completion to the host. Zero host cost.
-    fn finish_descriptor_from_nic(&mut self, idx: usize) {
-        let d = self.descriptors.remove(idx);
-        let fwd_cost = self.inner.cost().nic_match();
-        self.inner.charge(CpuCategory::NicOffload, fwd_cost);
-        let acc = d.acc;
-        if let Some(parent) = d.parent {
-            let header = abr_gm::packet::PacketHeader {
-                src: abr_gm::packet::NodeId(self.inner.rank()),
-                dst: abr_gm::packet::NodeId(parent),
-                kind: PacketKind::Collective,
-                context: d.context,
-                tag: coll_tag(coll_code::REDUCE, d.coll_seq, 0),
-                coll_seq: d.coll_seq,
-                coll_root: d.root,
-                msg_len: acc.len() as u32,
-                wire_seq: 0,
-                rel_seq: 0,
-            };
-            self.inner
-                .push_action(Action::Send(Packet::new(header, Bytes::from(acc))));
-            self.stats.nic_parent_sends += 1;
-            if let Some(call) = d.call_req {
-                self.hints.remove(&call.raw());
-                self.inner.complete_shell(call, Outcome::Done);
-            }
-        } else if let Some(call) = d.call_req {
-            self.hints.remove(&call.raw());
-            self.inner
-                .complete_shell(call, Outcome::Data(Bytes::from(acc)));
-        } else {
-            debug_assert!(false, "rootless descriptor without a call request");
-        }
-    }
-
-    /// Classify one incoming packet (Fig. 4 gray boxes / Fig. 5). Returns
-    /// `Some(packet)` if it must pass through to the default MPICH path.
-    fn preprocess(&mut self, pkt: Packet, in_signal: bool) -> Option<Packet> {
-        if pkt.header.kind != PacketKind::Collective {
-            return Some(pkt);
-        }
-        if coll_tag_code(pkt.header.tag) == Some(coll_code::BCAST) {
-            return self.preprocess_bcast(pkt, in_signal);
-        }
-        let src = pkt.header.src.0;
-        let ctx = pkt.header.context;
-        let (idx, probed) = self.descriptors.find_for_sender(src, ctx);
-        let probe_cost = self.inner.cost().descriptor_probe(probed);
-        self.inner.charge(CpuCategory::Protocol, probe_cost);
-        let Some(idx) = idx else {
-            if pkt.header.coll_root == self.inner.rank() {
-                // This rank is the instance's root running the standard
-                // synchronous code: leave the packet to default MPICH
-                // mechanisms (Fig. 4).
-                return Some(pkt);
-            }
-            // Early message: no descriptor yet. Park it with a single copy
-            // (§V-A: half of MPICH's two-copy unexpected path).
-            let copy = self.inner.cost().copy(pkt.payload.len());
-            self.inner.charge(CpuCategory::Protocol, copy);
-            self.stats.ab_unexpected_parked += 1;
-            self.ab_unexpected.push(AbUnexpectedMsg {
-                src,
-                tag: pkt.header.tag,
-                context: ctx,
-                coll_seq: pkt.header.coll_seq,
-                root: pkt.header.coll_root,
-                data: pkt.payload,
-            });
-            return None;
+        let (category, probe_cost) = match nic {
+            true => (
+                CpuCategory::NicOffload,
+                self.inner.cost().nic_match().scaled(probed.max(1) as u64),
+            ),
+            false => (
+                CpuCategory::Protocol,
+                self.inner.cost().descriptor_probe(probed),
+            ),
         };
-        // Expected or late message: apply the operator directly from the
-        // packet buffer — zero copies (§V-C).
-        {
-            let d = self.descriptors.get_mut(idx);
-            debug_assert_eq!(d.coll_seq, pkt.header.coll_seq, "instance mismatch");
-            // Idempotence: retire the sender's pending slot *before* folding
-            // so a retransmitted contribution can never be reduced twice.
-            if !d.complete_child(src) {
-                self.stats.duplicates_suppressed += 1;
-                return None;
-            }
-            let elems = d.dtype.count(d.acc.len());
-            let (op, dtype) = (d.op, d.dtype);
-            let op_cost = self.inner.cost().reduce_op(elems);
-            self.inner.charge(CpuCategory::Protocol, op_cost);
-            op.apply(dtype, &mut d.acc, &pkt.payload)
-                .expect("op/type checked at post");
-        }
-        self.stats.zero_copy_children += 1;
-        if in_signal {
-            self.stats.async_children += 1;
-        } else {
-            self.stats.sync_children += 1;
-        }
-        if self.descriptors.get_mut(idx).is_complete() {
-            self.finish_descriptor(idx, in_signal);
-        }
-        None
-    }
-
-    /// All children of the descriptor at `idx` have reported: send the
-    /// result to the parent (or hand it to the split-phase root's request),
-    /// dequeue, and disable signals if nothing remains outstanding (Fig. 5).
-    fn finish_descriptor(&mut self, idx: usize, in_signal: bool) {
-        self.inner.tracer().emit(TraceEvent::EngineState {
-            state: "descriptor-done",
-        });
-        let d = self.descriptors.remove(idx);
-        let desc_cost = self.inner.cost().descriptor();
-        self.inner.charge(CpuCategory::Protocol, desc_cost);
-        let acc = d.acc;
-        if let Some(parent) = d.parent {
-            self.eager_send(
-                parent,
-                coll_tag(coll_code::REDUCE, d.coll_seq, 0),
-                d.context,
-                Bytes::from(acc),
-                d.coll_seq,
-                d.root,
-            );
-            if in_signal {
-                self.stats.async_parent_sends += 1;
-            } else {
-                self.stats.sync_parent_sends += 1;
-            }
-            if let Some(call) = d.call_req {
-                self.hints.remove(&call.raw());
-                if !in_signal {
-                    self.stats.completed_in_sync += 1;
-                }
-                self.inner.complete_shell(call, Outcome::Done);
-            }
-        } else if let Some(call) = d.call_req {
-            // Split-phase root: the request carries the final result.
-            self.hints.remove(&call.raw());
-            self.inner
-                .complete_shell(call, Outcome::Data(Bytes::from(acc)));
-        } else {
-            debug_assert!(false, "rootless descriptor without a call request");
-        }
-        if self.bypass_idle() {
-            self.set_signals(false);
-        }
-    }
-
-    /// The broadcast half of pre-processing: data from a parent either
-    /// satisfies the oldest matching [`BcastWait`] (forward to children,
-    /// complete the request — ref. \[8\]'s design) or parks as early.
-    fn preprocess_bcast(&mut self, pkt: Packet, in_signal: bool) -> Option<Packet> {
-        let src = pkt.header.src.0;
-        let ctx = pkt.header.context;
-        let (idx, probed) = self.bcast_waits.find_for_parent(src, ctx);
-        let probe_cost = self.inner.cost().descriptor_probe(probed);
-        self.inner.charge(CpuCategory::Protocol, probe_cost);
+        self.inner.charge(category, probe_cost);
         match idx {
-            Some(i) => {
+            // The parent's broadcast data: forward it and complete the
+            // request (ref. \[8\]'s design).
+            Some(i) if bcast => {
                 let w = self.bcast_waits.remove(i);
                 debug_assert_eq!(w.coll_seq, pkt.header.coll_seq, "bcast instance mismatch");
-                self.deliver_bcast(w, pkt.payload, in_signal);
-                None
+                self.deliver_bcast(w, pkt.payload, by == Fold::Host { in_signal: true });
             }
+            // Expected or late message: apply the operator directly from
+            // the packet buffer — zero copies (§V-C).
+            Some(i) => {
+                self.fold(i, src, pkt.header.coll_seq, &pkt.payload, by);
+            }
+            // No descriptor on the NIC: a root-instance or early packet,
+            // for the host. On the host, this rank is the instance's root
+            // running the standard synchronous code: leave the packet to
+            // default MPICH mechanisms (Fig. 4).
+            None if nic || (!bcast && pkt.header.coll_root == self.inner.rank()) => {
+                return Some(pkt)
+            }
+            // Early message: no descriptor or wait yet (this rank has not
+            // reached its call). Park it with a single copy (§V-A: half of
+            // MPICH's two-copy unexpected path).
             None => {
-                // Early: the wait is not registered yet (this rank has not
-                // reached its ibcast_split call). Park with one copy.
                 let copy = self.inner.cost().copy(pkt.payload.len());
                 self.inner.charge(CpuCategory::Protocol, copy);
                 self.stats.ab_unexpected_parked += 1;
+                let h = &pkt.header;
                 self.ab_unexpected.push(AbUnexpectedMsg {
                     src,
-                    tag: pkt.header.tag,
+                    tag: h.tag,
                     context: ctx,
-                    coll_seq: pkt.header.coll_seq,
-                    root: pkt.header.coll_root,
+                    coll_seq: h.coll_seq,
+                    root: h.coll_root,
                     data: pkt.payload,
                 });
-                None
             }
+        }
+        None
+    }
+
+    /// Fold `child`'s contribution to instance `coll_seq` into the
+    /// descriptor at `idx`, and finish the descriptor if that was its last
+    /// child; returns true if it finished. `by` sets what the fold charges
+    /// and counts.
+    fn fold(&mut self, idx: usize, child: Rank, coll_seq: u64, data: &[u8], by: Fold) -> bool {
+        let d = self.descriptors.get_mut(idx);
+        debug_assert_eq!(d.coll_seq, coll_seq, "instance mismatch");
+        // Idempotence: retire the sender's pending slot *before* folding
+        // so a retransmitted contribution can never be reduced twice.
+        if !d.complete_child(child) {
+            self.stats.duplicates_suppressed += 1;
+            return false;
+        }
+        let elems = d.dtype.count(d.acc.len());
+        let (category, op_cost) = match by {
+            Fold::Nic => (
+                CpuCategory::NicOffload,
+                self.inner.cost().nic_reduce_op(elems),
+            ),
+            _ => (CpuCategory::Protocol, self.inner.cost().reduce_op(elems)),
+        };
+        self.inner.charge(category, op_cost);
+        d.op.apply(d.dtype, &mut d.acc, data)
+            .expect("op/type checked at post");
+        let finished = d.is_complete();
+        // A swept child was copied once when it parked; every other fold
+        // reads the packet buffer.
+        self.stats.zero_copy_children += u64::from(by != Fold::Swept);
+        *match by {
+            Fold::Nic => &mut self.stats.nic_children,
+            Fold::Host { in_signal: true } => &mut self.stats.async_children,
+            _ => &mut self.stats.sync_children,
+        } += 1;
+        if finished {
+            self.finish_descriptor(idx, by);
+        }
+        finished
+    }
+
+    /// All children of the descriptor at `idx` have reported: send the
+    /// result to the parent (or hand it to the split-phase root's request)
+    /// and dequeue (Fig. 5). On the host, disable signals if nothing
+    /// remains outstanding. On the NIC, the NIC forwards the result itself
+    /// and flags completion to the host, at zero host cost.
+    fn finish_descriptor(&mut self, idx: usize, by: Fold) {
+        let nic = by == Fold::Nic;
+        if !nic {
+            self.inner.tracer().emit(TraceEvent::EngineState {
+                state: "descriptor-done",
+            });
+        }
+        let d = self.descriptors.remove(idx);
+        let (category, cost) = match nic {
+            true => (CpuCategory::NicOffload, self.inner.cost().nic_match()),
+            false => (CpuCategory::Protocol, self.inner.cost().descriptor()),
+        };
+        self.inner.charge(category, cost);
+        let acc = Bytes::from(d.acc);
+        let outcome = match d.parent {
+            // Split-phase root: the request carries the final result.
+            None => Outcome::Data(acc),
+            Some(parent) => {
+                let tag = coll_tag(coll_code::REDUCE, d.coll_seq, 0);
+                if nic {
+                    let header = PacketHeader {
+                        src: NodeId(self.inner.rank()),
+                        dst: NodeId(parent),
+                        kind: PacketKind::Collective,
+                        context: d.context,
+                        tag,
+                        coll_seq: d.coll_seq,
+                        coll_root: d.root,
+                        msg_len: acc.len() as u32,
+                        wire_seq: 0,
+                        rel_seq: 0,
+                    };
+                    self.inner
+                        .push_action(Action::Send(Packet::new(header, acc)));
+                } else {
+                    self.eager_send(parent, tag, d.context, acc, d.coll_seq, d.root);
+                }
+                let sync = matches!(by, Fold::Swept | Fold::Host { in_signal: false });
+                self.stats.completed_in_sync += u64::from(sync && d.call_req.is_some());
+                *match by {
+                    Fold::Nic => &mut self.stats.nic_parent_sends,
+                    Fold::Host { in_signal: true } => &mut self.stats.async_parent_sends,
+                    _ => &mut self.stats.sync_parent_sends,
+                } += 1;
+                Outcome::Done
+            }
+        };
+        match d.call_req {
+            Some(call) => {
+                self.hints.remove(&call.raw());
+                self.inner.complete_shell(call, outcome);
+            }
+            None => debug_assert!(
+                d.parent.is_some(),
+                "rootless descriptor without a call request"
+            ),
+        }
+        if !nic && self.bypass_idle() {
+            self.set_signals(false);
         }
     }
 
@@ -895,27 +823,28 @@ impl AbEngine {
         });
         let desc_cost = self.inner.cost().descriptor();
         self.inner.charge(CpuCategory::Protocol, desc_cost);
-        // Largest subtree first, like the blocking path.
-        let rank = self.inner.rank();
-        for i in (0..w.sched.children_of(rank).len()).rev() {
-            let child = w.sched.children_of(rank)[i];
-            self.eager_send(
-                child,
-                coll_tag(coll_code::BCAST, w.coll_seq, 0),
-                w.context,
-                data.clone(),
-                w.coll_seq,
-                w.root,
-            );
-            self.stats.bcast_forwards += 1;
-        }
-        if in_signal {
-            self.stats.async_bcasts += 1;
-        }
-        self.hints.remove(&w.call_req.raw());
+        self.forward_bcast(w.context, w.coll_seq, w.root, &w.sched, &data);
+        self.stats.async_bcasts += u64::from(in_signal);
         self.inner.complete_shell(w.call_req, Outcome::Data(data));
         if self.bypass_idle() {
             self.set_signals(false);
+        }
+    }
+
+    /// Send a broadcast payload down this rank's subtree, largest subtree
+    /// first like the blocking path.
+    fn forward_bcast(
+        &mut self,
+        context: u32,
+        seq: u64,
+        root: Rank,
+        sched: &TopoSchedule,
+        data: &Bytes,
+    ) {
+        let tag = coll_tag(coll_code::BCAST, seq, 0);
+        for &child in sched.children_of(self.inner.rank()).iter().rev() {
+            self.eager_send(child, tag, context, data.clone(), seq, root);
+            self.stats.bcast_forwards += 1;
         }
     }
 
@@ -938,6 +867,18 @@ impl AbEngine {
         debug_assert!(rndv.is_none(), "bypass traffic above the eager limit");
     }
 
+    /// Post a stock collective whose reduce phase must not use the
+    /// collective packet type (§V-A reserves it for application-bypass
+    /// reduction traffic): no descriptors exist for it, so non-root ranks
+    /// would park its packets on the AB unexpected queue forever.
+    fn with_eager_reduces(&mut self, post: impl FnOnce(&mut Engine) -> ReqId) -> ReqId {
+        let saved = self.inner.reduce_packet_kind();
+        self.inner.set_reduce_packet_kind(PacketKind::Eager);
+        let req = post(&mut self.inner);
+        self.inner.set_reduce_packet_kind(saved);
+        req
+    }
+
     /// Run pre-processing over everything in the receive queue, forwarding
     /// pass-through packets to the inner engine.
     fn drain_rx(&mut self, in_signal: bool) -> bool {
@@ -949,7 +890,7 @@ impl AbEngine {
                 pkt.header.kind.label(),
                 pkt.header.msg_len,
             );
-            if let Some(pass) = self.preprocess(pkt, in_signal) {
+            if let Some(pass) = self.preprocess(pkt, Fold::Host { in_signal }) {
                 // Pass-through: the inner engine emits its PacketRecv
                 // when it processes the packet.
                 self.inner.deliver(pass);
@@ -973,7 +914,8 @@ impl SegRunner for AbEngine {
     fn start_reduce(&mut self, call: &PipeCall, lane: &Lane, seg: usize, acc: Vec<u8>) -> ReqId {
         let (comm, seq) = (call.comm, lane.reduce_seq + seg as u64);
         let sched = Arc::clone(&lane.sched);
-        self.ireduce_split_with_seq(&comm, lane.root, call.op, call.dtype, &acc, seq, sched)
+        let (op, dtype) = (call.op, call.dtype);
+        self.reduce_instance(Entry::Split, &comm, lane.root, op, dtype, &acc, seq, sched)
     }
 
     fn start_bcast(
@@ -1097,42 +1039,7 @@ impl MessageEngine for AbEngine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
-        if let Some(failed) = self.inner.reject(comm, root, Some((op, dtype))) {
-            return failed;
-        }
-        // Plan first (see `ireduce_split`): all ranks must agree on the
-        // segment count before any rank-local mode decision.
-        let (k, seg_bytes) = self
-            .inner
-            .segment_plan(root, comm.size, data.len(), dtype.size());
-        if k >= 2 {
-            return self.ireduce_segmented(comm, root, op, dtype, data, k, seg_bytes, false);
-        }
-        let seq = self.inner.alloc_coll_seq(comm.coll_context);
-        let rank = self.inner.rank();
-        let sched = self.inner.schedule(root, comm.size);
-        // §V-B mode decision.
-        let fallback = if !self.config.enabled {
-            Some(&mut self.stats.fallback_disabled)
-        } else if rank == root {
-            Some(&mut self.stats.fallback_root)
-        } else if sched.is_leaf(rank) {
-            Some(&mut self.stats.fallback_leaf)
-        } else if data.len() > self.inner.eager_limit() {
-            Some(&mut self.stats.fallback_large)
-        } else {
-            None
-        };
-        if let Some(count) = fallback {
-            *count += 1;
-            return self
-                .inner
-                .ireduce_with_seq(comm, root, op, dtype, data, seq, sched);
-        }
-        self.stats.ab_reductions += 1;
-        let parent = sched.parent_of(rank);
-        debug_assert!(parent.is_some(), "internal node always has a parent");
-        self.ab_reduce_start(comm, root, op, dtype, data, seq, parent, false, sched)
+        self.post_reduce(comm, root, op, dtype, data, false)
     }
 
     fn ibcast(
@@ -1154,15 +1061,8 @@ impl MessageEngine for AbEngine {
         dtype: Datatype,
         data: &[u8],
     ) -> ReqId {
-        // Allreduce is not bypassed, so its internal reduce must NOT use
-        // the collective packet type (§V-A reserves it for application-
-        // bypass reduction traffic): non-root ranks have no descriptors and
-        // would park these packets on the AB unexpected queue forever.
-        let saved = self.inner.reduce_packet_kind();
-        self.inner.set_reduce_packet_kind(PacketKind::Eager);
-        let req = self.inner.iallreduce(comm, op, dtype, data);
-        self.inner.set_reduce_packet_kind(saved);
-        req
+        // Allreduce is not bypassed: it runs the stock reduce + broadcast.
+        self.with_eager_reduces(|e| e.iallreduce(comm, op, dtype, data))
     }
 
     fn iallreduce_dual(
@@ -1173,13 +1073,8 @@ impl MessageEngine for AbEngine {
         data: &[u8],
     ) -> ReqId {
         // The blocking dual-root allreduce runs the stock two-chain
-        // pipeline; like `iallreduce`, its reduce halves must not emit the
-        // collective packet type (no descriptors exist for them).
-        let saved = self.inner.reduce_packet_kind();
-        self.inner.set_reduce_packet_kind(PacketKind::Eager);
-        let req = self.inner.iallreduce_dual(comm, op, dtype, data);
-        self.inner.set_reduce_packet_kind(saved);
-        req
+        // pipeline.
+        self.with_eager_reduces(|e| e.iallreduce_dual(comm, op, dtype, data))
     }
 
     fn iallreduce_dual_split(
@@ -1266,6 +1161,6 @@ impl MessageEngine for AbEngine {
         if !self.config.enabled || !self.config.nic_offload {
             return Some(pkt);
         }
-        self.nic_process(pkt)
+        self.preprocess(pkt, Fold::Nic)
     }
 }

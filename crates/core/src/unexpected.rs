@@ -32,8 +32,6 @@ pub struct AbUnexpectedMsg {
 #[derive(Debug, Default)]
 pub struct AbUnexpectedQueue {
     entries: VecDeque<AbUnexpectedMsg>,
-    high_water: usize,
-    total: u64,
 }
 
 impl AbUnexpectedQueue {
@@ -45,8 +43,6 @@ impl AbUnexpectedQueue {
     /// Park an early message.
     pub fn push(&mut self, msg: AbUnexpectedMsg) {
         self.entries.push_back(msg);
-        self.high_water = self.high_water.max(self.entries.len());
-        self.total += 1;
     }
 
     /// Take the oldest parked message from `src` with `tag` in `context`
@@ -68,16 +64,6 @@ impl AbUnexpectedQueue {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Peak occupancy.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Lifetime parked count.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 }
 
@@ -126,17 +112,5 @@ mod tests {
         q.push(msg(4, 1, 0));
         assert!(q.take(4, -3, 1).is_none());
         assert!(q.take(4, T, 1).is_some());
-    }
-
-    #[test]
-    fn counters() {
-        let mut q = AbUnexpectedQueue::new();
-        q.push(msg(1, 1, 0));
-        q.push(msg(2, 1, 0));
-        q.take(1, T, 1);
-        q.push(msg(3, 1, 0));
-        assert_eq!(q.high_water(), 2);
-        assert_eq!(q.total(), 3);
-        assert_eq!(q.len(), 2);
     }
 }

@@ -977,46 +977,7 @@ impl Engine {
             return failed;
         }
         let coll_seq = self.alloc_coll_seq(comm.coll_context);
-        let mut state = GatherState {
-            context: comm.coll_context,
-            root,
-            size: comm.size,
-            rank: self.rank,
-            coll_seq,
-            block: data.len(),
-            chunks: Vec::new(),
-            recvs: Vec::new(),
-            send_req: None,
-        };
-        if self.rank == root {
-            state.chunks = vec![None; comm.size as usize];
-            state.chunks[self.rank as usize] = Some(Bytes::from(data.to_vec()));
-            // Post the n-1 receives up front (MPICH's small-message linear
-            // gather does the same with irecvs).
-            for src in 0..comm.size {
-                if src == root {
-                    continue;
-                }
-                let req = self.irecv_internal(
-                    Some(src),
-                    TagSel::Is(coll_tag(coll_code::GATHER, coll_seq, 0)),
-                    comm.coll_context,
-                    data.len(),
-                    Some(coll_seq),
-                );
-                state.recvs.push((req, src));
-            }
-        } else {
-            state.send_req = self.isend_internal(
-                root,
-                coll_tag(coll_code::GATHER, coll_seq, 0),
-                comm.coll_context,
-                Bytes::from(data.to_vec()),
-                PacketKind::Eager,
-                coll_seq,
-                root,
-            );
-        }
+        let state = self.start_gather(comm, root, coll_seq, data);
         self.post_coll(CollState::Gather(state))
     }
 
@@ -1026,46 +987,48 @@ impl Engine {
     pub fn iallgather(&mut self, comm: &Communicator, data: &[u8]) -> ReqId {
         let gather_seq = self.alloc_coll_seq(comm.coll_context);
         let _bcast_seq = self.alloc_coll_seq(comm.coll_context);
-        let mut gather = GatherState {
-            context: comm.coll_context,
-            root: 0,
+        let state = AllgatherState {
+            phase: AllgatherPhase::Gather(self.start_gather(comm, 0, gather_seq, data)),
+            total_len: data.len() * comm.size as usize,
+        };
+        self.post_coll(CollState::Allgather(state))
+    }
+
+    /// The gather phase of instance `coll_seq`: the root posts the n-1
+    /// receives up front (MPICH's small-message linear gather does the
+    /// same with irecvs), every other rank sends its block.
+    fn start_gather(
+        &mut self,
+        comm: &Communicator,
+        root: Rank,
+        coll_seq: u64,
+        data: &[u8],
+    ) -> GatherState {
+        let (ctx, tag) = (comm.coll_context, coll_tag(coll_code::GATHER, coll_seq, 0));
+        let mut state = GatherState {
+            context: ctx,
+            root,
             size: comm.size,
             rank: self.rank,
-            coll_seq: gather_seq,
+            coll_seq,
             block: data.len(),
             chunks: Vec::new(),
             recvs: Vec::new(),
             send_req: None,
         };
-        if self.rank == 0 {
-            gather.chunks = vec![None; comm.size as usize];
-            gather.chunks[0] = Some(Bytes::from(data.to_vec()));
-            for src in 1..comm.size {
-                let req = self.irecv_internal(
-                    Some(src),
-                    TagSel::Is(coll_tag(coll_code::GATHER, gather_seq, 0)),
-                    comm.coll_context,
-                    data.len(),
-                    Some(gather_seq),
-                );
-                gather.recvs.push((req, src));
-            }
-        } else {
-            gather.send_req = self.isend_internal(
-                0,
-                coll_tag(coll_code::GATHER, gather_seq, 0),
-                comm.coll_context,
-                Bytes::from(data.to_vec()),
-                PacketKind::Eager,
-                gather_seq,
-                0,
-            );
+        if self.rank != root {
+            let (block, kind) = (Bytes::from(data.to_vec()), PacketKind::Eager);
+            state.send_req = self.isend_internal(root, tag, ctx, block, kind, coll_seq, root);
+            return state;
         }
-        let state = AllgatherState {
-            phase: AllgatherPhase::Gather(gather),
-            total_len: data.len() * comm.size as usize,
-        };
-        self.post_coll(CollState::Allgather(state))
+        state.chunks = vec![None; comm.size as usize];
+        state.chunks[root as usize] = Some(Bytes::from(data.to_vec()));
+        for src in (0..comm.size).filter(|&src| src != root) {
+            let req =
+                self.irecv_internal(Some(src), TagSel::Is(tag), ctx, data.len(), Some(coll_seq));
+            state.recvs.push((req, src));
+        }
+        state
     }
 
     /// Rabenseifner allreduce: recursive-halving reduce-scatter, then

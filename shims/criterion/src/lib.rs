@@ -8,7 +8,9 @@
 //! machine and run, which is all the before/after hot-path tracking needs.
 //!
 //! Environment knobs: `CRITERION_SAMPLES` (default 15) and
-//! `CRITERION_BATCH_MS` (default 4) trade precision for runtime.
+//! `CRITERION_BATCH_MS` (default 4) trade precision for runtime. As with
+//! criterion, `cargo bench -- <filter>` runs only the benchmarks whose full
+//! `group/name` id contains `<filter>`.
 
 #![warn(missing_docs)]
 
@@ -105,11 +107,31 @@ fn report(name: &str, samples_ns: &mut [f64]) {
     );
 }
 
+/// The bench filter: the first command-line argument that is not a flag
+/// (cargo runs a bench binary as `<bin> --bench <filter>`).
+fn filter_from(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
+/// Whether benchmark `id` runs: every one without a filter, otherwise
+/// those whose id contains it.
+fn selected(filter: Option<&str>, id: &str) -> bool {
+    filter.is_none_or(|f| id.contains(f))
+}
+
 /// The benchmark driver.
 #[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    filter: Option<String>,
+}
 
 impl Criterion {
+    /// Take the bench filter from the command line.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_from(std::env::args().skip(1));
+        self
+    }
+
     /// Run one benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
@@ -117,6 +139,9 @@ impl Criterion {
         mut f: F,
     ) -> &mut Self {
         let name = name.into();
+        if !selected(self.filter.as_deref(), &name) {
+            return self;
+        }
         let mut b = Bencher {
             samples_ns: Vec::new(),
             samples: samples_from_env(None),
@@ -129,7 +154,7 @@ impl Criterion {
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _c: self,
+            c: self,
             prefix: name.into(),
             sample_size: None,
         }
@@ -152,7 +177,7 @@ impl BenchmarkId {
 
 /// A group of related benchmarks sharing a name prefix and settings.
 pub struct BenchmarkGroup<'a> {
-    _c: &'a mut Criterion,
+    c: &'a mut Criterion,
     prefix: String,
     sample_size: Option<usize>,
 }
@@ -171,12 +196,16 @@ impl BenchmarkGroup<'_> {
     }
 
     fn run(&mut self, name: String, f: &mut dyn FnMut(&mut Bencher)) {
+        let id = format!("{}/{}", self.prefix, name);
+        if !selected(self.c.filter.as_deref(), &id) {
+            return;
+        }
         let mut b = Bencher {
             samples_ns: Vec::new(),
             samples: samples_from_env(self.sample_size),
         };
         f(&mut b);
-        report(&format!("{}/{}", self.prefix, name), &mut b.samples_ns);
+        report(&id, &mut b.samples_ns);
     }
 
     /// Run one benchmark in the group.
@@ -209,7 +238,7 @@ impl BenchmarkGroup<'_> {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $( $target(&mut c); )+
         }
     };
@@ -243,5 +272,38 @@ mod tests {
             b.iter(|| black_box(n) * 2)
         });
         g.finish();
+    }
+
+    #[test]
+    fn the_filter_is_the_first_non_flag_argument() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            filter_from(args(&["--bench", "barrier"])).as_deref(),
+            Some("barrier")
+        );
+        assert_eq!(filter_from(args(&["--bench"])), None);
+        assert_eq!(filter_from(args(&[])), None);
+    }
+
+    #[test]
+    fn the_filter_matches_a_substring_of_the_full_id() {
+        assert!(selected(None, "barrier/des_32r_x10"));
+        assert!(selected(Some("barrier"), "barrier/des_32r_x10"));
+        assert!(selected(Some("des_32r"), "barrier/des_32r_x10"));
+        assert!(selected(Some("r/des"), "barrier/des_32r_x10"));
+        assert!(!selected(Some("barrier"), "engine/loopback_reduce_16r_32e"));
+    }
+
+    #[test]
+    fn a_filtered_out_bench_never_runs_its_closure() {
+        let mut c = Criterion {
+            filter: Some("barrier".into()),
+        };
+        let mut ran = false;
+        c.bench_function("tree/parent_1k", |_| ran = true);
+        let mut g = c.benchmark_group("engine");
+        g.bench_function("drain", |_| ran = true);
+        g.finish();
+        assert!(!ran);
     }
 }
