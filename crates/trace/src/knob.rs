@@ -187,7 +187,7 @@ pub const MSG_BYTES: Knob = Knob {
     default: Some("67108864"),
     consumed_by: "`bandwidth_figure`",
     doc: "largest message the bandwidth sweep reaches, in bytes (64 MiB); CI \
-          smoke caps it at 256 KiB",
+          smoke caps it at 1 MiB",
 };
 
 /// Every knob the workspace reads, in README order.

@@ -98,15 +98,16 @@ ABR_FABRIC=flat ABR_TOPO=binomial ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/nu
 diff -u crates/bench/golden/all_figures_iters5.txt FIG_all_fabric_flat.txt \
   || { echo "ABR_FABRIC=flat diverged from the all-figures golden"; exit 1; }
 
-echo "==> bandwidth smoke (segmented pipeline + dual-root allreduce, capped at 256 KiB)"
+echo "==> bandwidth smoke (segmented pipeline + dual-root allreduce, capped at 1 MiB)"
 # Smoke runs write beside the committed BENCH_bw.json, never over it.
-ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=BENCH_bw_smoke.json \
+ABR_MSG_BYTES=1048576 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=BENCH_bw_smoke.json \
   cargo run -q --release -p abr_bench --bin bandwidth_figure > FIG_bandwidth_smoke.txt
 grep -q '"schema": "abr-bw-v1"' BENCH_bw_smoke.json \
   || { echo "BENCH_bw_smoke.json missing or malformed"; exit 1; }
-# The smoke is the only CI run of the segmented and dual-root pipelines:
-# pin its tables byte-for-byte.
-diff -u crates/bench/golden/bandwidth_256k_iters5.txt FIG_bandwidth_smoke.txt \
+# The smoke is the only CI run of the segmented and dual-root pipelines,
+# and the 1 MiB row is the only one whose unexpected queues grow past the
+# match queue's linear-scan limit: pin its tables byte-for-byte.
+diff -u crates/bench/golden/bandwidth_1m_iters5.txt FIG_bandwidth_smoke.txt \
   || { echo "bandwidth smoke diverged from its golden"; exit 1; }
 
 echo "==> segmentation-off golden diff (ABR_SEGMENTS=1 must not perturb figures)"
@@ -156,7 +157,7 @@ diff -u FIG_scale.tables FIG_scale_s2.tables \
 diff -u FIG_scale_s2.tables FIG_scale_s8.tables \
   || { echo "scale figure diverged between 2 and 8 shards"; exit 1; }
 # The dual-root columns order many same-instant sends by tie-break key.
-ABR_DES_SHARDS=2 ABR_MSG_BYTES=262144 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
+ABR_DES_SHARDS=2 ABR_MSG_BYTES=1048576 ABR_ITERS=5 ABR_JOBS=2 ABR_RECORD_JSON=/dev/null \
   cargo run -q --release -p abr_bench --bin bandwidth_figure > FIG_bandwidth_smoke_s2.txt
 diff -u FIG_bandwidth_smoke.txt FIG_bandwidth_smoke_s2.txt \
   || { echo "bandwidth figure diverged between one shard and 2 shards"; exit 1; }
