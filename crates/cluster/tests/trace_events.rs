@@ -13,12 +13,18 @@ use abr_mpr::engine::EngineConfig;
 use abr_mpr::op::ReduceOp;
 use abr_mpr::topology::TopologyKind;
 use abr_mpr::types::{f64s_to_bytes, Datatype};
-use abr_trace::{cpu_attribution, RingRecorder, TraceClock, Tracer};
+use abr_trace::{cpu_attribution, RingRecorder, Trace, TraceClock, TraceEvent, Tracer};
 use std::sync::Arc;
 
 /// One sum-reduction to root 0 under the DES with a tracer installed;
 /// returns the trace's ordered send/recv skeleton.
 fn des_skeleton(n: u32, topo: TopologyKind, plan: &FaultPlan) -> Vec<String> {
+    des_trace(n, topo, plan, 2).skeleton()
+}
+
+/// One sum-reduction of `doubles` elements per rank to root 0 under the
+/// DES with a tracer installed; returns the whole trace.
+fn des_trace(n: u32, topo: TopologyKind, plan: &FaultPlan, doubles: usize) -> Trace {
     let spec = ClusterSpec::homogeneous_1000(n).with_topology(topo);
     let programs: Vec<Box<dyn Program>> = (0..n)
         .map(|rank| {
@@ -28,11 +34,13 @@ fn des_skeleton(n: u32, topo: TopologyKind, plan: &FaultPlan) -> Vec<String> {
                     return Step::Done;
                 }
                 done = true;
+                let mut data = vec![2.0; doubles];
+                data[0] = rank as f64 + 1.0;
                 Step::Reduce {
                     root: 0,
                     op: ReduceOp::Sum,
                     dtype: Datatype::F64,
-                    data: f64s_to_bytes(&[rank as f64 + 1.0, 2.0]),
+                    data: f64s_to_bytes(&data),
                 }
             })) as Box<dyn Program>
         })
@@ -46,7 +54,7 @@ fn des_skeleton(n: u32, topo: TopologyKind, plan: &FaultPlan) -> Vec<String> {
     d.install_tracer(Arc::clone(&rec) as Arc<dyn Tracer>);
     d.set_faults(plan, RelConfig::sim_default());
     d.run();
-    rec.snapshot().skeleton()
+    rec.snapshot()
 }
 
 /// The same reduction over real threads, wall-clock stamped.
@@ -161,6 +169,33 @@ fn des_and_live_emit_identical_skeleton_chain_topology_under_faults() {
         des_skeleton(n, TopologyKind::Binomial, &FaultPlan::none()),
         "chain and binomial skeletons should differ"
     );
+}
+
+/// Every packet the engines send is traced: a 32 KiB reduction goes
+/// rendezvous (RTS, CTS, DATA), and for each packet kind the fault-free run
+/// records as many sends as receives.
+#[test]
+fn every_sent_packet_kind_is_traced() {
+    let trace = des_trace(8, TopologyKind::Binomial, &FaultPlan::none(), 4096);
+    assert_eq!(trace.dropped, 0);
+    let mut counts: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
+    for rec in trace.per_rank.iter().flatten() {
+        match rec.event {
+            TraceEvent::PacketSend { kind, .. } => counts.entry(kind).or_default().0 += 1,
+            TraceEvent::PacketRecv { kind, .. } => counts.entry(kind).or_default().1 += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        counts.len() >= 3,
+        "expected the rendezvous kinds: {counts:?}"
+    );
+    for (kind, (sends, recvs)) in &counts {
+        assert_eq!(
+            sends, recvs,
+            "{kind}: {sends} sends traced, {recvs} receives"
+        );
+    }
 }
 
 #[test]

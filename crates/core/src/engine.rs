@@ -31,7 +31,7 @@ use crate::stats::AbStats;
 use crate::unexpected::{AbUnexpectedMsg, AbUnexpectedQueue};
 use abr_des::meter::CpuCategory;
 use abr_des::{SimDuration, SmallMap};
-use abr_gm::packet::{NodeId, Packet, PacketHeader, PacketKind};
+use abr_gm::packet::{Packet, PacketKind};
 use abr_mpr::charge::Charges;
 use abr_mpr::coll::{Lane, PipeCall, SegPipeline, SegRunner, StepRes};
 use abr_mpr::engine::{Action, Engine, EngineConfig, MessageEngine};
@@ -324,12 +324,9 @@ impl AbEngine {
             return false;
         } else {
             match entry {
-                Entry::Blocking => s.ab_reductions += 1,
+                Entry::Blocking | Entry::Segmented { split: false } => s.ab_reductions += 1,
                 Entry::Split => s.split_phase_started += 1,
-                Entry::Segmented { split } => {
-                    s.seg_reductions += 1;
-                    s.ab_reductions += u64::from(!split);
-                }
+                Entry::Segmented { split: true } => {}
             }
             return true;
         };
@@ -434,7 +431,6 @@ impl AbEngine {
         // Pre-allocate both phases' instance numbers so all ranks agree on
         // collective order regardless of when the chain advances locally.
         let lane = self.inner.allreduce_lane(comm, data.len());
-        self.stats.allreduce_splits += 1;
         self.post_pipeline(comm, op, dtype, data, [lane])
     }
 
@@ -464,7 +460,6 @@ impl AbEngine {
             // path degrades identically on every rank.
             return MessageEngine::iallreduce_dual(self, comm, op, dtype, data);
         };
-        self.stats.dual_allreduce_splits += 1;
         self.post_pipeline(comm, op, dtype, data, lanes)
     }
 
@@ -773,30 +768,15 @@ impl AbEngine {
             Some(parent) => {
                 let tag = coll_tag(coll_code::REDUCE, d.coll_seq, 0);
                 if nic {
-                    let header = PacketHeader {
-                        src: NodeId(self.inner.rank()),
-                        dst: NodeId(parent),
-                        kind: PacketKind::Collective,
-                        context: d.context,
-                        tag,
-                        coll_seq: d.coll_seq,
-                        coll_root: d.root,
-                        msg_len: acc.len() as u32,
-                        wire_seq: 0,
-                        rel_seq: 0,
-                    };
+                    let (kind, len) = (PacketKind::Collective, acc.len());
+                    let (ctx, seq) = (d.context, d.coll_seq);
                     self.inner
-                        .push_action(Action::Send(Packet::new(header, acc)));
+                        .send_packet(parent, kind, ctx, tag, seq, d.root, len, acc);
                 } else {
                     self.eager_send(parent, tag, d.context, acc, d.coll_seq, d.root);
                 }
                 let sync = matches!(by, Fold::Swept | Fold::Host { in_signal: false });
                 self.stats.completed_in_sync += u64::from(sync && d.call_req.is_some());
-                *match by {
-                    Fold::Nic => &mut self.stats.nic_parent_sends,
-                    Fold::Host { in_signal: true } => &mut self.stats.async_parent_sends,
-                    _ => &mut self.stats.sync_parent_sends,
-                } += 1;
                 Outcome::Done
             }
         };

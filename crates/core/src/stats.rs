@@ -27,10 +27,6 @@ pub struct AbStats {
     /// Expected or late messages consumed directly from the packet buffer
     /// (zero copies instead of MPICH's one: 100% saved).
     pub zero_copy_children: u64,
-    /// Results sent to parents from the asynchronous handler.
-    pub async_parent_sends: u64,
-    /// Results sent to parents inside the synchronous call.
-    pub sync_parent_sends: u64,
     /// Signals handled (asynchronous activations).
     pub signals_handled: u64,
     /// Exit delays applied (§IV-E), regardless of whether they helped.
@@ -44,22 +40,12 @@ pub struct AbStats {
     pub split_phase_started: u64,
     /// Children folded in by the NIC processor (NIC-offload extension).
     pub nic_children: u64,
-    /// Results forwarded to parents directly by the NIC.
-    pub nic_parent_sends: u64,
     /// Application-bypass broadcasts posted (ref. \[8\] companion system).
     pub bcast_splits: u64,
     /// Broadcast payloads forwarded to children by the bypass machinery.
     pub bcast_forwards: u64,
     /// Broadcast waits satisfied inside a signal handler.
     pub async_bcasts: u64,
-    /// Split-phase allreduces posted (§II extension).
-    pub allreduce_splits: u64,
-    /// Segmented (pipelined) bypassed reductions posted: large payloads
-    /// run as a window of eager-sized per-segment reduces instead of
-    /// falling back to the stock rendezvous path.
-    pub seg_reductions: u64,
-    /// Bypassed dual-root doubly-pipelined allreduces posted (Träff).
-    pub dual_allreduce_splits: u64,
     /// Retransmitted duplicates suppressed by the bypass layer (repeat
     /// `rel_seq` at delivery, or a non-pending sender at descriptor match).
     pub duplicates_suppressed: u64,

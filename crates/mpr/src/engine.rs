@@ -309,6 +309,36 @@ impl Engine {
         self.actions.push(action);
     }
 
+    /// The one wire send: a packet from this rank, handed to the NIC and
+    /// traced. `msg_len` is the length the header announces, which a
+    /// rendezvous control packet (RTS, CTS) carries without a payload.
+    #[allow(clippy::too_many_arguments)] // the wire-header fields
+    pub fn send_packet(
+        &mut self,
+        dst: Rank,
+        kind: PacketKind,
+        context: u32,
+        tag: i32,
+        coll_seq: u64,
+        coll_root: Rank,
+        msg_len: usize,
+        payload: Bytes,
+    ) {
+        let header = PacketHeader {
+            src: NodeId(self.rank),
+            dst: NodeId(dst),
+            kind,
+            context,
+            tag,
+            coll_seq,
+            coll_root,
+            msg_len: msg_len as u32,
+            wire_seq: 0,
+            rel_seq: 0,
+        };
+        self.push_action(Action::Send(Packet::new(header, payload)));
+    }
+
     /// Allocate the next collective sequence number for a context. Every
     /// rank calls collectives in the same order, so these agree cluster-wide
     /// and identify reduction *instances* (§IV-D).
@@ -387,10 +417,7 @@ impl Engine {
 
     /// Complete a shell request with `outcome`.
     pub fn complete_shell(&mut self, req: ReqId, outcome: Outcome) {
-        if let Some(r) = self.requests.get_mut(&req.raw()) {
-            debug_assert!(r.outcome.is_none(), "shell request completed twice");
-            r.outcome = Some(outcome);
-        }
+        self.complete(req, outcome);
     }
 
     /// Sweep the MPICH unexpected queue for a message from `src` with `tag`
@@ -403,11 +430,8 @@ impl Engine {
         tag: TagSel,
         context: u32,
     ) -> Option<UnexpectedMsg> {
-        let msg = self.unexpected.take_match(src, tag, context)?;
-        self.stats.unexpected_matched += 1;
-        let copy = self.config.cost.copy(msg.msg_len);
-        self.charge(CpuCategory::Protocol, copy);
-        self.note_copy(msg.msg_len);
+        let msg = self.take_parked(src, tag, context)?;
+        self.host_copy(msg.msg_len);
         Some(msg)
     }
 
@@ -463,23 +487,10 @@ impl Engine {
         if data.len() <= self.config.eager_limit {
             // Eager: copy into the pre-pinned bounce buffer, hand to NIC,
             // locally complete immediately.
-            let copy = self.config.cost.copy(data.len());
             self.charge(CpuCategory::Protocol, self.config.cost.eager_send_host());
-            self.charge(CpuCategory::Protocol, copy);
-            self.note_copy(data.len());
-            let header = PacketHeader {
-                src: NodeId(self.rank),
-                dst: NodeId(dst),
-                kind,
-                context,
-                tag,
-                coll_seq,
-                coll_root,
-                msg_len: data.len() as u32,
-                wire_seq: 0,
-                rel_seq: 0,
-            };
-            self.push_action(Action::Send(Packet::new(header, data)));
+            let len = data.len();
+            self.host_copy(len);
+            self.send_packet(dst, kind, context, tag, coll_seq, coll_root, len, data);
             self.stats.eager_sent += 1;
             return None;
         }
@@ -500,24 +511,11 @@ impl Engine {
         self.charge(CpuCategory::Protocol, pin);
         self.charge(CpuCategory::Protocol, self.config.cost.rndv_control_host());
         let xfer_id = self.fresh_xfer();
-        let header = PacketHeader {
-            src: NodeId(self.rank),
-            dst: NodeId(dst),
-            kind: PacketKind::RendezvousRts,
-            context,
-            tag,
-            coll_seq: xfer_id,
-            coll_root: 0,
-            msg_len: data.len() as u32,
-            wire_seq: 0,
-            rel_seq: 0,
-        };
-        self.actions
-            .push(Action::Send(Packet::new(header, Bytes::new())));
+        let (rts, len) = (PacketKind::RendezvousRts, data.len());
+        self.send_packet(dst, rts, context, tag, xfer_id, 0, len, Bytes::new());
         self.stats.rndv_sent += 1;
         let id = self.new_req(Request::new(RequestBody::SendRndv(RndvSend {
             dst,
-            xfer_id,
             data,
             region,
             tag,
@@ -538,60 +536,19 @@ impl Engine {
         expect_coll_seq: Option<u64>,
     ) -> ReqId {
         let id = self.new_req(Request::new(RequestBody::Recv(RecvState::default())));
+        let recv = PostedRecv {
+            id,
+            src,
+            tag,
+            context,
+            capacity,
+            expect_coll_seq,
+        };
         // MPI_Recv semantics: search the unexpected queue first (§III).
         self.charge(CpuCategory::Protocol, self.config.cost.matching());
-        if let Some(msg) = self.unexpected.take_match(src, tag, context) {
-            debug_assert!(
-                // A parked RTS carries the rendezvous transfer id in this
-                // field, not the collective sequence; skip the cross-check.
-                msg.kind == PacketKind::RendezvousRts
-                    || expect_coll_seq.is_none_or(|s| s == msg.coll_seq),
-                "FIFO transport delivered collective instance {} where {} was expected",
-                msg.coll_seq,
-                expect_coll_seq.unwrap()
-            );
-            self.stats.unexpected_matched += 1;
-            match msg.kind {
-                PacketKind::RendezvousRts => {
-                    if msg.msg_len > capacity {
-                        self.fail_req(
-                            id,
-                            MprError::Truncation {
-                                received: msg.msg_len,
-                                capacity,
-                            },
-                        );
-                    } else {
-                        self.begin_rndv_recv(id, msg.src, msg.coll_seq, msg.msg_len, context);
-                    }
-                }
-                _ => {
-                    if msg.msg_len > capacity {
-                        self.fail_req(
-                            id,
-                            MprError::Truncation {
-                                received: msg.msg_len,
-                                capacity,
-                            },
-                        );
-                    } else {
-                        // Second copy: unexpected buffer -> user buffer.
-                        let copy = self.config.cost.copy(msg.msg_len);
-                        self.charge(CpuCategory::Protocol, copy);
-                        self.note_copy(msg.msg_len);
-                        self.complete_recv(id, msg.data);
-                    }
-                }
-            }
-        } else {
-            self.posted.post(PostedRecv {
-                id,
-                src,
-                tag,
-                context,
-                capacity,
-                expect_coll_seq,
-            });
+        match self.take_parked(src, tag, context) {
+            Some(msg) => self.land(&recv, msg),
+            None => self.posted.post(recv),
         }
         id
     }
@@ -1062,86 +1019,50 @@ impl Engine {
         self.post_coll(CollState::RsAllreduce(state))
     }
 
-    /// Begin the exchange for the current RS/AG round: figure out which
-    /// half goes to the partner, post the send and the receive.
+    /// Begin the exchange for the current RS/AG round: send the partner
+    /// the block it needs and post the receive for the block it sends.
     fn rs_start_exchange(&mut self, s: &mut RsAllreduceState) {
-        match s.phase {
+        let (dist, send_off, len) = match s.phase {
             RsPhase::ReduceScatter { dist } => {
-                let partner = s.rank ^ dist;
-                let half = s.seglen / 2;
                 // Lower-rank keeps the lower half; the upper half belongs
                 // to the partner (and vice versa).
-                let (keep_off, send_off) = if s.rank < partner {
+                let half = s.seglen / 2;
+                let (keep_off, send_off) = if s.rank < s.rank ^ dist {
                     (s.offset, s.offset + half)
                 } else {
                     (s.offset + half, s.offset)
                 };
-                let payload = Bytes::from(s.buf[send_off..send_off + half].to_vec());
-                s.send_req = self.isend_internal(
-                    partner,
-                    coll_tag(coll_code::RS, s.coll_seq, 0),
-                    s.context,
-                    payload,
-                    PacketKind::Eager,
-                    s.coll_seq,
-                    0,
-                );
-                let recv = self.irecv_internal(
-                    Some(partner),
-                    TagSel::Is(coll_tag(coll_code::RS, s.coll_seq, 0)),
-                    s.context,
-                    half,
-                    Some(s.coll_seq),
-                );
-                s.recv_req = Some(recv);
                 s.offset = keep_off;
                 s.seglen = half;
+                (dist, send_off, half)
             }
-            RsPhase::Allgather { dist } => {
-                let partner = s.rank ^ dist;
-                let payload = Bytes::from(s.buf[s.offset..s.offset + s.seglen].to_vec());
-                s.send_req = self.isend_internal(
-                    partner,
-                    coll_tag(coll_code::RS, s.coll_seq, 0),
-                    s.context,
-                    payload,
-                    PacketKind::Eager,
-                    s.coll_seq,
-                    0,
-                );
-                let recv = self.irecv_internal(
-                    Some(partner),
-                    TagSel::Is(coll_tag(coll_code::RS, s.coll_seq, 0)),
-                    s.context,
-                    s.seglen,
-                    Some(s.coll_seq),
-                );
-                s.recv_req = Some(recv);
-            }
-        }
+            // Send my whole segment; the partner's arrives the same size.
+            RsPhase::Allgather { dist } => (dist, s.offset, s.seglen),
+        };
+        let (partner, ctx, seq) = (s.rank ^ dist, s.context, s.coll_seq);
+        let tag = coll_tag(coll_code::RS, seq, 0);
+        let payload = Bytes::from(s.buf[send_off..send_off + len].to_vec());
+        s.send_req = self.isend_internal(partner, tag, ctx, payload, PacketKind::Eager, seq, 0);
+        let recv = self.irecv_internal(Some(partner), TagSel::Is(tag), ctx, len, Some(seq));
+        s.recv_req = Some(recv);
     }
 
-    fn step_rs_allreduce(&mut self, s: &mut RsAllreduceState) -> StepRes {
+    fn step_rs_allreduce(&mut self, s: &mut RsAllreduceState) -> Stepped {
         let mut progressed = false;
         loop {
             // Wait out the outstanding exchange.
             if let Some(r) = s.send_req {
-                match self.poll_sub(r) {
-                    Some(Outcome::Done) => {
-                        s.send_req = None;
-                        progressed = true;
-                    }
-                    Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                    Some(Outcome::Data(_)) | None => return StepRes::pending(progressed),
+                if self.reap(r)?.is_none() {
+                    return Ok(StepRes::pending(progressed));
                 }
+                s.send_req = None;
+                progressed = true;
             }
             let Some(r) = s.recv_req else {
                 unreachable!("exchange always posts both sides");
             };
-            let incoming = match self.poll_sub(r) {
-                Some(Outcome::Data(d)) => d,
-                Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                Some(Outcome::Done) | None => return StepRes::pending(progressed),
+            let Some(incoming) = self.reap(r)? else {
+                return Ok(StepRes::pending(progressed));
             };
             s.recv_req = None;
             progressed = true;
@@ -1152,9 +1073,7 @@ impl Engine {
                     let op_cost = self.config.cost.reduce_op(elems);
                     self.charge(CpuCategory::Protocol, op_cost);
                     let dst = &mut s.buf[s.offset..s.offset + s.seglen];
-                    if let Err(e) = s.op.apply(s.dtype, dst, &incoming) {
-                        return StepRes::done(Outcome::Failed(e));
-                    }
+                    s.op.apply(s.dtype, dst, &incoming)?;
                     if dist > 1 {
                         s.phase = RsPhase::ReduceScatter { dist: dist / 2 };
                     } else {
@@ -1170,9 +1089,7 @@ impl Engine {
                     } else {
                         s.offset - s.seglen
                     };
-                    let copy = self.config.cost.copy(incoming.len());
-                    self.charge(CpuCategory::Protocol, copy);
-                    self.note_copy(incoming.len());
+                    self.host_copy(incoming.len());
                     s.buf[partner_off..partner_off + s.seglen].copy_from_slice(&incoming);
                     s.offset = s.offset.min(partner_off);
                     s.seglen *= 2;
@@ -1180,9 +1097,8 @@ impl Engine {
                         s.phase = RsPhase::Allgather { dist: dist * 2 };
                     } else {
                         debug_assert_eq!(s.seglen, s.buf.len());
-                        return StepRes::done(Outcome::Data(Bytes::from(std::mem::take(
-                            &mut s.buf,
-                        ))));
+                        let data = Bytes::from(std::mem::take(&mut s.buf));
+                        return Ok(StepRes::done(Outcome::Data(data)));
                     }
                 }
             }
@@ -1269,8 +1185,9 @@ impl Engine {
             );
         }
         match pkt.header.kind {
-            PacketKind::Eager | PacketKind::Collective => self.process_eager_class(pkt),
-            PacketKind::RendezvousRts => self.process_rts(pkt),
+            PacketKind::Eager | PacketKind::Collective | PacketKind::RendezvousRts => {
+                self.process_arrival(pkt)
+            }
             PacketKind::RendezvousCts => self.process_cts(pkt),
             PacketKind::RendezvousData => self.process_rndv_data(pkt),
             PacketKind::Ack => {
@@ -1279,103 +1196,86 @@ impl Engine {
         }
     }
 
-    fn process_eager_class(&mut self, pkt: Packet) {
+    /// An eager-class message or an RTS arrives (Fig. 4, white boxes):
+    /// match it against the posted receives, or park it on the unexpected
+    /// queue. A parked eager message is copied into a temporary buffer (the
+    /// first of its two copies); a parked RTS keeps only its header, and no
+    /// payload moves until the rendezvous DATA.
+    fn process_arrival(&mut self, pkt: Packet) {
         self.charge(CpuCategory::Protocol, self.config.cost.matching());
-        let key = MsgKey {
-            src: pkt.header.src.0,
-            tag: pkt.header.tag,
-            context: pkt.header.context,
+        let h = pkt.header;
+        let msg = UnexpectedMsg {
+            src: h.src.0,
+            tag: h.tag,
+            context: h.context,
+            kind: h.kind,
+            coll_seq: h.coll_seq,
+            data: pkt.payload,
+            msg_len: h.msg_len as usize,
         };
+        let key = MsgKey {
+            src: msg.src,
+            tag: msg.tag,
+            context: msg.context,
+        };
+        let rts = msg.kind == PacketKind::RendezvousRts;
         if let Some(p) = self.posted.take_match(&key) {
-            debug_assert!(
-                p.expect_coll_seq.is_none_or(|s| s == pkt.header.coll_seq),
-                "collective instance mismatch on posted receive"
-            );
-            if pkt.payload.len() > p.capacity {
-                self.fail_req(
-                    p.id,
-                    MprError::Truncation {
-                        received: pkt.payload.len(),
-                        capacity: p.capacity,
-                    },
-                );
-            } else {
-                // Expected message: one copy, packet buffer -> user buffer.
-                let copy = self.config.cost.copy(pkt.payload.len());
-                self.charge(CpuCategory::Protocol, copy);
-                self.note_copy(pkt.payload.len());
-                self.stats.posted_matched += 1;
-                self.complete_recv(p.id, pkt.payload);
-            }
-        } else {
-            // Unexpected: first copy, packet buffer -> temporary buffer.
-            let copy = self.config.cost.copy(pkt.payload.len());
-            self.charge(CpuCategory::Protocol, copy);
-            self.note_copy(pkt.payload.len());
-            self.stats.unexpected_enqueued += 1;
-            self.unexpected.push(UnexpectedMsg {
-                src: pkt.header.src.0,
-                tag: pkt.header.tag,
-                context: pkt.header.context,
-                kind: pkt.header.kind,
-                coll_seq: pkt.header.coll_seq,
-                data: pkt.payload,
-                msg_len: pkt.header.msg_len as usize,
-            });
+            // An RTS counts as matched even when it truncates; an eager
+            // message only when it lands.
+            self.stats.posted_matched += u64::from(rts || msg.msg_len <= p.capacity);
+            self.land(&p, msg);
+            return;
         }
+        self.stats.unexpected_enqueued += 1;
+        if !rts {
+            self.host_copy(msg.msg_len);
+        }
+        self.unexpected.push(msg);
     }
 
-    fn process_rts(&mut self, pkt: Packet) {
-        self.charge(CpuCategory::Protocol, self.config.cost.matching());
-        let key = MsgKey {
-            src: pkt.header.src.0,
-            tag: pkt.header.tag,
-            context: pkt.header.context,
-        };
-        let xfer_id = pkt.header.coll_seq;
-        if let Some(p) = self.posted.take_match(&key) {
-            self.stats.posted_matched += 1;
-            if pkt.header.msg_len as usize > p.capacity {
-                self.fail_req(
-                    p.id,
-                    MprError::Truncation {
-                        received: pkt.header.msg_len as usize,
-                        capacity: p.capacity,
-                    },
-                );
-                return;
-            }
-            self.begin_rndv_recv(
-                p.id,
-                pkt.header.src.0,
-                xfer_id,
-                pkt.header.msg_len as usize,
-                pkt.header.context,
-            );
-        } else {
-            self.stats.unexpected_enqueued += 1;
-            // An RTS parks header-only: no payload copy happens until DATA.
-            self.unexpected.push(UnexpectedMsg {
-                src: pkt.header.src.0,
-                tag: pkt.header.tag,
-                context: pkt.header.context,
-                kind: PacketKind::RendezvousRts,
-                coll_seq: xfer_id,
-                data: Bytes::new(),
-                msg_len: pkt.header.msg_len as usize,
-            });
-        }
-    }
-
-    /// Receiver side: pin the destination and answer with a CTS.
-    fn begin_rndv_recv(
+    /// Take the oldest parked message matching `(src, tag, context)` off
+    /// the unexpected queue.
+    fn take_parked(
         &mut self,
-        req: ReqId,
-        src: Rank,
-        xfer_id: u64,
-        msg_len: usize,
+        src: Option<Rank>,
+        tag: TagSel,
         context: u32,
-    ) {
+    ) -> Option<UnexpectedMsg> {
+        let msg = self.unexpected.take_match(src, tag, context)?;
+        self.stats.unexpected_matched += 1;
+        Some(msg)
+    }
+
+    /// `msg` matched the receive `recv`, from either queue: fail it if the
+    /// message does not fit; otherwise answer an RTS with a CTS, or copy an
+    /// eager payload into the user buffer (a posted match's only copy, a
+    /// parked message's second).
+    fn land(&mut self, recv: &PostedRecv, msg: UnexpectedMsg) {
+        let rts = msg.kind == PacketKind::RendezvousRts;
+        debug_assert!(
+            // An RTS carries the rendezvous transfer id in this field, not
+            // the collective sequence; skip the cross-check.
+            rts || recv.expect_coll_seq.is_none_or(|s| s == msg.coll_seq),
+            "FIFO transport delivered collective instance {} where {:?} was expected",
+            msg.coll_seq,
+            recv.expect_coll_seq
+        );
+        if msg.msg_len > recv.capacity {
+            let (received, capacity) = (msg.msg_len, recv.capacity);
+            let err = MprError::Truncation { received, capacity };
+            self.complete(recv.id, Outcome::Failed(err));
+        } else if rts {
+            self.begin_rndv_recv(recv.id, &msg);
+        } else {
+            self.host_copy(msg.msg_len);
+            self.complete(recv.id, Outcome::Data(msg.data));
+        }
+    }
+
+    /// Receiver side of a matched RTS: pin the destination and answer with
+    /// a CTS.
+    fn begin_rndv_recv(&mut self, req: ReqId, rts: &UnexpectedMsg) {
+        let (xfer_id, msg_len) = (rts.coll_seq, rts.msg_len);
         let pin = self.config.cost.pin(msg_len);
         self.charge(CpuCategory::Protocol, pin);
         self.charge(CpuCategory::Protocol, self.config.cost.rndv_control_host());
@@ -1391,20 +1291,8 @@ impl Engine {
             rs.region = Some(region);
         }
         self.pending_rndv_recvs.insert(xfer_id, req);
-        let header = PacketHeader {
-            src: NodeId(self.rank),
-            dst: NodeId(src),
-            kind: PacketKind::RendezvousCts,
-            context,
-            tag: 0,
-            coll_seq: xfer_id,
-            coll_root: 0,
-            msg_len: msg_len as u32,
-            wire_seq: 0,
-            rel_seq: 0,
-        };
-        self.actions
-            .push(Action::Send(Packet::new(header, Bytes::new())));
+        let (cts, ctx) = (PacketKind::RendezvousCts, rts.context);
+        self.send_packet(rts.src, cts, ctx, 0, xfer_id, 0, msg_len, Bytes::new());
     }
 
     fn process_cts(&mut self, pkt: Packet) {
@@ -1423,29 +1311,16 @@ impl Engine {
         };
         // DMA straight from the pinned user buffer: no host copy.
         let data = std::mem::take(&mut rs.data);
-        let header = PacketHeader {
-            src: NodeId(self.rank),
-            dst: NodeId(rs.dst),
-            kind: PacketKind::RendezvousData,
-            context: rs.context,
-            tag: rs.tag,
-            coll_seq: xfer_id,
-            coll_root: 0,
-            msg_len: data.len() as u32,
-            wire_seq: 0,
-            rel_seq: 0,
-        };
-        let region = rs.region;
+        let (dst, context, tag, region) = (rs.dst, rs.context, rs.tag, rs.region);
         self.charge(CpuCategory::Protocol, self.config.cost.rndv_control_host());
-        self.push_action(Action::Send(Packet::new(header, data)));
+        let kind = PacketKind::RendezvousData;
+        self.send_packet(dst, kind, context, tag, xfer_id, 0, data.len(), data);
         let unpin = self.config.cost.unpin();
         self.charge(CpuCategory::Protocol, unpin);
         self.memory
             .deregister(region)
             .expect("send region vanished");
-        if let Some(r) = self.requests.get_mut(&req.raw()) {
-            r.outcome = Some(Outcome::Done);
-        }
+        self.complete(req, Outcome::Done);
     }
 
     fn process_rndv_data(&mut self, pkt: Packet) {
@@ -1469,25 +1344,21 @@ impl Engine {
                 .expect("recv region vanished");
         }
         // DMA landed in the pinned user buffer: zero host copies.
-        self.complete_recv(req, pkt.payload);
+        self.complete(req, Outcome::Data(pkt.payload));
     }
 
-    fn complete_recv(&mut self, req: ReqId, data: Bytes) {
+    /// Complete the live request `req` with `outcome`.
+    fn complete(&mut self, req: ReqId, outcome: Outcome) {
         if let Some(r) = self.requests.get_mut(&req.raw()) {
-            if let RequestBody::Recv(rs) = &mut r.body {
-                rs.data = Some(data.clone());
-            }
-            r.outcome = Some(Outcome::Data(data));
+            debug_assert!(r.outcome.is_none(), "request completed twice");
+            r.outcome = Some(outcome);
         }
     }
 
-    fn fail_req(&mut self, req: ReqId, err: MprError) {
-        if let Some(r) = self.requests.get_mut(&req.raw()) {
-            r.outcome = Some(Outcome::Failed(err));
-        }
-    }
-
-    fn note_copy(&mut self, bytes: usize) {
+    /// One host memory copy of `bytes` (§III): charge it and count it.
+    fn host_copy(&mut self, bytes: usize) {
+        let copy = self.config.cost.copy(bytes);
+        self.charge(CpuCategory::Protocol, copy);
         self.stats.copies += 1;
         self.stats.copy_bytes += bytes as u64;
     }
@@ -1549,15 +1420,15 @@ impl Engine {
         let RequestBody::Coll(mut state) = std::mem::replace(&mut r.body, RequestBody::Bare) else {
             unreachable!("only collectives are stepped");
         };
-        let res = match &mut *state {
+        let res = settle(match &mut *state {
             CollState::Reduce(s) => self.step_reduce(s),
             CollState::Bcast(s) => self.step_bcast(s),
             CollState::Barrier(s) => self.step_barrier(s),
             CollState::Gather(s) => self.step_gather(s),
             CollState::Allgather(s) => self.step_allgather(s),
             CollState::RsAllreduce(s) => self.step_rs_allreduce(s),
-            CollState::Pipeline { pipe, .. } => pipe.advance(self),
-        };
+            CollState::Pipeline { pipe, .. } => Ok(pipe.advance(self)),
+        });
         if res.outcome.is_some() {
             self.stats.colls_completed += 1;
             self.active_colls.retain(|&c| c != id);
@@ -1574,218 +1445,165 @@ impl Engine {
         res.progressed
     }
 
-    /// Poll a sub-request; if complete, free it and return the outcome.
-    fn poll_sub(&mut self, req: ReqId) -> Option<Outcome> {
-        let done = self
-            .requests
-            .get(&req.raw())
-            .is_some_and(|r| r.is_complete());
-        if !done {
-            return None;
+    /// Reap a collective's sub-request: `None` while it is pending; once
+    /// complete it is freed and yields its data (empty for a send), and its
+    /// error fails the collective through `?`.
+    fn reap(&mut self, req: ReqId) -> Result<Option<Bytes>, MprError> {
+        match self.take_outcome(req) {
+            None => Ok(None),
+            Some(Outcome::Data(d)) => Ok(Some(d)),
+            Some(Outcome::Done) => Ok(Some(Bytes::new())),
+            Some(Outcome::Failed(e)) => Err(e),
         }
-        self.requests.remove(&req.raw()).unwrap().outcome
     }
 
-    fn step_reduce(&mut self, s: &mut ReduceState) -> StepRes {
+    fn step_reduce(&mut self, s: &mut ReduceState) -> Stepped {
         let mut progressed = false;
         loop {
-            // Drain the outstanding child receive, if any.
+            // Fold in the outstanding child receive, if any.
             if let Some(r) = s.child_recv {
-                match self.poll_sub(r) {
-                    Some(Outcome::Data(d)) => {
-                        let op_cost = self.config.cost.reduce_op(s.dtype.count(s.acc.len()));
-                        self.charge(CpuCategory::Protocol, op_cost);
-                        if let Err(e) = s.op.apply(s.dtype, &mut s.acc, &d) {
-                            return StepRes::done(Outcome::Failed(e));
-                        }
-                        s.child_recv = None;
-                        s.next_child += 1;
-                        progressed = true;
-                        continue;
-                    }
-                    Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                    Some(Outcome::Done) | None => return StepRes::pending(progressed),
-                }
+                let Some(d) = self.reap(r)? else {
+                    return Ok(StepRes::pending(progressed));
+                };
+                let op_cost = self.config.cost.reduce_op(s.dtype.count(s.acc.len()));
+                self.charge(CpuCategory::Protocol, op_cost);
+                s.op.apply(s.dtype, &mut s.acc, &d)?;
+                s.child_recv = None;
+                s.next_child += 1;
+                progressed = true;
+                continue;
             }
             // Wait out a rendezvous send to the parent.
             if let Some(r) = s.send_req {
-                return match self.poll_sub(r) {
-                    Some(Outcome::Done) => StepRes::done(Outcome::Done),
-                    Some(Outcome::Failed(e)) => StepRes::done(Outcome::Failed(e)),
-                    Some(Outcome::Data(_)) | None => StepRes::pending(progressed),
-                };
+                return Ok(match self.reap(r)? {
+                    Some(_) => StepRes::done(Outcome::Done),
+                    None => StepRes::pending(progressed),
+                });
             }
             // Advance the schedule: one blocking child receive at a time in
             // wait order (the MPICH mask loop when the schedule is
             // binomial), then the send to the parent.
+            let tag = coll_tag(coll_code::REDUCE, s.coll_seq, 0);
             if let Some(&child) = s.sched.children_of(s.rank).get(s.next_child) {
-                let req = self.irecv_internal(
-                    Some(child),
-                    TagSel::Is(coll_tag(coll_code::REDUCE, s.coll_seq, 0)),
-                    s.context,
-                    s.acc.len(),
-                    Some(s.coll_seq),
-                );
+                let (sel, len) = (TagSel::Is(tag), s.acc.len());
+                let req = self.irecv_internal(Some(child), sel, s.context, len, Some(s.coll_seq));
                 s.child_recv = Some(req);
                 progressed = true;
                 continue;
             }
             if let Some(parent) = s.sched.parent_of(s.rank) {
-                let rndv = self.isend_internal(
-                    parent,
-                    coll_tag(coll_code::REDUCE, s.coll_seq, 0),
-                    s.context,
-                    Bytes::from(std::mem::take(&mut s.acc)),
-                    s.packet_kind,
-                    s.coll_seq,
-                    s.root,
-                );
+                let acc = Bytes::from(std::mem::take(&mut s.acc));
+                let (kind, seq) = (s.packet_kind, s.coll_seq);
+                let rndv = self.isend_internal(parent, tag, s.context, acc, kind, seq, s.root);
                 let Some(r) = rndv else {
-                    return StepRes::done(Outcome::Done);
+                    return Ok(StepRes::done(Outcome::Done));
                 };
                 s.send_req = Some(r);
                 progressed = true;
                 continue;
             }
             // Root with all children folded in.
-            return StepRes::done(Outcome::Data(Bytes::from(std::mem::take(&mut s.acc))));
+            let acc = Bytes::from(std::mem::take(&mut s.acc));
+            return Ok(StepRes::done(Outcome::Data(acc)));
         }
     }
 
-    fn step_bcast(&mut self, s: &mut BcastState) -> StepRes {
+    fn step_bcast(&mut self, s: &mut BcastState) -> Stepped {
         let mut progressed = false;
+        let tag = coll_tag(coll_code::BCAST, s.coll_seq, 0);
         if s.data.is_none() {
             if s.recv_req.is_none() {
                 let parent = s
                     .sched
                     .parent_of(s.rank)
                     .expect("non-root bcast rank has a parent");
-                let req = self.irecv_internal(
-                    Some(parent),
-                    TagSel::Is(coll_tag(coll_code::BCAST, s.coll_seq, 0)),
-                    s.context,
-                    s.len,
-                    Some(s.coll_seq),
-                );
-                s.recv_req = Some(req);
+                let (sel, seq) = (TagSel::Is(tag), Some(s.coll_seq));
+                s.recv_req = Some(self.irecv_internal(Some(parent), sel, s.context, s.len, seq));
                 progressed = true;
             }
-            let r = s.recv_req.unwrap();
-            match self.poll_sub(r) {
-                Some(Outcome::Data(d)) => {
-                    s.data = Some(d);
-                    s.recv_req = None;
-                    progressed = true;
-                }
-                Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                Some(Outcome::Done) | None => return StepRes::pending(progressed),
-            }
+            let Some(d) = self.reap(s.recv_req.unwrap())? else {
+                return Ok(StepRes::pending(progressed));
+            };
+            s.data = Some(d);
+            s.recv_req = None;
+            progressed = true;
         }
         // Have the data: issue sends to children in schedule order.
         let data = s.data.clone().expect("data present past receive phase");
         while let Some(&child) = s.sched.children_of(s.rank).get(s.next_send) {
             s.next_send += 1;
-            let rndv = self.isend_internal(
-                child,
-                coll_tag(coll_code::BCAST, s.coll_seq, 0),
-                s.context,
-                data.clone(),
-                PacketKind::Eager,
-                s.coll_seq,
-                s.root,
-            );
+            let (kind, seq) = (PacketKind::Eager, s.coll_seq);
+            let rndv = self.isend_internal(child, tag, s.context, data.clone(), kind, seq, s.root);
             s.send_reqs.extend(rndv);
             progressed = true;
         }
         // Collect completed rendezvous sends (eager ones completed at post).
         let mut pending = Vec::new();
         for req in s.send_reqs.drain(..) {
-            match self.poll_sub(req) {
-                Some(Outcome::Done) => progressed = true,
-                Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                Some(Outcome::Data(_)) => unreachable!("send completed with data"),
+            match self.reap(req)? {
+                Some(_) => progressed = true,
                 None => pending.push(req),
             }
         }
         s.send_reqs = pending;
-        if s.send_reqs.is_empty() {
-            StepRes::done(Outcome::Data(data))
-        } else {
-            StepRes::pending(progressed)
-        }
+        Ok(match s.send_reqs.is_empty() {
+            true => StepRes::done(Outcome::Data(data)),
+            false => StepRes::pending(progressed),
+        })
     }
 
-    fn step_barrier(&mut self, s: &mut BarrierState) -> StepRes {
+    fn step_barrier(&mut self, s: &mut BarrierState) -> Stepped {
         let rounds = barrier_rounds(s.size);
         let mut progressed = false;
         loop {
             if s.round >= rounds {
-                return StepRes::done(Outcome::Done);
+                return Ok(StepRes::done(Outcome::Done));
             }
             if s.recv_req.is_none() {
                 let dist = 1u32 << s.round;
                 let to = (s.rank + dist) % s.size;
                 let tag = coll_tag(coll_code::BARRIER, s.coll_seq, s.round as u8);
                 // A zero-byte send is eager: it completes at post.
-                let rndv = self.isend_internal(
-                    to,
-                    tag,
-                    s.context,
-                    Bytes::new(),
-                    PacketKind::Eager,
-                    s.coll_seq,
-                    0,
-                );
+                let (kind, seq) = (PacketKind::Eager, s.coll_seq);
+                let rndv = self.isend_internal(to, tag, s.context, Bytes::new(), kind, seq, 0);
                 debug_assert!(rndv.is_none());
                 let from = (s.rank + s.size - dist) % s.size;
-                let req = self.irecv_internal(
-                    Some(from),
-                    TagSel::Is(tag),
-                    s.context,
-                    0,
-                    Some(s.coll_seq),
-                );
+                let req = self.irecv_internal(Some(from), TagSel::Is(tag), s.context, 0, Some(seq));
                 s.recv_req = Some(req);
                 progressed = true;
             }
-            let r = s.recv_req.unwrap();
-            match self.poll_sub(r) {
-                Some(Outcome::Data(_)) => {
-                    s.recv_req = None;
-                    s.round += 1;
-                    progressed = true;
-                }
-                Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                Some(Outcome::Done) | None => return StepRes::pending(progressed),
+            if self.reap(s.recv_req.unwrap())?.is_none() {
+                return Ok(StepRes::pending(progressed));
             }
+            s.recv_req = None;
+            s.round += 1;
+            progressed = true;
         }
     }
 
-    fn step_gather(&mut self, s: &mut GatherState) -> StepRes {
-        let mut progressed = false;
+    fn step_gather(&mut self, s: &mut GatherState) -> Stepped {
         if s.rank != s.root {
-            if let Some(r) = s.send_req {
-                return match self.poll_sub(r) {
-                    Some(Outcome::Done) => StepRes::done(Outcome::Done),
-                    Some(Outcome::Failed(e)) => StepRes::done(Outcome::Failed(e)),
-                    Some(Outcome::Data(_)) | None => StepRes::pending(false),
-                };
-            }
-            return StepRes::done(Outcome::Done);
+            // A rendezvous send must complete; an eager one did at post.
+            let sent = match s.send_req {
+                Some(r) => self.reap(r)?.is_some(),
+                None => true,
+            };
+            return Ok(match sent {
+                true => StepRes::done(Outcome::Done),
+                false => StepRes::pending(false),
+            });
         }
         // Root: collect outstanding receives.
+        let mut progressed = false;
         let mut pending = Vec::new();
         for (req, src) in s.recvs.drain(..) {
-            match self.poll_sub(req) {
-                Some(Outcome::Data(d)) => {
-                    let copy = self.config.cost.copy(d.len());
-                    self.charge(CpuCategory::Protocol, copy);
-                    self.note_copy(d.len());
+            match self.reap(req)? {
+                Some(d) => {
+                    self.host_copy(d.len());
                     s.chunks[src as usize] = Some(d);
                     progressed = true;
                 }
-                Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                Some(Outcome::Done) | None => pending.push((req, src)),
+                None => pending.push((req, src)),
             }
         }
         s.recvs = pending;
@@ -1794,19 +1612,19 @@ impl Engine {
             for c in s.chunks.iter_mut() {
                 out.extend_from_slice(&c.take().expect("every block present"));
             }
-            return StepRes::done(Outcome::Data(Bytes::from(out)));
+            return Ok(StepRes::done(Outcome::Data(Bytes::from(out))));
         }
-        StepRes::pending(progressed)
+        Ok(StepRes::pending(progressed))
     }
 
-    fn step_allgather(&mut self, s: &mut AllgatherState) -> StepRes {
+    fn step_allgather(&mut self, s: &mut AllgatherState) -> Stepped {
         if let AllgatherPhase::Gather(g) = &mut s.phase {
-            let res = self.step_gather(g);
+            let res = self.step_gather(g)?;
             let data = match res.outcome {
                 Some(Outcome::Data(d)) => Some(d),
                 Some(Outcome::Done) => None,
-                Some(Outcome::Failed(e)) => return StepRes::done(Outcome::Failed(e)),
-                None => return StepRes::pending(res.progressed),
+                Some(Outcome::Failed(e)) => return Err(e),
+                None => return Ok(StepRes::pending(res.progressed)),
             };
             // Rank 0 broadcasts the assembled buffer on the sequence number
             // allocated right after the gather's.
@@ -1824,6 +1642,15 @@ impl Engine {
             AllgatherPhase::Gather(_) => unreachable!("the gather finished above"),
         }
     }
+}
+
+/// A collective step: its progress and outcome, or the first sub-request
+/// or operator error, which fails the collective.
+type Stepped = Result<StepRes, MprError>;
+
+/// The [`StepRes`] of a step, with an error as the failed outcome.
+fn settle(res: Stepped) -> StepRes {
+    res.unwrap_or_else(|e| StepRes::done(Outcome::Failed(e)))
 }
 
 /// The baseline runs each pipeline segment as an inline reduce or
@@ -1860,10 +1687,10 @@ impl SegRunner for Engine {
     }
 
     fn step(&mut self, sub: &mut SegMachine) -> StepRes {
-        match sub {
+        settle(match sub {
             SegMachine::Reduce(r) => self.step_reduce(r),
             SegMachine::Bcast(b) => self.step_bcast(b),
-        }
+        })
     }
 
     fn tracer(&self) -> &TraceHandle {

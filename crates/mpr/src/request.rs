@@ -59,8 +59,6 @@ pub enum RequestBody {
 pub struct RndvSend {
     /// Destination rank.
     pub dst: u32,
-    /// Transfer id carried in the RTS/CTS/DATA headers.
-    pub xfer_id: u64,
     /// The payload, held until the CTS arrives.
     pub data: Bytes,
     /// Pinned-region handle for the in-place source buffer.
@@ -74,8 +72,6 @@ pub struct RndvSend {
 /// Receive-side state.
 #[derive(Debug, Default)]
 pub struct RecvState {
-    /// Payload, once the message lands.
-    pub data: Option<Bytes>,
     /// Pinned region while a rendezvous transfer is in flight.
     pub region: Option<abr_gm::memory::RegionId>,
 }
